@@ -36,29 +36,15 @@ from .census import (
 )
 from .errors import MonocltError
 from .fourthmoment import DEFAULT_BUDGET, fourth_moment_exact
-from .graph import FamilySpec, Graph, generate, parse_edge_list, serialize_edge_list
+from .graph import FAMILIES, FamilySpec, Graph, generate, parse_edge_list, serialize_edge_list
 from .moments import T2Inputs, clt_bound_t2, clt_bound_t3, t2_moments, t3_mean_var
-from .sim import DEFAULT_ENUM_CAP, SimConfig, sample_statistics
-
-_FAMILY_CHOICES = (
-    "complete",
-    "star",
-    "cycle",
-    "pyramid",
-    "bipyramid_chain",
-    "composite",
-    "gnp",
-    "disjoint_union",
-)
-
-
-def _frac(q: Fraction) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator), "float": float(q)}
+from .ratpoly import fraction_json
+from .sim import SimConfig, sample_statistics
 
 
 def _add_graph_source(sub: argparse.ArgumentParser):
     sub.add_argument("--input", help="edge-list file (one 'u v' pair per line)")
-    sub.add_argument("--family", choices=_FAMILY_CHOICES, help="generated family")
+    sub.add_argument("--family", choices=FAMILIES, help="generated family")
     sub.add_argument("--n", type=int, help="family size parameter")
     sub.add_argument("--p", type=float, help="edge probability (gnp)")
     sub.add_argument("--graph-seed", type=int, help="seed for the gnp family")
@@ -72,7 +58,7 @@ def _add_graph_source(sub: argparse.ArgumentParser):
 
 def _parse_part(text: str, parser: argparse.ArgumentParser) -> FamilySpec:
     name, _, arg = text.partition(":")
-    if name not in _FAMILY_CHOICES or name in ("gnp", "composite", "disjoint_union") or not arg:
+    if name not in FAMILIES or name in ("gnp", "composite", "disjoint_union") or not arg:
         parser.error(f"bad --parts entry {text!r}; use a deterministic family like pyramid:8")
     try:
         return FamilySpec(family=name, n=int(arg))
@@ -236,18 +222,18 @@ def _dispatch(args, parser) -> int:
         tc = triangle_census(graph)
         pc = pyramid_counts(tc)
         body: dict = {}
-        t2 = t2_moments(T2Inputs.from_graph(graph), args.c)
+        t2 = t2_moments(T2Inputs(graph.edge_count, pc.n1, count_c4(graph)), args.c)
         body["T2"] = {
-            "mean": _frac(t2.mean),
-            "variance": _frac(t2.variance),
-            "excess4": _frac(t2.excess4),
+            "mean": fraction_json(t2.mean),
+            "variance": fraction_json(t2.variance),
+            "excess4": fraction_json(t2.excess4),
             "inputs": t2.inputs,
         }
         if pc.n1 >= 1:
             t3 = t3_mean_var(pc, args.c)
             body["T3"] = {
-                "mean": _frac(t3.mean),
-                "variance": _frac(t3.variance),
+                "mean": fraction_json(t3.mean),
+                "variance": fraction_json(t3.variance),
                 "inputs": t3.inputs,
             }
         _emit(args, _report(args, cmd, {"source": source, "c": args.c}, graph, body))
@@ -260,7 +246,7 @@ def _dispatch(args, parser) -> int:
         body = {}
         t2b = clt_bound_t2(graph.edge_count, count_c4(graph), args.c)
         body["T2"] = {
-            "rational_part": _frac(t2b.rational_part),
+            "rational_part": fraction_json(t2b.rational_part),
             "sqrt_base": t2b.sqrt_base,
             "inner": t2b.inner,
             "bound_bracket": t2b.bound,
@@ -268,8 +254,8 @@ def _dispatch(args, parser) -> int:
         if pc.n1 >= 1:
             t3b = clt_bound_t3(pc, b_statistic(tc))
             body["T3"] = {
-                "r1": _frac(t3b.r1),
-                "r2": _frac(t3b.r2),
+                "r1": fraction_json(t3b.r1),
+                "r2": fraction_json(t3b.r2),
                 "bracket": t3b.bracket,
                 "bound_bracket": t3b.bound,
             }
@@ -359,10 +345,11 @@ def _verify(threads: Optional[int]) -> int:
     for name, g in corpus:
         tc = triangle_census(g)
         pc = pyramid_counts(tc)
+        t2_inputs = T2Inputs(g.edge_count, pc.n1, count_c4(g))
         for c in (2, 3):
             dist = exact_distribution(g, c, tc=tc, threads=threads)
             mu2, v2, _ = dist.moments("T2")
-            rep2 = t2_moments(T2Inputs.from_graph(g), c)
+            rep2 = t2_moments(t2_inputs, c)
             if (mu2, v2) != (rep2.mean, rep2.variance) or dist.excess4("T2") != rep2.excess4:
                 ok, detail = False, f"T2 mismatch on {name}, c={c}"
             if pc.n1 >= 1:

@@ -29,7 +29,8 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, NoTrianglesError
-from .ratpoly import ONE, X, ZERO, RationalPoly
+from .moments import _check_colors, t3_mean_var
+from .ratpoly import ONE, X, ZERO, RationalPoly, fraction_json
 
 DEFAULT_BUDGET = 10**8
 
@@ -63,28 +64,6 @@ class TriangleMultiset:
         if not 1 <= total <= 4:
             raise ValueError("total multiplicity must be between 1 and 4")
         object.__setattr__(self, "triangles", tuple(tris))
-
-
-def _union_stats(triangles: Sequence[Triangle]) -> tuple[int, int]:
-    """(vertex count, connected component count) of the union graph."""
-    parent: dict[int, int] = {}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for t in triangles:
-        for v in t:
-            parent.setdefault(v, v)
-        ra = find(t[0])
-        for v in t[1:]:
-            rb = find(v)
-            if ra != rb:
-                parent[rb] = ra
-    roots = {find(v) for v in parent}
-    return len(parent), len(roots)
 
 
 def _triangle_components(triangles: Sequence[Triangle]) -> list[list[int]]:
@@ -129,8 +108,8 @@ def _component_expectation(triangles: Sequence[Triangle], mults: Sequence[int]) 
             else:
                 coef = coef * alpha[i]
         if chosen:
-            nv, ncomp = _union_stats(chosen)
-            coef = coef * X ** (nv - ncomp)
+            nv = len(set().union(*chosen))
+            coef = coef * X ** (nv - len(_triangle_components(chosen)))
         total = total + coef
     return total
 
@@ -157,9 +136,7 @@ def centered_product_poly(mset: TriangleMultiset) -> RationalPoly:
 
 
 def centered_product_expectation(mset: TriangleMultiset, c: int) -> Fraction:
-    if c < 2:
-        raise ValueError(f"need c >= 2 colors, got {c}")
-    return centered_product_poly(mset)(Fraction(1, c))
+    return centered_product_poly(mset)(_check_colors(c))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +280,7 @@ class ClassRecord:
         return tuple(sorted(deg.values()))
 
     def is_connected(self) -> bool:
-        return _union_stats(self.representative)[1] == 1
+        return len(_triangle_components(self.representative)) == 1
 
 
 _RECORD_CACHE: dict[tuple, ClassRecord] = {}
@@ -550,14 +527,10 @@ class Decomposition:
         return {
             "c": self.c,
             "classes": classes,
-            "sigma2": _fraction_json(self.sigma2),
-            "excess4": _fraction_json(self.excess4),
+            "sigma2": fraction_json(self.sigma2),
+            "excess4": fraction_json(self.excess4),
             "enumerated_configurations": self.enumerated,
         }
-
-
-def _fraction_json(q: Fraction) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator), "float": float(q)}
 
 
 def fourth_moment_exact(
@@ -570,12 +543,10 @@ def fourth_moment_exact(
 ) -> Decomposition:
     """Exact E(Z^4) - 3 for the monochromatic triangle count of the graph
     behind the census tc (pyramid counts pc feed the variance)."""
-    from .moments import t3_mean_var
-
+    x = _check_colors(c)
     if pc.n1 < 1:
         raise NoTrianglesError("fourth moment needs at least one triangle")
     disc = discover_classes(tc.triangles, budget=budget, threads=threads)
-    x = Fraction(1, c)
     sigma2 = t3_mean_var(pc, c).variance
     total = Fraction(0)
     for rec, cnt in disc.entries:

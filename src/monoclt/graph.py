@@ -161,7 +161,7 @@ def serialize_edge_list(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # family generators
 
-_FAMILIES = (
+FAMILIES = (
     "complete",
     "star",
     "cycle",
@@ -291,8 +291,8 @@ def generate(spec: FamilySpec) -> Graph:
     """Build the graph described by spec. Deterministic for every family;
     gnp is deterministic given its seed."""
     fam = spec.family
-    if fam not in _FAMILIES:
-        raise BadParamsError(f"unknown family {fam!r}; expected one of {_FAMILIES}")
+    if fam not in FAMILIES:
+        raise BadParamsError(f"unknown family {fam!r}; expected one of {FAMILIES}")
     if fam == "complete":
         return complete(_require_n(spec, 1))
     if fam == "star":

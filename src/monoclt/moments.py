@@ -23,12 +23,12 @@ R2 = b / (n1 + n2)^2, the edge bracket is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .census import PyramidCounts, count_c4, pyramid_counts, triangle_census
-from .errors import NoEdgesError, NoTrianglesError, UnsupportedFamilyError
+from .census import PyramidCounts, count_c4, triangle_census
+from .errors import BadParamsError, NoEdgesError, NoTrianglesError, UnsupportedFamilyError
 from .graph import Graph
 
 
@@ -38,7 +38,7 @@ def standard_normal_cdf(z: float) -> float:
 
 def _check_colors(c: int) -> Fraction:
     if c < 2:
-        raise ValueError(f"need c >= 2 colors, got {c}")
+        raise BadParamsError(f"need c >= 2 colors, got {c}")
     return Fraction(1, c)
 
 
@@ -94,24 +94,33 @@ def t3_mean_var(pc: PyramidCounts, c: int) -> MomentReport:
     )
 
 
-def t2_moments(counts: T2Inputs, c: int) -> MomentReport:
-    """Exact mean, variance, and excess fourth moment of the
-    monochromatic edge count. Depends on the graph only through counts."""
+def t2_mean_var(edge_count: int, c: int) -> MomentReport:
+    """Exact mean and variance of the monochromatic edge count."""
     x = _check_colors(c)
-    m, k3, c4 = counts
-    if m < 1:
+    if edge_count < 1:
         raise NoEdgesError("edge statistics need at least one edge")
-    mean = m * x
-    variance = m * x * (1 - x)
-    g1 = x * (1 - 7 * x + 12 * x**2 - 6 * x**3)
-    g2 = 36 * x**2 * (1 - x) * (1 - 2 * x)
-    g3 = 24 * x**3 * (1 - x)
-    excess4 = (g1 * m + g2 * k3 + g3 * c4) / variance**2
     return MomentReport(
         statistic="T2",
         c=c,
-        mean=mean,
-        variance=variance,
+        mean=edge_count * x,
+        variance=edge_count * x * (1 - x),
+        excess4=None,
+        inputs={"edges": edge_count},
+    )
+
+
+def t2_moments(counts: T2Inputs, c: int) -> MomentReport:
+    """Exact mean, variance, and excess fourth moment of the
+    monochromatic edge count. Depends on the graph only through counts."""
+    m, k3, c4 = counts
+    base = t2_mean_var(m, c)
+    x = Fraction(1, c)
+    g1 = x * (1 - 7 * x + 12 * x**2 - 6 * x**3)
+    g2 = 36 * x**2 * (1 - x) * (1 - 2 * x)
+    g3 = 24 * x**3 * (1 - x)
+    excess4 = (g1 * m + g2 * k3 + g3 * c4) / base.variance**2
+    return replace(
+        base,
         excess4=excess4,
         inputs={"edges": m, "triangles": k3, "four_cycles": c4},
     )

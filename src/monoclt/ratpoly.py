@@ -122,6 +122,11 @@ class RationalPoly:
         return "RationalPoly(" + " + ".join(parts).replace("+ -", "- ") + ")"
 
 
+def fraction_json(q: Fraction) -> dict:
+    """JSON form of an exact rational used in every report."""
+    return {"num": str(q.numerator), "den": str(q.denominator), "float": float(q)}
+
+
 def _coerce(value) -> RationalPoly:
     if isinstance(value, RationalPoly):
         return value

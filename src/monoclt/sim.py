@@ -23,9 +23,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .census import TriangleCensus, pyramid_counts, triangle_census
-from .errors import EmptySampleError, TooLargeError
+from .errors import BadParamsError, EmptySampleError, TooLargeError
 from .graph import Graph
-from .moments import T2Inputs, standard_normal_cdf, t2_moments, t3_mean_var
+from .moments import _check_colors, standard_normal_cdf, t2_mean_var, t3_mean_var
+from .ratpoly import fraction_json
 
 BLOCK = 1024  # replications per RNG block; fixed so reports never depend on threading
 DEFAULT_ENUM_CAP = 10**7
@@ -41,10 +42,11 @@ class SimConfig:
     atom_gap: Optional[float] = None  # raw-scale gap for atom clustering
 
     def __post_init__(self):
-        if self.c < 2:
-            raise ValueError(f"need c >= 2 colors, got {self.c}")
+        _check_colors(self.c)
         if self.replications < 1:
-            raise ValueError("need at least one replication")
+            raise BadParamsError(f"need at least one replication, got {self.replications}")
+        if not 0 <= self.seed <= _MASK64:
+            raise BadParamsError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.statistic not in ("T2", "T3", "both"):
             raise ValueError(f"unknown statistic {self.statistic!r}")
 
@@ -75,14 +77,14 @@ class StatisticSummary:
             "statistic": self.statistic,
             "replications": self.replications,
             "distribution": [[int(v), int(n)] for v, n in self.distribution],
-            "mean": _frac_json(self.mean),
-            "variance": _frac_json(self.variance),
-            "central4": _frac_json(self.central4),
+            "mean": fraction_json(self.mean),
+            "variance": fraction_json(self.variance),
+            "central4": fraction_json(self.central4),
             "ks_normal": self.ks_normal,
         }
         if self.model_mean is not None:
-            out["model_mean"] = _frac_json(self.model_mean)
-            out["model_variance"] = _frac_json(self.model_variance)
+            out["model_mean"] = fraction_json(self.model_mean)
+            out["model_variance"] = fraction_json(self.model_variance)
         if self.atoms:
             out["atoms"] = [{"location": a.location, "mass": a.mass} for a in self.atoms]
         return out
@@ -112,16 +114,13 @@ class SimReport:
         }
 
 
-def _frac_json(q: Fraction) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator), "float": float(q)}
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo sampling
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & _MASK64, block & _MASK64]))
+    key = np.array([seed & _MASK64, block & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_statistics(
@@ -152,7 +151,7 @@ def sample_statistics(
     tris = (
         np.asarray(tc.triangles, dtype=np.int64).reshape(-1, 3) if want_t3 else None
     )
-    dtype = np.uint8 if cfg.c <= 255 else np.uint16
+    dtype = np.uint8 if cfg.c <= 0xFF else np.uint16 if cfg.c <= 0xFFFF else np.uint32
     n_blocks = (cfg.replications + BLOCK - 1) // BLOCK
 
     def run_block(b: int):
@@ -196,7 +195,7 @@ def sample_statistics(
         counts2 = np.sum([r[0] for r in results], axis=0, dtype=np.int64)
         model2 = None
         if g.edge_count >= 1:
-            model2 = t2_moments(T2Inputs.from_graph(g), cfg.c)
+            model2 = t2_mean_var(g.edge_count, cfg.c)
         summaries.append(_summarize("T2", counts2, cfg, model2))
     if want_t3:
         counts3 = np.sum([r[1] for r in results], axis=0, dtype=np.int64)
@@ -306,8 +305,7 @@ def exact_distribution(
     integer arrays summed in a fixed order, so the result is exact and
     independent of thread count.
     """
-    if c < 2:
-        raise ValueError(f"need c >= 2 colors, got {c}")
+    _check_colors(c)
     total = c**g.n
     if total > cap:
         raise TooLargeError(f"enumeration size {total} exceeds cap {cap}")

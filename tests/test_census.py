@@ -12,7 +12,21 @@ from monoclt.census import (
     score_ordering,
     triangle_census,
 )
-from monoclt.graph import Graph, bipyramid_chain, complete, cycle, gnp, pyramid
+from monoclt.graph import Graph, bipyramid_chain, complete, cycle, gnp, pyramid, star
+
+
+def _kernel_corpus(small_corpus):
+    """The small corpus plus denser gnp graphs (many degree ties for the
+    4-cycle kernel's ranking), each with a relabelled copy."""
+    rng = random.Random(11)
+    graphs = list(small_corpus)
+    graphs += [(f"gnp{n}_p{p}_seed{s}", gnp(n, p, s)) for n, p in ((12, 0.6), (16, 0.5)) for s in range(3)]
+    out = []
+    for name, g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out += [(name, g), (f"{name}_relabeled", relabeled(g, perm))]
+    return out
 
 
 def test_census_k3_k4():
@@ -82,7 +96,7 @@ def test_count_c4_complete(n):
 
 
 def test_count_c4_matches_brute(small_corpus):
-    for name, g in small_corpus:
+    for name, g in _kernel_corpus(small_corpus):
         assert count_c4(g) == brute_c4(g), name
 
 
@@ -93,18 +107,25 @@ def test_b_statistic_examples():
 
 
 def test_b_statistic_matches_brute(small_corpus):
-    for name, g in small_corpus:
+    for name, g in _kernel_corpus(small_corpus):
         assert b_statistic(triangle_census(g)) == brute_b(g), name
 
 
 def test_b_statistic_relabeling_invariant():
     rng = random.Random(7)
-    for g in (complete(4), pyramid(6), gnp(20, 0.3, 5)):
+    for g in (complete(4), pyramid(6), bipyramid_chain(5), gnp(20, 0.3, 5), gnp(16, 0.7, 1)):
         base = b_statistic(triangle_census(g))
         for _ in range(3):
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert b_statistic(triangle_census(relabeled(g, perm))) == base
+
+
+def test_hub_closed_forms():
+    # every 4-cycle runs hub-spine-hub-spine, with unit d on all four edges
+    for g, n in ((pyramid(2000), 2000), (bipyramid_chain(1000), 1000)):
+        assert count_c4(g) == b_statistic(triangle_census(g)) == comb(n, 2)
+    assert count_c4(star(5000)) == 0
 
 
 def test_score_ordering_pyramid():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from monoclt import census, cli, fourthmoment, moments, sim
 from monoclt.cli import run
 
 
@@ -171,3 +172,70 @@ def test_simulate_raw_out(capsys, tmp_path):
     counts = {int(v): int(n) for v, n in zip(*np.unique(raw, return_counts=True))}
     assert counts == dist
     assert not (tmp_path / "raw.t2.bin").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", "--c", "1"),
+        ("bounds", "--c", "1"),
+        ("simulate", "--c", "1", "--reps", "10", "--seed", "1"),
+        ("simulate", "--c", "2", "--reps", "0", "--seed", "1"),
+        ("simulate", "--c", "2", "--reps", "10", "--seed", "-1"),
+        ("simulate", "--c", "2", "--reps", "10", "--seed", str(2**64)),
+        ("fourth-moment", "--c", "0"),
+    ],
+)
+def test_bad_parameters_end_in_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], "--family", "pyramid", "--n", "3", *argv[1:])
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "BadParamsError"
+    assert error["operation"] == argv[0]
+
+
+def test_simulate_more_colors_than_uint16(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "simulate", "--family", "pyramid", "--n", "3",
+        "--c", "70000", "--reps", "10", "--seed", "1", "--threads", "1",
+    )
+    assert code == 0
+    for result in json.loads(out)["report"]:
+        assert sum(n for _, n in result["distribution"]) == 10
+
+
+def _count_calls(monkeypatch, names):
+    """Replace every binding of the named census functions in the package
+    with a wrapper that records the call; returns the record."""
+    calls = []
+    for name in names:
+        original = getattr(census, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in (census, cli, fourthmoment, moments, sim):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_moments_runs_the_triangle_census_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, ("triangle_census",))
+    code, _, _ = run_cli(capsys, "moments", "--family", "bipyramid_chain", "--n", "5", "--c", "3")
+    assert code == 0
+    assert calls == ["triangle_census"]
+
+
+def test_simulate_t2_needs_no_census(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, ("triangle_census", "count_c4"))
+    code, _, _ = run_cli(
+        capsys,
+        "simulate", "--family", "pyramid", "--n", "10",
+        "--c", "3", "--reps", "100", "--seed", "1", "--statistic", "T2",
+    )
+    assert code == 0
+    assert calls == []

@@ -13,6 +13,7 @@ from monoclt.moments import (
     clt_bound_t2,
     clt_bound_t3,
     limit_law_reference,
+    t2_mean_var,
     t2_moments,
     t3_mean_var,
 )
@@ -49,6 +50,16 @@ def test_t2_examples():
 def test_t2_rejects_edgeless():
     with pytest.raises(NoEdgesError):
         t2_moments(T2Inputs(0, 0, 0), 2)
+    with pytest.raises(NoEdgesError):
+        t2_mean_var(0, 2)
+
+
+def test_t2_mean_var_needs_only_the_edge_count():
+    for g in (star(3), complete(4), pyramid(5)):
+        for c in (2, 3, 7):
+            full = t2_moments(T2Inputs.from_graph(g), c)
+            rep = t2_mean_var(g.edge_count, c)
+            assert (rep.mean, rep.variance, rep.excess4) == (full.mean, full.variance, None)
 
 
 def test_closed_forms_match_pure_python_enumeration(small_corpus):

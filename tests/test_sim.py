@@ -9,6 +9,7 @@ from monoclt.graph import complete, cycle, gnp, pyramid
 from monoclt.moments import T2Inputs, standard_normal_cdf, t2_moments, t3_mean_var
 from monoclt.sim import (
     SimConfig,
+    _block_rng,
     atom_summary,
     exact_distribution,
     ks_statistic,
@@ -209,3 +210,23 @@ def test_raw_sample_streaming():
     single = {"T3": io.BytesIO()}
     sample_statistics(g, cfg, raw_sinks=single)
     assert threaded["T3"].getvalue() == single["T3"].getvalue()
+
+
+def test_block_streams_distinct_at_and_above_2_63():
+    draws = {
+        tuple(_block_rng(seed, 0).integers(0, 1000, size=6).tolist())
+        for seed in (2**63, 2**63 + 1, 2**63 + 2, 2**64 - 1)
+    }
+    assert len(draws) == 4
+
+
+def test_block_streams_pinned_below_2_63():
+    # these streams predate the uint64 key and must not move, so that
+    # reports made with seeds below 2^63 stay reproducible
+    pinned = {
+        (12345, 0): [57, 646, 544, 774, 961, 786],
+        (2**62 + 7, 3): [802, 76, 760, 141, 83, 148],
+        (2**63 - 1, 1): [979, 88, 744, 416, 570, 949],
+    }
+    for (seed, block), want in pinned.items():
+        assert _block_rng(seed, block).integers(0, 1000, size=6).tolist() == want
