@@ -13,7 +13,8 @@ One subcommand per module concern:
 Every JSON report embeds the tool version, the resolved configuration,
 and the input graph digest; rerunning an embedded configuration
 reproduces the report byte-for-byte. Exit codes: 0 success, 1 domain
-error, 2 usage error. The --threads flag never changes results.
+error, 2 usage error. The --threads flag never changes results; class
+discovery in fourth-moment runs on one thread whatever it is set to.
 """
 
 from __future__ import annotations
@@ -147,8 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("fourth-moment", help="exact fourth-moment decomposition")
     _add_graph_source(p)
     p.add_argument("--c", type=int, required=True, help="number of colors (>= 2)")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--threads", type=int, default=os.cpu_count())
+    p.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET, help="cap on connected configurations (>= 0)"
+    )
+    p.add_argument(
+        "--threads", type=int, default=os.cpu_count(),
+        help="accepted and ignored: class discovery runs on one thread",
+    )
     p.add_argument("--out", help="output path (default stdout)")
 
     p = subs.add_parser("simulate", help="seeded Monte Carlo sampling")
@@ -267,7 +273,7 @@ def _dispatch(args, parser) -> int:
         graph, source = _resolve_graph(args, parser)
         tc = triangle_census(graph)
         pc = pyramid_counts(tc)
-        dec = fourth_moment_exact(tc, pc, args.c, budget=args.budget, threads=args.threads)
+        dec = fourth_moment_exact(tc, pc, args.c, budget=args.budget)
         config = {"source": source, "c": args.c, "budget": args.budget}
         _emit(args, _report(args, cmd, config, graph, dec.to_json_dict()))
         return 0
@@ -357,12 +363,12 @@ def _verify(threads: Optional[int]) -> int:
                 mu3, v3, _ = dist.moments("T3")
                 if (mu3, v3) != (rep3.mean, rep3.variance):
                     ok, detail = False, f"T3 mismatch on {name}, c={c}"
-                dec = fourth_moment_exact(tc, pc, c, threads=threads)
+                dec = fourth_moment_exact(tc, pc, c)
                 if dec.excess4 != dist.excess4("T3"):
                     ok, detail = False, f"fourth-moment mismatch on {name}, c={c}"
     check("oracle equality (closed forms vs full enumeration)", ok, detail)
 
-    disc = discover_classes(triangle_census(complete(9)).triangles, threads=threads)
+    disc = discover_classes(triangle_census(complete(9)).triangles)
     check(
         "class discovery on K9 finds exactly 32 classes",
         len(disc.entries) == 32,

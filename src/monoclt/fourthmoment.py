@@ -7,10 +7,17 @@ triangles involved (1 to 4 of them, "the specified triangles") and
 subtracting the matching expansion of 3 Var(T)^2 assigns every such set
 a polynomial coefficient in x = 1/c that depends only on the isomorphism
 class of (union graph, specified triangle set). Sets whose union is
-disconnected cancel exactly, so only vertex-connected sets are
-enumerated:
+disconnected cancel exactly, so only vertex-connected sets are counted:
 
     E(Z^4) - 3 = sum over classes of coefficient(x) * count / Var(T)^2.
+
+The coefficient is a fourth joint cumulant, so it also vanishes on every
+separable set: one whose triangles split into two groups sharing at most
+one vertex, which are independent under uniform colorings (Janson 1988).
+Class discovery walks the sets of 1 to 3 triangles one at a time and
+counts the 4-sets grown from each 3-set in bulk, by popcounts of
+triangle bitmasks, skipping the fourth triangles that meet the 3-set in
+a single vertex.
 
 Class identity is decided by an exact canonical form: fixing an order of
 the k triangles, each union vertex gets a k-bit incidence pattern, and
@@ -22,13 +29,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .errors import BudgetExceededError, NoTrianglesError
+from .errors import BadParamsError, BudgetExceededError, NoTrianglesError
 from .moments import _check_colors, t3_mean_var
 from .ratpoly import ONE, X, ZERO, RationalPoly, fraction_json
 
@@ -299,190 +305,183 @@ def _record_for_key(key: tuple) -> ClassRecord:
 # enumeration of connected triangle sets
 
 
-def _subset_key0(vm: Sequence[int], members: Sequence[int]) -> tuple:
-    # Fast per-subset fingerprint: popcounts of all intersections of the
-    # member vertex masks. For the (ordered) members this determines the
-    # incidence-pattern multiset exactly, so the map key0 -> class is
-    # well-defined; it is just not yet order-canonical.
-    if len(members) == 2:
-        a, b = members
-        return (2, (vm[a] & vm[b]).bit_count())
-    if len(members) == 3:
-        a, b, c = members
-        va, vb, vc = vm[a], vm[b], vm[c]
-        ab = va & vb
-        return (
-            3,
-            ab.bit_count(),
-            (va & vc).bit_count(),
-            (vb & vc).bit_count(),
-            (ab & vc).bit_count(),
-        )
-    a, b, c, d = members
-    va, vb, vc, vd = vm[a], vm[b], vm[c], vm[d]
-    ab = va & vb
-    ac = va & vc
-    bc = vb & vc
-    cd = vc & vd
-    return (
-        4,
-        ab.bit_count(),
-        ac.bit_count(),
-        (va & vd).bit_count(),
-        bc.bit_count(),
-        (vb & vd).bit_count(),
-        cd.bit_count(),
-        (ab & vc).bit_count(),
-        (ab & vd).bit_count(),
-        (ac & vd).bit_count(),
-        (bc & vd).bit_count(),
-        (ab & cd).bit_count(),
-    )
-
-
-def _triangle_adjacency(triangles: Sequence[Triangle]) -> tuple[list[int], list[int]]:
-    """(vertex masks, adjacency masks) over triangle indices; two
-    triangles are adjacent when they share at least one vertex."""
+def _triangle_masks(triangles: Sequence[Triangle]) -> tuple[list[int], list[int], list[int]]:
+    """Bitmasks over vertices and triangle indices: each triangle's vertex
+    set, the triangles at each vertex, and each triangle's adjacent
+    triangles (those sharing at least one vertex with it)."""
     vm = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triangles]
-    at_vertex: dict[int, list[int]] = {}
+    at = [0] * (max(map(max, triangles), default=-1) + 1)
     for i, t in enumerate(triangles):
         for v in t:
-            at_vertex.setdefault(v, []).append(i)
-    adjm = [0] * len(triangles)
-    for tris in at_vertex.values():
-        mask = 0
-        for i in tris:
-            mask |= 1 << i
-        for i in tris:
-            adjm[i] |= mask
-    for i in range(len(triangles)):
-        adjm[i] &= ~(1 << i)
-    return vm, adjm
+            at[v] |= 1 << i
+    adjm = [(at[a] | at[b] | at[c]) & ~(1 << i) for i, (a, b, c) in enumerate(triangles)]
+    return vm, at, adjm
 
 
-def _enumerate_seeds(
-    seeds: Iterable[int],
-    vm: Sequence[int],
-    adjm: Sequence[int],
-    budget: int,
-) -> tuple[dict, dict, int]:
-    """Enumerate every connected subset of 1..4 triangles whose minimum
-    index is a seed, tallying subsets per key0 fingerprint.
-
-    Uses extension enumeration on the triangle-adjacency graph: a subset
-    containing seed v only ever grows through indices > v, and each
-    candidate is offered for extension exactly once, so every connected
-    subset appears exactly once.
-    """
-    counts: dict[tuple, int] = {}
-    reps: dict[tuple, tuple[int, ...]] = {}
-    emitted = 0
-
-    def tally(members: tuple[int, ...]):
-        key = _subset_key0(vm, members)
-        prev = counts.get(key)
-        if prev is None:
-            counts[key] = 1
-            reps[key] = members
-        else:
-            counts[key] = prev + 1
-
-    def extend(members: tuple[int, ...], nbhd: int, ext: int):
-        nonlocal emitted
-        while ext:
-            wbit = ext & -ext
-            ext ^= wbit
-            w = wbit.bit_length() - 1
-            new_members = members + (w,)
-            emitted += 1
-            if emitted > budget:
-                raise BudgetExceededError(
-                    f"connected configuration count exceeded budget {budget}"
-                )
-            tally(new_members)
-            if len(new_members) < 4:
-                extend(new_members, nbhd | adjm[w], ext | (adjm[w] & ~nbhd & gt_mask))
-
-    for v in seeds:
-        emitted += 1
-        if emitted > budget:
-            raise BudgetExceededError(f"connected configuration count exceeded budget {budget}")
-        key1 = (1,)
-        counts[key1] = counts.get(key1, 0) + 1
-        reps.setdefault(key1, (v,))
-        gt_mask = -1 << (v + 1)
-        nbhd = adjm[v] | (1 << v)
-        extend((v,), nbhd, adjm[v] & gt_mask)
-    return counts, reps, emitted
+def _tally_fourth(
+    tab: list[int],
+    va: int,
+    vb: int,
+    vc: int,
+    ext: int,
+    at: Sequence[int],
+    triangles: Sequence[Triangle],
+):
+    # Adds the 4-sets {a, b, c, w}, w in ext, to tab. A 4-set's class is
+    # fixed by the prefix fingerprint plus the incidence patterns (over
+    # a, b, c) of the vertices w shares with the prefix union U; tab is
+    # indexed by those patterns packed 3 bits each. A w meeting U in one
+    # vertex makes the set separable, so its class is zero: it is skipped.
+    # A w meeting U in two vertices u, v lies in the masks of u and v
+    # only, and is counted in bulk per pair; one inside U lies in three
+    # masks and is visited alone.
+    union = va | vb | vc
+    once = twice = inside = 0
+    pattern: dict[int, int] = {}
+    met = []
+    while union:
+        xbit = union & -union
+        union ^= xbit
+        x = xbit.bit_length() - 1
+        mx = ext & at[x]
+        if mx:
+            p = pattern[x] = (va >> x & 1) | (vb >> x & 1) << 1 | (vc >> x & 1) << 2
+            met.append((p, mx))
+            inside |= twice & mx
+            twice |= once & mx
+            once |= mx
+    twice &= ~inside
+    for i, (p, mx) in enumerate(met):
+        mx &= twice
+        if mx:
+            for q, my in met[i + 1 :]:
+                pair = mx & my
+                if pair:
+                    tab[p << 3 | q] += pair.bit_count()
+    while inside:
+        wbit = inside & -inside
+        inside ^= wbit
+        u, v, x = triangles[wbit.bit_length() - 1]
+        tab[pattern[u] << 6 | pattern[v] << 3 | pattern[x]] += 1
 
 
-def _merge_tallies(parts) -> tuple[dict, dict, int]:
-    counts: dict[tuple, int] = {}
-    reps: dict[tuple, tuple[int, ...]] = {}
-    emitted = 0
-    for pc, pr, pe in parts:
-        emitted += pe
-        for key, cnt in pc.items():
-            counts[key] = counts.get(key, 0) + cnt
-            reps.setdefault(key, pr[key])
-    return counts, reps, emitted
+def _fourth_member(prefix: Sequence[Triangle], idx: int) -> Triangle:
+    """A triangle that completes the prefix to a 4-set of tally index idx:
+    its vertices in the prefix union carry the two or three incidence
+    patterns packed in idx, and with two its third vertex is new."""
+    pats = [idx >> 6, idx >> 3 & 7, idx & 7] if idx >> 6 else [idx >> 3, idx & 7]
+    union = sorted(set().union(*prefix))
+    by_pattern: dict[int, list[int]] = {}
+    for v in union:
+        by_pattern.setdefault(sum(1 << i for i, t in enumerate(prefix) if v in t), []).append(v)
+    w = [by_pattern[p].pop() for p in pats]
+    return tuple(w) if len(w) == 3 else (w[0], w[1], union[-1] + 1)
 
 
 @dataclass(frozen=True)
 class Discovery:
     """Classes found in one graph: entries pair each nonzero-coefficient
-    class with its embedded-copy count; zero-coefficient classes are
-    dropped (their key count is reported for diagnostics)."""
+    class with its embedded-copy count, in key order; enumerated is the
+    number of connected configurations of 1 to 4 triangles."""
 
     entries: tuple[tuple[ClassRecord, int], ...]
-    zero_class_count: int
     enumerated: int
 
     def by_key(self) -> dict[tuple, tuple[ClassRecord, int]]:
         return {rec.key: (rec, cnt) for rec, cnt in self.entries}
 
 
-def discover_classes(
-    triangles: Sequence[Triangle],
-    *,
-    budget: int = DEFAULT_BUDGET,
-    threads: Optional[int] = None,
-) -> Discovery:
-    """Enumerate all connected 1..4-triangle configurations, grouped into
-    canonical classes with exact counts."""
-    vm, adjm = _triangle_adjacency(triangles)
-    m = len(triangles)
-    if threads and threads > 1 and m > 8:
-        stripes = [range(s, m, threads) for s in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda s: _enumerate_seeds(s, vm, adjm, budget), stripes))
-        counts0, reps0, emitted = _merge_tallies(parts)
-        if emitted > budget:
-            raise BudgetExceededError(f"connected configuration count exceeded budget {budget}")
-    else:
-        counts0, reps0, emitted = _enumerate_seeds(range(m), vm, adjm, budget)
+def discover_classes(triangles: Sequence[Triangle], *, budget: int = DEFAULT_BUDGET) -> Discovery:
+    """Count all connected 1..4-triangle configurations, grouped into
+    canonical classes with exact counts.
 
-    key0_to_key: dict[tuple, tuple] = {}
+    Sets of 1 to 3 triangles are walked one at a time by extension
+    enumeration on the triangle-adjacency graph (Wernicke 2006): a set
+    whose minimum index is a only grows through indices > a, and each
+    candidate is offered exactly once, so every connected set appears
+    exactly once. The fourth level is counted in bulk: at each 3-set the
+    extension mask holds exactly its 4-set extensions, which are tallied
+    by popcount (see _tally_fourth). The budget bounds the running total
+    of configurations counted.
+    """
+    if budget < 0:
+        raise BadParamsError(f"budget must be >= 0, got {budget}")
+    vm, at, adjm = _triangle_masks(triangles)
+    # fingerprint of a set of 1..3 triangles in walk order: popcounts of
+    # the intersections of their vertex masks, which fix the incidence
+    # patterns and hence the class
+    counts: dict[tuple, int] = {}
+    reps: dict[tuple, tuple[int, ...]] = {}
+    fourth: dict[tuple, list[int]] = {}
+    emitted = 0
+    over = f"connected configuration count exceeded budget {budget}"
+
+    def tally(key: tuple, members: tuple[int, ...]):
+        if key in counts:
+            counts[key] += 1
+        else:
+            counts[key] = 1
+            reps[key] = members
+
+    for a, va in enumerate(vm):
+        tally((1,), (a,))
+        emitted += 1
+        gt = -1 << (a + 1)
+        nb1 = adjm[a] | 1 << a
+        ext1 = adjm[a] & gt
+        while ext1:
+            bbit = ext1 & -ext1
+            ext1 ^= bbit
+            b = bbit.bit_length() - 1
+            vb = vm[b]
+            ab = va & vb
+            tally((2, ab.bit_count()), (a, b))
+            emitted += 1
+            nb2 = nb1 | adjm[b]
+            ext2 = ext1 | (adjm[b] & ~nb1 & gt)
+            while ext2:
+                cbit = ext2 & -ext2
+                ext2 ^= cbit
+                c = cbit.bit_length() - 1
+                vc = vm[c]
+                ac, bc = va & vc, vb & vc
+                fp = (3, ab.bit_count(), ac.bit_count(), bc.bit_count(), (ab & vc).bit_count())
+                tally(fp, (a, b, c))
+                ext3 = ext2 | (adjm[c] & ~nb2 & gt)
+                emitted += 1 + ext3.bit_count()
+                if emitted > budget:
+                    raise BudgetExceededError(over)
+                if ext3:
+                    tab = fourth.get(fp)
+                    if tab is None:
+                        tab = fourth[fp] = [0] * 512
+                    _tally_fourth(tab, va, vb, vc, ext3, at, triangles)
+    if emitted > budget:
+        raise BudgetExceededError(over)
+
     class_counts: dict[tuple, int] = {}
-    for key0, cnt in counts0.items():
-        key = key0_to_key.get(key0)
-        if key is None:
-            key = class_key([triangles[i] for i in reps0[key0]])
-            key0_to_key[key0] = key
+
+    def add(tris: Sequence[Triangle], cnt: int):
+        key = class_key(tris)
         class_counts[key] = class_counts.get(key, 0) + cnt
 
+    for key0, cnt in counts.items():
+        add([triangles[i] for i in reps[key0]], cnt)
+    for fp, tab in fourth.items():
+        prefix = [triangles[i] for i in reps[fp]]
+        for idx, cnt in enumerate(tab):
+            if cnt:
+                add(prefix + [_fourth_member(prefix, idx)], cnt)
+
     entries = []
-    zero_classes = 0
     for key in sorted(class_counts):
         rec = _record_for_key(key)
         # enumeration is over vertex-connected sets only; anything else
         # slipping through would signal a broken walker
         assert rec.is_connected(), f"disconnected class emitted: {key}"
-        if rec.coefficient.is_zero:
-            zero_classes += 1
-        else:
+        if not rec.coefficient.is_zero:
             entries.append((rec, class_counts[key]))
-    return Discovery(entries=tuple(entries), zero_class_count=zero_classes, enumerated=emitted)
+    return Discovery(entries=tuple(entries), enumerated=emitted)
 
 
 # ---------------------------------------------------------------------------
@@ -539,14 +538,13 @@ def fourth_moment_exact(
     c: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    threads: Optional[int] = None,
 ) -> Decomposition:
     """Exact E(Z^4) - 3 for the monochromatic triangle count of the graph
     behind the census tc (pyramid counts pc feed the variance)."""
     x = _check_colors(c)
     if pc.n1 < 1:
         raise NoTrianglesError("fourth moment needs at least one triangle")
-    disc = discover_classes(tc.triangles, budget=budget, threads=threads)
+    disc = discover_classes(tc.triangles, budget=budget)
     sigma2 = t3_mean_var(pc, c).variance
     total = Fraction(0)
     for rec, cnt in disc.entries:

@@ -129,6 +129,95 @@ def all_small_graph_stats(g: Graph, c: int):
 
 
 # ---------------------------------------------------------------------------
+# class discovery by visiting every configuration
+
+
+def _subset_key0(vm, members) -> tuple:
+    # Popcounts of all intersections of the member vertex masks. For the
+    # (ordered) members this determines the incidence-pattern multiset
+    # exactly, so the map to classes is well-defined.
+    if len(members) == 1:
+        return (1,)
+    if len(members) == 2:
+        a, b = members
+        return (2, (vm[a] & vm[b]).bit_count())
+    if len(members) == 3:
+        a, b, c = members
+        va, vb, vc = vm[a], vm[b], vm[c]
+        ab = va & vb
+        ac, bc = va & vc, vb & vc
+        return (3, ab.bit_count(), ac.bit_count(), bc.bit_count(), (ab & vc).bit_count())
+    a, b, c, d = members
+    va, vb, vc, vd = vm[a], vm[b], vm[c], vm[d]
+    ab, ac, bc, cd = va & vb, va & vc, vb & vc, vc & vd
+    return (
+        4,
+        ab.bit_count(),
+        ac.bit_count(),
+        (va & vd).bit_count(),
+        bc.bit_count(),
+        (vb & vd).bit_count(),
+        cd.bit_count(),
+        (ab & vc).bit_count(),
+        (ab & vd).bit_count(),
+        (ac & vd).bit_count(),
+        (bc & vd).bit_count(),
+        (ab & cd).bit_count(),
+    )
+
+
+def brute_discover_classes(triangles) -> tuple[dict, int]:
+    """({class key: count}, configurations visited) over every vertex-
+    connected set of 1 to 4 triangles, zero-coefficient classes included.
+
+    Extension enumeration on the triangle-adjacency graph, one set at a
+    time: a set whose minimum index is a seed only grows through larger
+    indices, and each candidate is offered once, so every connected set
+    is visited exactly once.
+    """
+    from monoclt.fourthmoment import class_key
+
+    vm = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triangles]
+    adjm = [
+        sum(1 << j for j, u in enumerate(triangles) if j != i and set(t) & set(u))
+        for i, t in enumerate(triangles)
+    ]
+    counts: dict[tuple, int] = {}
+    reps: dict[tuple, tuple[int, ...]] = {}
+    visited = 0
+
+    def tally(members):
+        key0 = _subset_key0(vm, members)
+        if key0 in counts:
+            counts[key0] += 1
+        else:
+            counts[key0] = 1
+            reps[key0] = members
+
+    def extend(members, nbhd, ext, gt_mask):
+        nonlocal visited
+        while ext:
+            wbit = ext & -ext
+            ext ^= wbit
+            w = wbit.bit_length() - 1
+            grown = members + (w,)
+            visited += 1
+            tally(grown)
+            if len(grown) < 4:
+                extend(grown, nbhd | adjm[w], ext | (adjm[w] & ~nbhd & gt_mask), gt_mask)
+
+    for v in range(len(triangles)):
+        visited += 1
+        tally((v,))
+        gt_mask = -1 << (v + 1)
+        extend((v,), adjm[v] | (1 << v), adjm[v] & gt_mask, gt_mask)
+    classes: Counter = Counter()
+    for key0, cnt in counts.items():
+        classes[class_key([triangles[i] for i in reps[key0]])] += cnt
+    return dict(classes), visited
+
+
+# ---------------------------------------------------------------------------
 # exact laws and moments of T3 beyond exhaustive enumeration
 
 

@@ -60,7 +60,7 @@ def _line(num: int, ok: bool, detail: str):
 def k9_discovery():
     start = time.time()
     tc = triangle_census(complete(9))
-    disc = discover_classes(tc.triangles, threads=THREADS)
+    disc = discover_classes(tc.triangles)
     return disc, time.time() - start
 
 
@@ -100,7 +100,7 @@ def test_criterion_2_fourth_moment_oracle_equality(small_corpus):
         for c in (2, 3, 5):
             if c**g.n > cap:
                 continue
-            dec = fourth_moment_exact(tc, pc, c, threads=THREADS)
+            dec = fourth_moment_exact(tc, pc, c)
             dist = exact_distribution(g, c, tc=tc, threads=THREADS)
             assert dec.excess4 == dist.excess4("T3"), (name, c)
             checked += 1
@@ -165,7 +165,7 @@ def composite_runs():
         g = disjoint_union(pyramid(n), bipyramid_chain(n_chain))
         tc = triangle_census(g)
         pc = pyramid_counts(tc)
-        dec = fourth_moment_exact(tc, pc, 2, threads=THREADS)
+        dec = fourth_moment_exact(tc, pc, 2)
         rep = sample_statistics(
             g, SimConfig(c=2, replications=100_000, seed=11, statistic="T3"), tc=tc,
             threads=THREADS,

@@ -184,6 +184,7 @@ def test_simulate_raw_out(capsys, tmp_path):
         ("simulate", "--c", "2", "--reps", "10", "--seed", "-1"),
         ("simulate", "--c", "2", "--reps", "10", "--seed", str(2**64)),
         ("fourth-moment", "--c", "0"),
+        ("fourth-moment", "--c", "2", "--budget", "-5"),
     ],
 )
 def test_bad_parameters_end_in_domain_error(capsys, argv):
@@ -193,6 +194,23 @@ def test_bad_parameters_end_in_domain_error(capsys, argv):
     error = json.loads(err)
     assert error["error"] == "BadParamsError"
     assert error["operation"] == argv[0]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("budget,code", [("0", 1), ("1893674", 1), ("1893675", 0)])
+def test_fourth_moment_budget_bounds_the_total(capsys, threads, budget, code):
+    # K9 has 1,893,675 connected configurations, however many threads
+    got, out, err = run_cli(
+        capsys,
+        "fourth-moment", "--family", "complete", "--n", "9", "--c", "5",
+        "--budget", budget, "--threads", threads,
+    )
+    assert got == code
+    if code:
+        assert out == ""
+        assert json.loads(err)["error"] == "BudgetExceededError"
+    else:
+        assert json.loads(out)["report"]["enumerated_configurations"] == 1_893_675
 
 
 def test_simulate_more_colors_than_uint16(capsys):

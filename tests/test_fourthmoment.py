@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from brute import relabeled
+from brute import brute_discover_classes, relabeled
 from monoclt.census import pyramid_counts, triangle_census
 from monoclt.errors import BudgetExceededError, NoTrianglesError
 from monoclt.fourthmoment import (
@@ -18,7 +18,7 @@ from monoclt.fourthmoment import (
     key_representative,
     pyramid_class_coefficient,
 )
-from monoclt.graph import bipyramid_chain, complete, gnp, pyramid
+from monoclt.graph import FamilySpec, bipyramid_chain, complete, generate, gnp, pyramid
 from monoclt.ratpoly import RationalPoly
 from monoclt.sim import exact_distribution
 
@@ -173,11 +173,85 @@ def test_budget_enforced():
         fourth_moment_exact(tc, pyramid_counts(tc), 2, budget=10)
 
 
-def test_discovery_thread_invariance():
-    tris = triangle_census(complete(7)).triangles
-    serial = discover_classes(tris)
-    threaded = discover_classes(tris, threads=4)
-    assert [(r.key, n) for r, n in serial.entries] == [(r.key, n) for r, n in threaded.entries]
+def _separable(tris) -> bool:
+    # the triangles split into two nonempty groups whose vertex sets
+    # share at most one vertex
+    k = len(tris)
+    for mask in range(1, 2 ** (k - 1)):
+        left = set().union(*(tris[i] for i in range(k) if mask >> i & 1))
+        right = set().union(*(tris[i] for i in range(k) if not mask >> i & 1))
+        if len(left & right) <= 1:
+            return True
+    return False
+
+
+def _nonzero_classes(class_counts: dict) -> list:
+    return [
+        (key, cnt)
+        for key, cnt in sorted(class_counts.items())
+        if not class_coefficient(key_representative(key)).is_zero
+    ]
+
+
+@pytest.fixture(scope="module")
+def k9_brute():
+    return brute_discover_classes(triangle_census(complete(9)).triangles)
+
+
+def _discovery_corpus():
+    graphs = [(f"K{n}", complete(n)) for n in (7, 8)]
+    graphs += [(f"composite{n}", generate(FamilySpec("composite", n=n, c=2))) for n in range(6, 13)]
+    graphs += [(f"gnp16_seed{s}", gnp(16, 0.45, s)) for s in range(3)]
+    graphs += [(f"gnp18_seed{s}", gnp(18, 0.45, s)) for s in (0, 2, 3)]
+    graphs += [("pyramid30", pyramid(30)), ("bipyramid_chain20", bipyramid_chain(20))]
+    rng = random.Random(11)
+    relabelled = []
+    for name, g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabelled.append((f"{name}_relabelled", relabeled(g, perm)))
+    return [pytest.param(g, id=name) for name, g in graphs + relabelled]
+
+
+@pytest.mark.parametrize("g", _discovery_corpus())
+def test_discovery_matches_visiting_every_configuration(g):
+    tris = triangle_census(g).triangles
+    disc = discover_classes(tris)
+    class_counts, visited = brute_discover_classes(tris)
+    assert [(rec.key, cnt) for rec, cnt in disc.entries] == _nonzero_classes(class_counts)
+    assert disc.enumerated == visited
+
+
+def test_discovery_matches_visiting_every_configuration_on_k9(k9_brute):
+    # every relabelling of K9 has the same triangle list, so one copy covers them
+    class_counts, visited = k9_brute
+    disc = discover_classes(triangle_census(complete(9)).triangles)
+    assert [(rec.key, cnt) for rec, cnt in disc.entries] == _nonzero_classes(class_counts)
+    assert disc.enumerated == visited == 1_893_675
+
+
+def test_k9_zero_classes_are_exactly_the_separable_ones(k9_brute):
+    # the bulk fourth level skips a triangle meeting the rest in one
+    # vertex; this pins that such sets, and separable sets in general,
+    # contribute nothing
+    class_counts, visited = k9_brute
+    assert len(class_counts) == 63
+    zero = 0
+    for key in class_counts:
+        tris = [frozenset(t) for t in key_representative(key)]
+        is_zero = class_coefficient(tris).is_zero
+        assert is_zero == _separable(tris), key
+        zero += is_zero
+        for i, t in enumerate(tris):
+            rest = set().union(*(u for j, u in enumerate(tris) if j != i))
+            if len(tris) > 1 and len(t & rest) == 1:
+                assert is_zero, key
+    assert (zero, len(class_counts) - zero) == (31, 32)
+    levels = {k: 0 for k in (1, 2, 3, 4)}
+    for (k, _), cnt in class_counts.items():
+        levels[k] += cnt
+    assert levels == {1: 84, 2: 2_646, 3: 79_884, 4: 1_811_061}
+    assert visited == 1_893_675
 
 
 def test_discovery_counts_on_k4():
@@ -218,7 +292,7 @@ def test_k9_all_classes_against_enumeration():
     # validates all coefficient polynomials at once (1.95M colorings)
     g = complete(9)
     tc = triangle_census(g)
-    dec = fourth_moment_exact(tc, pyramid_counts(tc), 5, threads=4)
+    dec = fourth_moment_exact(tc, pyramid_counts(tc), 5)
     assert len(dec.entries) == 32
     assert dec.excess4 == Fraction(4673, 252)
     assert dec.excess4 == exact_distribution(g, 5, threads=4).excess4("T3")
