@@ -267,12 +267,19 @@ def composite_chain_length(n: int, c: int) -> int:
     return k
 
 
+def _check_seed(seed: int) -> int:
+    """Seeds key Philox as one 64-bit word; masking would let two share a stream."""
+    if not 0 <= seed <= _MASK64:
+        raise BadParamsError(f"seed must lie in [0, 2^64), got {seed}")
+    return seed
+
+
 def gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with a counter-based generator; identical seeds give
     identical graphs regardless of platform or thread count."""
     if not (0.0 <= p <= 1.0):
         raise BadParamsError(f"gnp requires 0 <= p <= 1, got {p}")
-    rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    rng = np.random.Generator(np.random.Philox(key=_check_seed(seed)))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     draws = rng.random(len(pairs))
     return Graph.from_edges(n, [e for e, d in zip(pairs, draws) if d < p])

@@ -27,9 +27,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .census import PyramidCounts, count_c4, triangle_census
+from .census import PyramidCounts
 from .errors import BadParamsError, NoEdgesError, NoTrianglesError, UnsupportedFamilyError
-from .graph import Graph
 
 
 def standard_normal_cdf(z: float) -> float:
@@ -70,11 +69,6 @@ class T2Inputs(NamedTuple):
     edge_count: int
     triangle_count: int
     c4_count: int
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "T2Inputs":
-        tc = triangle_census(g)
-        return cls(g.edge_count, len(tc.triangles), count_c4(g))
 
 
 def t3_mean_var(pc: PyramidCounts, c: int) -> MomentReport:

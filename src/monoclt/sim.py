@@ -1,10 +1,14 @@
 """Randomized and exhaustive oracles for the coloring statistics.
 
-Monte Carlo sampling uses a counter-based generator keyed by
-(seed, block index) over fixed-size replication blocks, so results are
-bit-identical for a given (seed, replications) no matter how many
-threads run the blocks or in what order. The exhaustive oracle iterates
-every coloring in fixed-width chunks and returns the exact joint law of
+Both oracles count monochromatic edges and triangles with one kernel,
+_mono_counts, over vertex-major colour blocks (a row per vertex, a
+column per coloring) gathered in slabs of at most SLAB colour entries,
+so working memory is bounded by the slab size, not by the triangle
+count. Blocks of either oracle run on one pool, _map_blocks. Sampling
+keys a counter-based generator by (seed, block index) over fixed-size
+replication blocks, so a (seed, replications) pair gives bit-identical
+results on any number of threads. The exhaustive oracle walks every
+coloring in fixed-width chunks and returns the exact joint law of
 (edge count, triangle count) with rational masses.
 
 Empirical moments are exact: statistics are small nonnegative integers,
@@ -15,6 +19,7 @@ big-integer power sums.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,13 +29,13 @@ import numpy as np
 
 from .census import TriangleCensus, pyramid_counts, triangle_census
 from .errors import BadParamsError, EmptySampleError, TooLargeError
-from .graph import Graph
+from .graph import Graph, _check_seed
 from .moments import _check_colors, standard_normal_cdf, t2_mean_var, t3_mean_var
 from .ratpoly import fraction_json
 
 BLOCK = 1024  # replications per RNG block; fixed so reports never depend on threading
 DEFAULT_ENUM_CAP = 10**7
-_MASK64 = (1 << 64) - 1
+SLAB = 1 << 22  # colour entries _mono_counts gathers at once
 
 
 @dataclass(frozen=True)
@@ -45,8 +50,7 @@ class SimConfig:
         _check_colors(self.c)
         if self.replications < 1:
             raise BadParamsError(f"need at least one replication, got {self.replications}")
-        if not 0 <= self.seed <= _MASK64:
-            raise BadParamsError(f"seed must lie in [0, 2^64), got {self.seed}")
+        _check_seed(self.seed)
         if self.statistic not in ("T2", "T3", "both"):
             raise ValueError(f"unknown statistic {self.statistic!r}")
 
@@ -115,11 +119,46 @@ class SimReport:
 
 
 # ---------------------------------------------------------------------------
+# the coloring kernel and its block pool
+
+
+def _color_dtype(c: int):
+    return np.uint8 if c <= 0xFF else np.uint16 if c <= 0xFFFF else np.uint32
+
+
+def _mono_counts(ct: np.ndarray, cliques: np.ndarray) -> np.ndarray:
+    """For each column of the vertex-major colour block ct (n x rows), the
+    number of rows of cliques (m x k vertex ids) whose k vertices all
+    share one colour. Gathers at most SLAB colour entries per step."""
+    rows = ct.shape[1]
+    out = np.zeros(rows, dtype=np.int64)
+    step = max(1, SLAB // rows)
+    for s in range(0, len(cliques), step):
+        part = cliques[s : s + step]
+        first = ct[part[:, 0]]
+        hit = first == ct[part[:, 1]]
+        for j in range(2, part.shape[1]):
+            hit &= first == ct[part[:, j]]
+        out += hit.sum(axis=0)
+    return out
+
+
+def _map_blocks(fn: Callable, items: Sequence, threads: Optional[int]) -> list:
+    """[fn(x) for x in items], on at most threads workers and never more
+    than the machine has CPUs; the result does not depend on either."""
+    workers = min(threads or 1, len(items), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo sampling
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, block & _MASK64], dtype=np.uint64)
+    key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -134,75 +173,50 @@ def sample_statistics(
 
     Identical (seed, replications) give identical reports regardless of
     thread count: block b of 1024 replications always draws from the
-    stream keyed (seed, b), and value counts are summed.
+    stream keyed (seed, b), and value counts are summed. A block is drawn
+    replication-major, the shape that fixes the Philox stream, then
+    transposed to vertex-major for _mono_counts, so working memory is
+    bounded by the block and SLAB, not by the triangle count.
 
     raw_sinks optionally maps a statistic name ("T2"/"T3") to a writable
     binary stream; per-replication values are then written to it as
     little-endian 64-bit integers in replication order.
     """
-    want_t2 = cfg.statistic in ("T2", "both")
-    want_t3 = cfg.statistic in ("T3", "both")
     raw_sinks = raw_sinks or {}
-    keep_raw = bool(raw_sinks)
-    if tc is None and want_t3:
-        tc = triangle_census(g)
+    cliques = {}
+    if cfg.statistic in ("T2", "both"):
+        cliques["T2"] = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+    if cfg.statistic in ("T3", "both"):
+        if tc is None:
+            tc = triangle_census(g)
+        cliques["T3"] = np.asarray(tc.triangles, dtype=np.int64).reshape(-1, 3)
+    dtype = _color_dtype(cfg.c)
 
-    edges = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2) if want_t2 else None
-    tris = (
-        np.asarray(tc.triangles, dtype=np.int64).reshape(-1, 3) if want_t3 else None
-    )
-    dtype = np.uint8 if cfg.c <= 0xFF else np.uint16 if cfg.c <= 0xFFFF else np.uint32
-    n_blocks = (cfg.replications + BLOCK - 1) // BLOCK
-
-    def run_block(b: int):
+    def run_block(b: int) -> dict:
         size = min(BLOCK, cfg.replications - b * BLOCK)
         colors = _block_rng(cfg.seed, b).integers(0, cfg.c, size=(size, g.n), dtype=dtype)
-        t2 = t3 = c2 = c3 = None
-        if want_t2:
-            if len(edges):
-                t2 = (colors[:, edges[:, 0]] == colors[:, edges[:, 1]]).sum(axis=1)
-            else:
-                t2 = np.zeros(size, dtype=np.int64)
-            c2 = np.bincount(t2, minlength=(len(edges) + 1))
-        if want_t3:
-            if len(tris):
-                a = colors[:, tris[:, 0]]
-                bb = colors[:, tris[:, 1]]
-                cc = colors[:, tris[:, 2]]
-                t3 = ((a == bb) & (bb == cc)).sum(axis=1)
-            else:
-                t3 = np.zeros(size, dtype=np.int64)
-            c3 = np.bincount(t3, minlength=(len(tris) + 1))
-        if not keep_raw:
-            t2 = t3 = None
-        return c2, c3, t2, t3
+        ct = colors.T.copy()
+        out = {}
+        for name, k in cliques.items():
+            values = _mono_counts(ct, k)
+            out[name] = (np.bincount(values, minlength=len(k) + 1), values if raw_sinks else None)
+        return out
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_block, range(n_blocks)))
-    else:
-        results = [run_block(b) for b in range(n_blocks)]
+    results = _map_blocks(run_block, range((cfg.replications + BLOCK - 1) // BLOCK), threads)
 
-    for name, idx in (("T2", 2), ("T3", 3)):
+    summaries = []
+    for name, k in cliques.items():
         sink = raw_sinks.get(name)
         if sink is not None:
             for r in results:  # block order == replication order
-                if r[idx] is not None:
-                    sink.write(r[idx].astype("<i8").tobytes())
-
-    summaries = []
-    if want_t2:
-        counts2 = np.sum([r[0] for r in results], axis=0, dtype=np.int64)
-        model2 = None
-        if g.edge_count >= 1:
-            model2 = t2_mean_var(g.edge_count, cfg.c)
-        summaries.append(_summarize("T2", counts2, cfg, model2))
-    if want_t3:
-        counts3 = np.sum([r[1] for r in results], axis=0, dtype=np.int64)
-        model3 = None
-        if len(tc.triangles) >= 1:
-            model3 = t3_mean_var(pyramid_counts(tc), cfg.c)
-        summaries.append(_summarize("T3", counts3, cfg, model3))
+                sink.write(r[name][1].astype("<i8").tobytes())
+        counts = np.sum([r[name][0] for r in results], axis=0, dtype=np.int64)
+        model = None
+        if len(k) and name == "T2":
+            model = t2_mean_var(g.edge_count, cfg.c)
+        elif len(k):
+            model = t3_mean_var(pyramid_counts(tc), cfg.c)
+        summaries.append(_summarize(name, counts, cfg, model))
     return SimReport(config=cfg, summaries=tuple(summaries))
 
 
@@ -301,8 +315,11 @@ def exact_distribution(
 ) -> ExactDistribution:
     """Joint pmf of (T2, T3) by iterating all c^n colorings.
 
-    Work is chunked over fixed color-prefix blocks; chunk tallies are
-    integer arrays summed in a fixed order, so the result is exact and
+    Coloring i gives vertex j the j-th base-c digit of i. Each chunk of
+    consecutive indices is built vertex-major from those digits and
+    tallied by _mono_counts, so working memory is bounded by the chunk
+    and SLAB, not by the triangle count. Chunk tallies are integer
+    arrays summed in a fixed order, so the result is exact and
     independent of thread count.
     """
     _check_colors(c)
@@ -315,41 +332,22 @@ def exact_distribution(
     tris = np.asarray(tc.triangles, dtype=np.int64).reshape(-1, 3)
     stride = len(tris) + 1
     width = (len(edges) + 1) * stride
-    divisors = np.array([c**j for j in range(g.n)], dtype=np.int64)
-
     chunk_size = min(total, 1 << 18)
-    starts = list(range(0, total, chunk_size))
 
     def run_chunk(start: int) -> np.ndarray:
         idx = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
-        colors = np.empty((len(idx), g.n), dtype=np.uint16)
+        ct = np.empty((g.n, len(idx)), dtype=_color_dtype(c))
         for j in range(g.n):
-            colors[:, j] = (idx // divisors[j]) % c
-        if len(edges):
-            t2 = (colors[:, edges[:, 0]] == colors[:, edges[:, 1]]).sum(axis=1)
-        else:
-            t2 = np.zeros(len(idx), dtype=np.int64)
-        if len(tris):
-            a = colors[:, tris[:, 0]]
-            b = colors[:, tris[:, 1]]
-            cc = colors[:, tris[:, 2]]
-            t3 = ((a == b) & (b == cc)).sum(axis=1)
-        else:
-            t3 = np.zeros(len(idx), dtype=np.int64)
-        return np.bincount(t2 * stride + t3, minlength=width)
+            ct[j] = idx // c**j % c
+        flat = _mono_counts(ct, edges) * stride + _mono_counts(ct, tris)
+        return np.bincount(flat, minlength=width)
 
-    if threads and threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tallies = list(pool.map(run_chunk, starts))
-    else:
-        tallies = [run_chunk(s) for s in starts]
+    tallies = _map_blocks(run_chunk, range(0, total, chunk_size), threads)
     combined = np.sum(tallies, axis=0, dtype=np.int64)
-
-    denom = total
     joint = {}
     for flat in np.nonzero(combined)[0]:
         t2, t3 = divmod(int(flat), stride)
-        joint[(t2, t3)] = Fraction(int(combined[flat]), denom)
+        joint[(t2, t3)] = Fraction(int(combined[flat]), total)
     return ExactDistribution(c=c, n=g.n, joint=joint)
 
 

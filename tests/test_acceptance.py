@@ -24,6 +24,7 @@ from brute import (
     lattice_ks,
     normal_cdf,
 )
+from helpers import t2_inputs
 from monoclt.census import b_statistic, pyramid_counts, triangle_census
 from monoclt.cli import run as cli_run
 from monoclt.fourthmoment import class_key, discover_classes, fourth_moment_exact
@@ -36,7 +37,7 @@ from monoclt.graph import (
     pyramid,
     star,
 )
-from monoclt.moments import clt_bound_t3, limit_law_reference, t2_moments, t3_mean_var, T2Inputs
+from monoclt.moments import clt_bound_t3, limit_law_reference, t2_moments, t3_mean_var
 from monoclt.ratpoly import RationalPoly
 from monoclt.sim import SimConfig, exact_distribution, ks_from_distribution, sample_statistics
 
@@ -73,7 +74,7 @@ def test_criterion_1_exact_moment_oracle_equality(small_corpus):
         for c in (2, 3, 5):
             dist = exact_distribution(g, c, tc=tc, threads=THREADS)
             mu2, v2, _ = dist.moments("T2")
-            rep2 = t2_moments(T2Inputs.from_graph(g), c)
+            rep2 = t2_moments(t2_inputs(g), c)
             assert (rep2.mean, rep2.variance) == (mu2, v2), (name, c)
             mu3, v3, _ = dist.moments("T3")
             if pc.n1 >= 1:

@@ -196,6 +196,29 @@ def test_bad_parameters_end_in_domain_error(capsys, argv):
     assert error["operation"] == argv[0]
 
 
+GNP20 = ("census", "--family", "gnp", "--n", "20", "--p", "0.5", "--graph-seed")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_graph_seed_outside_64_bits_is_a_domain_error(capsys, seed):
+    # masked to 64 bits, -1 and 2^64 used to alias 2^64 - 1 and 0
+    code, out, err = run_cli(capsys, *GNP20, str(seed))
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "BadParamsError"
+    assert error["operation"] == "census"
+
+
+def test_graph_seeds_at_both_ends_of_64_bits_are_distinct(capsys):
+    digests = []
+    for seed in (0, 2**64 - 1):
+        code, out, _ = run_cli(capsys, *GNP20, str(seed))
+        assert code == 0
+        digests.append(json.loads(out)["input"]["digest"])
+    assert digests[0] != digests[1]
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("budget,code", [("0", 1), ("1893674", 1), ("1893675", 0)])
 def test_fourth_moment_budget_bounds_the_total(capsys, threads, budget, code):

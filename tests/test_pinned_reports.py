@@ -1,0 +1,61 @@
+"""Byte pins: sha256 digests of reports and of an exact law, recorded
+before the colouring kernel was shared by the sampler and the exhaustive
+oracle. Any change of a single byte fails here; a report change on
+purpose must update the digest and say why in CHANGES.md."""
+
+import hashlib
+
+import pytest
+
+from monoclt.cli import run
+from monoclt.graph import gnp
+from monoclt.sim import exact_distribution
+
+GNP60 = ("--family", "gnp", "--n", "60", "--p", "0.3", "--graph-seed", "1", "--seed", "8")
+
+# (colors, replications) -> digest of the simulate report; c = 3, 300 and
+# 70000 take the uint8, uint16 and uint32 draw paths
+REPORTS = {
+    (3, 20000): "b98a12021720455a7fec98f9726fe26bd5a6414960298bc1bc36dbb1840135f4",
+    (300, 20000): "d189f31474f3382b80270c9f388660e7dba8f1a3a14bec293606924ed39f8d61",
+    (70000, 2000): "4bbae29452baaceadf0ef114a2dd0b514a862be92521c762a864a0ce23f89094",
+}
+RAW_C3 = {
+    "t2": "bd72274835fd4899edb4ba814c259df16aeb248a9c927fd33a9533e719f958ac",
+    "t3": "f95db242d790303f06d5440afe7eca4f043eca5a5c43bda9c095b9d6be16a3b8",
+}
+LAW_GNP10_C3 = "21438182630c9490c041168324f3ecd26d50efb9e6f3f145a1e034a41b365f4a"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _simulate(tmp_path, c, reps, threads, raw=None):
+    out = tmp_path / "report.json"
+    argv = ["simulate", *GNP60, "--c", str(c), "--reps", str(reps), "--statistic", "both",
+            "--threads", str(threads), "--out", str(out)]
+    if raw is not None:
+        argv += ["--raw-out", str(raw)]
+    assert run(argv) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("c,reps", list(REPORTS))
+def test_simulate_report_bytes_pinned(tmp_path, c, reps, threads):
+    assert _sha(_simulate(tmp_path, c, reps, threads)) == REPORTS[(c, reps)]
+
+
+def test_simulate_raw_out_bytes_pinned(tmp_path):
+    base = tmp_path / "raw"
+    report = _simulate(tmp_path, 3, 20000, 2, raw=base)
+    assert _sha(report) == REPORTS[(3, 20000)]
+    for stat, digest in RAW_C3.items():
+        assert _sha((tmp_path / f"raw.{stat}.bin").read_bytes()) == digest
+
+
+def test_exact_law_pinned():
+    joint = exact_distribution(gnp(10, 0.4, 6), 3).joint
+    text = "".join(f"{t2} {t3} {p.numerator}/{p.denominator}\n" for (t2, t3), p in sorted(joint.items()))
+    assert _sha(text.encode()) == LAW_GNP10_C3

@@ -1,12 +1,15 @@
+import io
 import math
 from fractions import Fraction
 
 import pytest
 
+from helpers import t2_inputs
+from monoclt import sim
 from monoclt.census import pyramid_counts, triangle_census
 from monoclt.errors import EmptySampleError, TooLargeError
-from monoclt.graph import complete, cycle, gnp, pyramid
-from monoclt.moments import T2Inputs, standard_normal_cdf, t2_moments, t3_mean_var
+from monoclt.graph import Graph, complete, cycle, gnp, pyramid
+from monoclt.moments import standard_normal_cdf, t2_moments, t3_mean_var
 from monoclt.sim import (
     SimConfig,
     _block_rng,
@@ -59,7 +62,7 @@ def test_exact_moments_match_closed_forms(small_corpus):
         for c in (2, 3, 5):
             dist = exact_distribution(g, c, tc=tc)
             mu2, v2, m42 = dist.moments("T2")
-            rep2 = t2_moments(T2Inputs.from_graph(g), c)
+            rep2 = t2_moments(t2_inputs(g), c)
             assert (mu2, v2) == (rep2.mean, rep2.variance), (name, c)
             assert dist.excess4("T2") == rep2.excess4, (name, c)
             if pc.n1 >= 1:
@@ -210,6 +213,74 @@ def test_raw_sample_streaming():
     single = {"T3": io.BytesIO()}
     sample_statistics(g, cfg, raw_sinks=single)
     assert threaded["T3"].getvalue() == single["T3"].getvalue()
+
+
+KERNEL_CORPUS = {
+    "gnp8": gnp(8, 0.4, 1),
+    "K5": complete(5),
+    "C4": cycle(4),
+    "edgeless": Graph.from_edges(5, []),
+}
+
+
+def _sample_bytes(g, threads):
+    sinks = {"T2": io.BytesIO(), "T3": io.BytesIO()}
+    cfg = SimConfig(c=3, replications=2500, seed=4)
+    report = sample_statistics(g, cfg, threads=threads, raw_sinks=sinks)
+    return report.to_json_dict(), sinks["T2"].getvalue(), sinks["T3"].getvalue()
+
+
+@pytest.mark.parametrize("slab", [1, 2049])
+@pytest.mark.parametrize("name", list(KERNEL_CORPUS))
+def test_results_do_not_depend_on_the_slab_size(monkeypatch, name, slab):
+    # a tiny slab splits every gather into one- or few-clique slabs,
+    # plus a short last one
+    g = KERNEL_CORPUS[name]
+    laws = {c: exact_distribution(g, c).joint for c in (2, 3)}
+    sample = _sample_bytes(g, 1)
+    monkeypatch.setattr(sim, "SLAB", slab)
+    for c, joint in laws.items():
+        assert exact_distribution(g, c, threads=2).joint == joint
+    assert _sample_bytes(g, 1) == sample
+    assert _sample_bytes(g, 2) == sample
+
+
+def test_exact_law_with_uint16_colours():
+    law = exact_distribution(Graph.from_edges(2, [(0, 1)]), 300)
+    assert law.t2_pmf() == {0: Fraction(299, 300), 1: Fraction(1, 300)}
+    assert law.t3_pmf() == {0: Fraction(1)}
+
+
+def test_block_pool_is_bounded_by_the_machine(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ThreadPoolExecutor: records max_workers, starts
+        no thread and maps in order."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+    g = gnp(8, 0.4, 1)
+    cfg = SimConfig(c=3, replications=5000, seed=2)  # 5 blocks
+    assert sample_statistics(g, cfg, threads=10**6) == sample_statistics(g, cfg, threads=1)
+    law = exact_distribution(g, 5, threads=10**6)  # 390625 colourings, 2 chunks
+    assert law.joint == exact_distribution(g, 5, threads=1).joint
+    assert sizes == [3, 2]
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: None)  # unknown: serial
+    sample_statistics(g, cfg, threads=10**6)
+    assert sizes == [3, 2]
 
 
 def test_block_streams_distinct_at_and_above_2_63():
