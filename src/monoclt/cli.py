@@ -75,7 +75,7 @@ def _resolve_graph(args, parser: argparse.ArgumentParser, need_c: bool = False):
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeError) as exc:
             parser.error(f"cannot read {args.input}: {exc}")
         result = parse_edge_list(text)
         return result.graph, {"input": args.input}
@@ -91,9 +91,17 @@ def _resolve_graph(args, parser: argparse.ArgumentParser, need_c: bool = False):
     return generate(spec), spec.describe()
 
 
-def _emit(args, payload: str):
+def _open_out(path: str, mode: str, parser: argparse.ArgumentParser):
+    """An output file opened for writing; one that cannot be opened is a usage error."""
+    try:
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:
+        parser.error(f"cannot write {path}: {exc}")
+
+
+def _emit(args, parser: argparse.ArgumentParser, payload: str):
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_out(args.out, "w", parser) as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -204,7 +212,7 @@ def _dispatch(args, parser) -> int:
     cmd = args.command
     if cmd == "generate":
         graph, source = _resolve_graph(args, parser)
-        _emit(args, serialize_edge_list(graph))
+        _emit(args, parser, serialize_edge_list(graph))
         return 0
 
     if cmd == "census":
@@ -220,7 +228,7 @@ def _dispatch(args, parser) -> int:
             "s_statistic_score_order": str(s_statistic(tc, order)),
             "score_ordering": order,
         }
-        _emit(args, _report(args, cmd, {"source": source}, graph, body))
+        _emit(args, parser, _report(args, cmd, {"source": source}, graph, body))
         return 0
 
     if cmd == "moments":
@@ -242,7 +250,7 @@ def _dispatch(args, parser) -> int:
                 "variance": fraction_json(t3.variance),
                 "inputs": t3.inputs,
             }
-        _emit(args, _report(args, cmd, {"source": source, "c": args.c}, graph, body))
+        _emit(args, parser, _report(args, cmd, {"source": source, "c": args.c}, graph, body))
         return 0
 
     if cmd == "bounds":
@@ -266,7 +274,7 @@ def _dispatch(args, parser) -> int:
                 "bound_bracket": t3b.bound,
             }
         body["note"] = "brackets bound the Kolmogorov distance up to unspecified absolute constants"
-        _emit(args, _report(args, cmd, {"source": source, "c": args.c}, graph, body))
+        _emit(args, parser, _report(args, cmd, {"source": source, "c": args.c}, graph, body))
         return 0
 
     if cmd == "fourth-moment":
@@ -275,7 +283,7 @@ def _dispatch(args, parser) -> int:
         pc = pyramid_counts(tc)
         dec = fourth_moment_exact(tc, pc, args.c, budget=args.budget)
         config = {"source": source, "c": args.c, "budget": args.budget}
-        _emit(args, _report(args, cmd, config, graph, dec.to_json_dict()))
+        _emit(args, parser, _report(args, cmd, config, graph, dec.to_json_dict()))
         return 0
 
     if cmd == "simulate":
@@ -292,7 +300,7 @@ def _dispatch(args, parser) -> int:
             if args.raw_out:
                 for stat in ("T2", "T3"):
                     if cfg.statistic in (stat, "both"):
-                        raw_sinks[stat] = open(f"{args.raw_out}.{stat.lower()}.bin", "wb")
+                        raw_sinks[stat] = _open_out(f"{args.raw_out}.{stat.lower()}.bin", "wb", parser)
             report = sample_statistics(
                 graph, cfg, threads=args.threads, raw_sinks=raw_sinks or None
             )
@@ -300,7 +308,7 @@ def _dispatch(args, parser) -> int:
             for sink in raw_sinks.values():
                 sink.close()
         config = {"source": source, **report.to_json_dict()["config"]}
-        _emit(args, _report(args, cmd, config, graph, report.to_json_dict()["results"]))
+        _emit(args, parser, _report(args, cmd, config, graph, report.to_json_dict()["results"]))
         return 0
 
     if cmd == "verify":

@@ -1,19 +1,27 @@
 """Exact fourth-moment engine for the standardized monochromatic
 triangle count.
 
-Writing T as a sum of centered triangle indicators, E(T^4) expands over
-ordered 4-tuples of triangles. Grouping tuples by the set of distinct
-triangles involved (1 to 4 of them, "the specified triangles") and
-subtracting the matching expansion of 3 Var(T)^2 assigns every such set
-a polynomial coefficient in x = 1/c that depends only on the isomorphism
-class of (union graph, specified triangle set). Sets whose union is
-disconnected cancel exactly, so only vertex-connected sets are counted:
+Write T = sum of Y_t over triangles t, with Y_t = 1{t monochromatic}.
+Its fourth cumulant E(T - ET)^4 - 3 Var(T)^2 is multilinear in the Y_t,
+so it expands over ordered 4-tuples of triangles into joint cumulants
+kappa(Y_t1, Y_t2, Y_t3, Y_t4). Grouping the tuples by the set of
+distinct triangles involved (1 to 4 of them, "the specified triangles")
+gives every such set a coefficient, a polynomial in x = 1/c that
+depends only on the isomorphism class of (union graph, specified
+triangle set):
 
     E(Z^4) - 3 = sum over classes of coefficient(x) * count / Var(T)^2.
 
-The coefficient is a fourth joint cumulant, so it also vanishes on every
-separable set: one whose triangles split into two groups sharing at most
-one vertex, which are independent under uniform colorings (Janson 1988).
+A joint cumulant vanishes whenever its variables split into two
+independent groups. Under uniform colorings that holds for every
+separable set: one whose triangles split into two groups sharing at
+most one vertex (Janson 1988). Disconnected sets are separable, so only
+vertex-connected sets are counted. The coefficient itself comes from
+Moebius inversion over the set partitions of the four positions
+(Leonov & Shiryaev 1959; Speed 1983), with E prod Y over a set of
+cliques equal to x^(|V(union)| - components(union)); see
+cumulant_coefficient.
+
 Class discovery walks the sets of 1 to 3 triangles one at a time and
 counts the 4-sets grown from each 3-set in bulk, by popcounts of
 triangle bitmasks, skipping the fourth triangles that meet the 3-set in
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +45,7 @@ from typing import Iterable, Sequence
 
 from .errors import BadParamsError, BudgetExceededError, NoTrianglesError
 from .moments import _check_colors, t3_mean_var
-from .ratpoly import ONE, X, ZERO, RationalPoly, fraction_json
+from .ratpoly import RationalPoly, fraction_json
 
 DEFAULT_BUDGET = 10**8
 
@@ -46,157 +55,90 @@ _PERMS = {k: list(itertools.permutations(range(k))) for k in (1, 2, 3, 4)}
 
 
 # ---------------------------------------------------------------------------
-# configuration multisets and their centered-product expectations
+# joint cumulants of clique indicators
 
 
-@dataclass(frozen=True)
-class TriangleMultiset:
-    """1..4 distinct triangles with positive multiplicities summing to <= 4."""
-
-    triangles: tuple[Triangle, ...]
-    multiplicities: tuple[int, ...]
-
-    def __post_init__(self):
-        tris = [tuple(sorted(t)) for t in self.triangles]
-        if any(len(set(t)) != 3 for t in tris):
-            raise ValueError("each triangle needs three distinct vertices")
-        if len(set(tris)) != len(tris):
-            raise ValueError("triangles must be distinct")
-        if len(tris) != len(self.multiplicities):
-            raise ValueError("one multiplicity per triangle")
-        if any(m < 1 for m in self.multiplicities):
-            raise ValueError("multiplicities must be >= 1")
-        total = sum(self.multiplicities)
-        if not 1 <= total <= 4:
-            raise ValueError("total multiplicity must be between 1 and 4")
-        object.__setattr__(self, "triangles", tuple(tris))
-
-
-def _triangle_components(triangles: Sequence[Triangle]) -> list[list[int]]:
-    """Indices of the triangles grouped by vertex-connectivity of the union."""
-    groups: list[list[int]] = []
-    vertex_group: dict[int, int] = {}
-    for i, t in enumerate(triangles):
-        hit = sorted({vertex_group[v] for v in t if v in vertex_group})
-        if not hit:
-            gid = len(groups)
-            groups.append([i])
-        else:
-            gid = hit[0]
-            groups[gid].append(i)
-            for other in hit[1:]:
-                groups[gid].extend(groups[other])
-                for v_ in {v for j in groups[other] for v in triangles[j]}:
-                    vertex_group[v_] = gid
-                groups[other] = []
-        for v in t:
-            vertex_group[v] = gid
-    return [sorted(g) for g in groups if g]
-
-
-def _component_expectation(triangles: Sequence[Triangle], mults: Sequence[int]) -> RationalPoly:
-    # E prod_i (X_i - x^2)^{m_i} over one vertex-connected component, by
-    # inclusion-exclusion over which indicators survive: X_i binary gives
-    # (X - p)^m = alpha + beta X with alpha = (-p)^m,
-    # beta = (1-p)^m - (-p)^m, and P(all of T mono) = x^(|V(T)| - comps(T)).
-    k = len(triangles)
-    p = X**2
-    alpha = [(-p) ** m for m in mults]
-    beta = [(ONE - p) ** m - alpha[i] for i, m in enumerate(mults)]
-    total = ZERO
-    for bits in range(1 << k):
-        coef = ONE
-        chosen = []
-        for i in range(k):
-            if bits >> i & 1:
-                coef = coef * beta[i]
-                chosen.append(triangles[i])
+def _component_count(cliques: Iterable[Iterable[int]]) -> int:
+    """Number of vertex-connected components of the union of the cliques."""
+    comps: list[set[int]] = []
+    for q in cliques:
+        merged = set(q)
+        rest = []
+        for comp in comps:
+            if comp & merged:
+                merged |= comp
             else:
-                coef = coef * alpha[i]
-        if chosen:
-            nv = len(set().union(*chosen))
-            coef = coef * X ** (nv - len(_triangle_components(chosen)))
-        total = total + coef
-    return total
+                rest.append(comp)
+        comps = rest + [merged]
+    return len(comps)
 
 
-def centered_product_poly(mset: TriangleMultiset) -> RationalPoly:
-    """E prod (1{triangle mono} - 1/c^2)^mult as a polynomial in x = 1/c.
-
-    Factorizes over vertex-connected components; a component that is a
-    single multiplicity-1 triangle is a mean-zero factor, so the whole
-    product vanishes.
-    """
-    result = ONE
-    for comp in _triangle_components(mset.triangles):
-        if len(comp) == 1 and mset.multiplicities[comp[0]] == 1:
-            return ZERO
-        part = _component_expectation(
-            [mset.triangles[i] for i in comp],
-            [mset.multiplicities[i] for i in comp],
-        )
-        if part.is_zero:
-            return ZERO
-        result = result * part
-    return result
-
-
-def centered_product_expectation(mset: TriangleMultiset, c: int) -> Fraction:
-    return centered_product_poly(mset)(_check_colors(c))
-
-
-# ---------------------------------------------------------------------------
-# class coefficients
-
-
-def _compositions_of_4(k: int) -> list[tuple[int, ...]]:
-    return [m for m in itertools.product(range(1, 5), repeat=k) if sum(m) == 4]
-
-
-def _multinomial4(m: Sequence[int]) -> int:
-    out = math.factorial(4)
-    for mi in m:
-        out //= math.factorial(mi)
+def _set_partitions(r: int) -> list[list[list[int]]]:
+    """Every set partition of range(r), as lists of blocks."""
+    if r == 0:
+        return [[]]
+    out = []
+    for p in _set_partitions(r - 1):
+        out.append(p + [[r - 1]])
+        for i in range(len(p)):
+            out.append(p[:i] + [p[i] + [r - 1]] + p[i + 1 :])
     return out
 
 
-_VAR_A = X**2 - X**4  # variance of one triangle indicator
-_VAR_B = 2 * (X**3 - X**4)  # 2 cov of an edge-sharing pair
+@lru_cache(maxsize=None)
+def _mobius_terms(r: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The order-r coefficient of k cliques as (block images, weight) terms.
+
+    For each map f of the r positions onto the k cliques and each set
+    partition pi of the positions, the term is the Moebius weight
+    (-1)^(|pi| - 1) (|pi| - 1)! times the product, over the blocks of
+    pi, of E prod Y over the cliques the block maps to. The product
+    depends only on those images (as k-bit masks), so the weights are
+    summed per sorted tuple of images.
+    """
+    terms: Counter = Counter()
+    parts = _set_partitions(r)
+    for f in itertools.product(range(k), repeat=r):
+        if len(set(f)) < k:
+            continue
+        for pi in parts:
+            weight = (-1) ** (len(pi) - 1) * math.factorial(len(pi) - 1)
+            images = tuple(sorted(sum({1 << f[i] for i in block}) for block in pi))
+            terms[images] += weight
+    return tuple((images, w) for images, w in sorted(terms.items()) if w)
+
+
+def cumulant_coefficient(cliques: Iterable[Iterable[int]], r: int) -> RationalPoly:
+    """Order-r coefficient of a set of 1..r distinct cliques (edges or
+    triangles) as a polynomial in x = 1/c.
+
+    It is the sum, over maps of r positions onto the set, of the joint
+    cumulant of the clique indicators, i.e. the share of this set in the
+    r-th cumulant of the sum of all clique indicators. Each cumulant is
+    a Moebius sum over set partitions of the positions of products of
+    E prod Y = x^(|V(union)| - components(union)); the exponent is
+    computed once per subset of the cliques.
+    """
+    cl = [frozenset(q) for q in cliques]
+    k = len(cl)
+    if len(set(cl)) != k or not 1 <= k <= r:
+        raise ValueError(f"need 1 to {r} distinct cliques")
+    exponent = [0] * (1 << k)
+    for mask in range(1, 1 << k):
+        chosen = [q for i, q in enumerate(cl) if mask >> i & 1]
+        exponent[mask] = len(frozenset().union(*chosen)) - _component_count(chosen)
+    coeffs: Counter = Counter()
+    for images, w in _mobius_terms(r, k):
+        coeffs[sum(exponent[m] for m in images)] += w
+    return RationalPoly([coeffs[d] for d in range(max(coeffs, default=-1) + 1)])
 
 
 def class_coefficient(triangles: Iterable[Triangle]) -> RationalPoly:
     """Coefficient polynomial of the class represented by these 1..4
-    distinct triangles.
-
-    Fourth-moment side: sum over multiplicity assignments (positive, total
-    4) of the multinomial count times the centered-product expectation.
-    Variance side: 3 Var(T)^2 expands over ordered pairs of constituents,
-    where a constituent is a single triangle (weight x^2 - x^4) or an
-    edge-sharing pair (weight 2(x^3 - x^4)); every ordered pair whose
-    triangles cover exactly this set contributes 3 * weight * weight.
-    """
-    tris = tuple(sorted(tuple(sorted(t)) for t in triangles))
-    k = len(tris)
-    if not 1 <= k <= 4:
-        raise ValueError("a class has 1 to 4 specified triangles")
-    e_side = ZERO
-    for m in _compositions_of_4(k):
-        e_side = e_side + _multinomial4(m) * centered_product_poly(TriangleMultiset(tris, m))
-    vsets = [frozenset(t) for t in tris]
-    constituents: list[tuple[frozenset, RationalPoly]] = [
-        (frozenset([i]), _VAR_A) for i in range(k)
-    ]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if len(vsets[i] & vsets[j]) == 2:
-                constituents.append((frozenset([i, j]), _VAR_B))
-    full = frozenset(range(k))
-    v_side = ZERO
-    for si, wi in constituents:
-        for sj, wj in constituents:
-            if si | sj == full:
-                v_side = v_side + 3 * (wi * wj)
-    return e_side - v_side
+    distinct triangles: its share of the fourth cumulant of T, the sum
+    over ordered 4-tuples covering exactly these triangles of the joint
+    cumulant of their indicators."""
+    return cumulant_coefficient(triangles, 4)
 
 
 @lru_cache(maxsize=None)
@@ -286,7 +228,7 @@ class ClassRecord:
         return tuple(sorted(deg.values()))
 
     def is_connected(self) -> bool:
-        return len(_triangle_components(self.representative)) == 1
+        return _component_count(self.representative) == 1
 
 
 _RECORD_CACHE: dict[tuple, ClassRecord] = {}

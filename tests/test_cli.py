@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +99,32 @@ def test_usage_error_two_sources(capsys, tmp_path):
         )
     assert exc.value.code == 2
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        ["census", "--input", "{bad}"],
+        ["census", "--family", "pyramid", "--n", "3", "--out", "{missing}/x.json"],
+        ["simulate", "--family", "pyramid", "--n", "3", "--c", "2", "--reps", "10", "--seed", "1",
+         "--raw-out", "{missing}/base"],
+    ],
+    ids=["input-not-utf8", "out-unwritable", "raw-out-unwritable"],
+)
+def test_unusable_files_are_usage_errors(tmp_path, case):
+    # run as a process, so a traceback would reach stderr
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 1\n\xff\n")
+    argv = [a.format(bad=bad, missing=tmp_path / "no" / "such") for a in case]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "monoclt.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "cannot" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_usage_error_no_source(capsys):

@@ -3,22 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from brute import brute_discover_classes, relabeled
-from monoclt.census import pyramid_counts, triangle_census
+from brute import brute_discover_classes, brute_t3_third_central_moment, relabeled
+from monoclt.census import PyramidCounts, pyramid_counts, triangle_census
 from monoclt.errors import BudgetExceededError, NoTrianglesError
 from monoclt.fourthmoment import (
-    TriangleMultiset,
     bipyramid_quad_coefficient,
-    centered_product_expectation,
-    centered_product_poly,
     class_coefficient,
     class_key,
+    cumulant_coefficient,
     discover_classes,
     fourth_moment_exact,
     key_representative,
     pyramid_class_coefficient,
 )
 from monoclt.graph import FamilySpec, bipyramid_chain, complete, generate, gnp, pyramid
+from monoclt.moments import T2Inputs, t2_mean_var, t2_moments, t3_mean_var
 from monoclt.ratpoly import RationalPoly
 from monoclt.sim import exact_distribution
 
@@ -32,37 +31,77 @@ H16 = RationalPoly([0, 0, 0, 0, 0, 0, 0, 24, -24])
 QUAD_REP = ((0, 2, 4), (1, 2, 5), (0, 3, 6), (1, 3, 7))
 
 
-def test_centered_product_single_triangle_symbolic():
-    m = TriangleMultiset(((0, 1, 2),), (2,))
-    assert centered_product_poly(m) == RationalPoly([0, 0, 1, 0, -1])  # x^2 (1 - x^2)
+# enough points to pin polynomials of degree <= 8 in x = 1/c
+COLORS = range(2, 12)
 
 
-def test_centered_product_shared_edge_quadruple():
-    m = TriangleMultiset(((0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5)), (1, 1, 1, 1))
-    assert centered_product_poly(m) == RationalPoly([0, 0, 0, 0, 0, 1, -4, 6, -3])
+def test_cumulant_order_2_reproduces_the_variances():
+    tri, pair = [(0, 1, 2)], [(0, 1, 2), (0, 1, 3)]
+    assert cumulant_coefficient(tri, 2) == RationalPoly([0, 0, 1, 0, -1])
+    assert cumulant_coefficient(pair, 2) == RationalPoly([0, 0, 0, 2, -2])
+    assert cumulant_coefficient([(0, 1)], 2) == RationalPoly([0, 1, -1])
+    for c in COLORS:
+        x = Fraction(1, c)
+        one = t3_mean_var(PyramidCounts(1, 0, 0, 0), c).variance
+        assert cumulant_coefficient(tri, 2)(x) == one
+        two = t3_mean_var(PyramidCounts(2, 1, 0, 0), c).variance
+        assert cumulant_coefficient(pair, 2)(x) == two - 2 * one
+        assert cumulant_coefficient([(0, 1)], 2)(x) == t2_mean_var(1, c).variance
 
 
-def test_centered_product_multiplicity_four_at_two_colors():
-    m = TriangleMultiset(((0, 1, 2),), (4,))
-    assert centered_product_expectation(m, 2) == Fraction(21, 256)
+def test_cumulant_order_4_on_edges_reproduces_g1_g2_g3():
+    # t2_moments gives kappa4(T2) = g1 |E| + g2 N(K3) + g3 N(C4), linear in
+    # the three counts, so each g is a difference of two evaluations
+    def kappa4(m, k3, c4, c):
+        rep = t2_moments(T2Inputs(m, k3, c4), c)
+        return rep.excess4 * rep.variance**2
+
+    edge = [(0, 1)]
+    k3 = [(0, 1), (0, 2), (1, 2)]
+    c4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    for c in COLORS:
+        x = Fraction(1, c)
+        g1 = kappa4(1, 0, 0, c)
+        assert cumulant_coefficient(edge, 4)(x) == g1
+        assert cumulant_coefficient(k3, 4)(x) == kappa4(1, 1, 0, c) - g1
+        assert cumulant_coefficient(c4, 4)(x) == kappa4(1, 0, 1, c) - g1
+    # a forest of edges is independent, so it contributes nothing
+    assert cumulant_coefficient([(0, 1), (1, 2)], 4).is_zero
+    assert cumulant_coefficient([(0, 1), (1, 2), (1, 3), (3, 4)], 4).is_zero
 
 
-def test_centered_product_lone_triangle_vanishes():
-    m = TriangleMultiset(((0, 1, 2), (5, 6, 7)), (3, 1))
-    assert centered_product_poly(m).is_zero
-    m = TriangleMultiset(((0, 1, 2), (0, 1, 3), (5, 6, 7)), (1, 2, 1))
-    assert centered_product_poly(m).is_zero
+def test_cumulant_order_4_of_one_triangle_at_two_colors():
+    # E(Y - p)^4 - 3 Var(Y)^2 with p = 1/4: 21/256 - 3 (3/16)^2
+    assert class_coefficient([(0, 1, 2)])(Fraction(1, 2)) == Fraction(21, 256) - 3 * Fraction(3, 16) ** 2
 
 
-def test_multiset_validation():
+@pytest.mark.parametrize(
+    "g", [gnp(9, 0.5, 1), gnp(10, 0.6, 2), complete(6), pyramid(4), bipyramid_chain(3)],
+    ids=["gnp9", "gnp10", "K6", "pyramid4", "bipyramid_chain3"],
+)
+def test_cumulant_order_3_sums_to_the_third_central_moment(g):
+    # kappa3 = E(T3 - E T3)^3 is the sum over connected sets of at most
+    # three triangles; disconnected ones have zero joint cumulant
+    class_counts, _ = brute_discover_classes(triangle_census(g).triangles)
+    for c in (2, 3, 5):
+        x = Fraction(1, c)
+        kappa3 = sum(
+            cumulant_coefficient(key_representative(key), 3)(x) * cnt
+            for key, cnt in class_counts.items()
+            if key[0] <= 3
+        )
+        assert kappa3 == brute_t3_third_central_moment(g, c), c
+
+
+def test_cumulant_coefficient_validation():
     with pytest.raises(ValueError):
-        TriangleMultiset(((0, 1, 2), (2, 1, 0)), (1, 1))  # same triangle twice
+        cumulant_coefficient([(0, 1, 2), (2, 1, 0)], 4)  # same clique twice
     with pytest.raises(ValueError):
-        TriangleMultiset(((0, 1, 1),), (1,))
+        cumulant_coefficient([], 4)
     with pytest.raises(ValueError):
-        TriangleMultiset(((0, 1, 2),), (5,))
+        cumulant_coefficient([(0, 1), (1, 2), (2, 3)], 2)  # more cliques than positions
     with pytest.raises(ValueError):
-        TriangleMultiset(((0, 1, 2),), (0,))
+        class_coefficient([(0, 1, 2 + i) for i in range(5)])
 
 
 def test_class_coefficient_identifiable_rows():

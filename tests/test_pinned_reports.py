@@ -1,7 +1,9 @@
-"""Byte pins: sha256 digests of reports and of an exact law, recorded
-before the colouring kernel was shared by the sampler and the exhaustive
-oracle. Any change of a single byte fails here; a report change on
-purpose must update the digest and say why in CHANGES.md."""
+"""Byte pins: sha256 digests of reports and of an exact law. The simulate
+reports and the law were recorded before the colouring kernel was shared
+by the sampler and the exhaustive oracle; the fourth-moment reports
+before the class coefficients came from the joint-cumulant engine. Any
+change of a single byte fails here; a report change on purpose must
+update the digest and say why in CHANGES.md."""
 
 import hashlib
 
@@ -25,6 +27,19 @@ RAW_C3 = {
     "t3": "f95db242d790303f06d5440afe7eca4f043eca5a5c43bda9c095b9d6be16a3b8",
 }
 LAW_GNP10_C3 = "21438182630c9490c041168324f3ecd26d50efb9e6f3f145a1e034a41b365f4a"
+
+# fourth-moment reports; K9 realizes all 32 nonzero classes, so these pin
+# every coefficient polynomial with its counts and enumerated_configurations
+FOURTH_MOMENT = {
+    "K9_c2": (("--family", "complete", "--n", "9", "--c", "2"),
+              "90f24ad137b7a0796dda271fe2bec838dced8df67e2a38bb391f95ab01e8fa60"),
+    "K9_c5": (("--family", "complete", "--n", "9", "--c", "5"),
+              "b72da0586b5d0891acbe69ecd4faf22d0d7f81a1fc171311e2dfbf54149b1504"),
+    "composite12_c2": (("--family", "composite", "--n", "12", "--c", "2"),
+                       "7690558eee20a0f4e6317698f83fc1cd6d4785643c7bd6b35190211e8378b325"),
+    "gnp16_c3": (("--family", "gnp", "--n", "16", "--p", "0.45", "--graph-seed", "0", "--c", "3"),
+                 "ef554c933f1b9f8a9f794521efbf9516414a1781fef6601784ac97656303650d"),
+}
 
 
 def _sha(data: bytes) -> str:
@@ -59,3 +74,11 @@ def test_exact_law_pinned():
     joint = exact_distribution(gnp(10, 0.4, 6), 3).joint
     text = "".join(f"{t2} {t3} {p.numerator}/{p.denominator}\n" for (t2, t3), p in sorted(joint.items()))
     assert _sha(text.encode()) == LAW_GNP10_C3
+
+
+@pytest.mark.parametrize("case", list(FOURTH_MOMENT))
+def test_fourth_moment_report_bytes_pinned(tmp_path, case):
+    args, digest = FOURTH_MOMENT[case]
+    out = tmp_path / "report.json"
+    assert run(["fourth-moment", *args, "--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == digest
