@@ -18,9 +18,15 @@ def test_eval_is_exact_rational():
     v = p(Fraction(1, 7))
     assert v == Fraction(1, 3) + Fraction(2, 49)
     assert isinstance(v, Fraction)
-    assert RationalPoly([1, 0, -3, 0, 3, 0, -1])(Fraction(1, 2)) == Fraction(27, 64)
-    assert RationalPoly([0, 0, 0, 0, 0, 1])(Fraction(1, 3)) == Fraction(1, 243)
     assert RationalPoly()(Fraction(1, 2)) == 0
+
+
+def test_power_and_eval():
+    # The expansion of (1 - x^2)^3 evaluates to the cube of 1 - x^2.
+    p = RationalPoly([1, 0, -3, 0, 3, 0, -1])
+    half = Fraction(1, 2)
+    assert p(half) == (1 - half**2) ** 3 == Fraction(27, 64)
+    assert RationalPoly([0, 0, 0, 0, 0, 1])(Fraction(1, 3)) == Fraction(1, 3) ** 5 == Fraction(1, 243)
 
 
 def test_equality_and_hash():
