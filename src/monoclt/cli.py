@@ -99,6 +99,15 @@ def _open_out(path: str, mode: str, parser: argparse.ArgumentParser):
         parser.error(f"cannot write {path}: {exc}")
 
 
+def _check_out(path: Optional[str], parser: argparse.ArgumentParser):
+    """Refuses, before any work, an --out that is a directory or not in a
+    writable one; the file is opened only for the finished report."""
+    folder = os.path.dirname(path or "") or "."
+    writable = os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)
+    if path and (os.path.isdir(path) or not writable):
+        parser.error(f"cannot write {path}: not a file in a writable directory")
+
+
 def _emit(args, parser: argparse.ArgumentParser, payload: str):
     if getattr(args, "out", None):
         with _open_out(args.out, "w", parser) as fh:
@@ -189,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_out(getattr(args, "out", None), parser)
     try:
         return _dispatch(args, parser)
     except MonocltError as exc:

@@ -7,9 +7,10 @@ so working memory is bounded by the slab size, not by the triangle
 count. Blocks of either oracle run on one pool, _map_blocks. Sampling
 keys a counter-based generator by (seed, block index) over fixed-size
 replication blocks, so a (seed, replications) pair gives bit-identical
-results on any number of threads. The exhaustive oracle walks every
-coloring in fixed-width chunks and returns the exact joint law of
-(edge count, triangle count) with rational masses.
+results on any number of threads. The exhaustive oracle returns the
+exact joint law of (edge count, triangle count) over all colorings with
+rational masses, evaluating them up to colour permutation: weighted
+prefix strings over one shared block of suffix colourings.
 
 Empirical moments are exact: statistics are small nonnegative integers,
 so each run is reduced to a value-count table and moments come from
@@ -36,6 +37,8 @@ from .ratpoly import fraction_json
 BLOCK = 1024  # replications per RNG block; fixed so reports never depend on threading
 DEFAULT_ENUM_CAP = 10**7
 SLAB = 1 << 22  # colour entries _mono_counts gathers at once
+SUFFIX = 1 << 12  # most suffix colourings exact_distribution shares across prefixes
+GROUPS = 16  # most prefix groups exact_distribution hands to _map_blocks
 
 
 @dataclass(frozen=True)
@@ -313,14 +316,15 @@ def exact_distribution(
     threads: Optional[int] = None,
     tc: Optional[TriangleCensus] = None,
 ) -> ExactDistribution:
-    """Joint pmf of (T2, T3) by iterating all c^n colorings.
+    """Joint pmf of (T2, T3) over all c^n colorings, up to colour permutation.
 
-    Coloring i gives vertex j the j-th base-c digit of i. Each chunk of
-    consecutive indices is built vertex-major from those digits and
-    tallied by _mono_counts, so working memory is bounded by the chunk
-    and SLAB, not by the triangle count. Chunk tallies are integer
-    arrays summed in a fixed order, so the result is exact and
-    independent of thread count.
+    A prefix of j vertices runs over the restricted-growth strings (Knuth,
+    TAOCP 4A, 7.2.1.5); a string using m colours stands for perm(c, m)
+    colourings, as the law is invariant under colour permutations. Each is
+    broadcast over a copy of one block of all c^s colourings of the other
+    s = n - j vertices (c^s <= SUFFIX, j >= 1 when n >= 1), tallied by
+    _mono_counts and weighted. Groups of strings run on _map_blocks; the
+    integer tallies make the masses exact and independent of thread count.
     """
     _check_colors(c)
     total = c**g.n
@@ -332,18 +336,27 @@ def exact_distribution(
     tris = np.asarray(tc.triangles, dtype=np.int64).reshape(-1, 3)
     stride = len(tris) + 1
     width = (len(edges) + 1) * stride
-    chunk_size = min(total, 1 << 18)
+    s = max((k for k in range(g.n) if c**k <= SUFFIX), default=0)
+    j = g.n - s
+    dtype = _color_dtype(c)
+    block = np.empty((g.n, c**s), dtype=dtype)  # prefix rows are set per string
+    for k in range(s):  # the base-c digits of the column index
+        block[j + k] = np.arange(c**s) // c**k % c
+    prefixes = [((), 0)]  # restricted-growth strings, each with its colour count
+    for _ in range(j):
+        prefixes = [(p + (x,), max(m, x + 1)) for p, m in prefixes for x in range(min(m + 1, c))]
 
-    def run_chunk(start: int) -> np.ndarray:
-        idx = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
-        ct = np.empty((g.n, len(idx)), dtype=_color_dtype(c))
-        for j in range(g.n):
-            ct[j] = idx // c**j % c
-        flat = _mono_counts(ct, edges) * stride + _mono_counts(ct, tris)
-        return np.bincount(flat, minlength=width)
+    def run_group(group: list) -> np.ndarray:
+        ct = block.copy()
+        tally = np.zeros(width, dtype=np.int64 if total < 1 << 63 else object)
+        for prefix, m in group:
+            ct[:j] = np.array(prefix, dtype=dtype)[:, None]
+            flat = _mono_counts(ct, edges) * stride + _mono_counts(ct, tris)
+            tally += math.perm(c, m) * np.bincount(flat, minlength=width).astype(tally.dtype)
+        return tally
 
-    tallies = _map_blocks(run_chunk, range(0, total, chunk_size), threads)
-    combined = np.sum(tallies, axis=0, dtype=np.int64)
+    groups = [prefixes[i::GROUPS] for i in range(min(GROUPS, len(prefixes)))]
+    combined = np.sum(_map_blocks(run_group, groups, threads), axis=0)
     joint = {}
     for flat in np.nonzero(combined)[0]:
         t2, t3 = divmod(int(flat), stride)

@@ -128,6 +128,20 @@ def all_small_graph_stats(g: Graph, c: int):
     )
 
 
+def brute_joint_law(g: Graph, c: int) -> Counter:
+    """Number of colorings with each (T2, T3), visiting all c^n colorings
+    in pure Python (independent of the numpy enumeration path)."""
+    from itertools import product
+
+    tris = brute_triangles(g)
+    law = Counter()
+    for coloring in product(range(c), repeat=g.n):
+        t2 = sum(1 for u, v in g.edges if coloring[u] == coloring[v])
+        t3 = sum(1 for a, b, cc in tris if coloring[a] == coloring[b] == coloring[cc])
+        law[(t2, t3)] += 1
+    return law
+
+
 # ---------------------------------------------------------------------------
 # class discovery by visiting every configuration
 

@@ -127,6 +127,19 @@ def test_unusable_files_are_usage_errors(tmp_path, case):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("out", ["{missing}/x.json", "{tmp}"], ids=["no-directory", "a-directory"])
+def test_unwritable_out_is_refused_before_the_computation(capsys, monkeypatch, tmp_path, out):
+    def never(*args, **kwargs):
+        raise AssertionError("class discovery entered")
+
+    monkeypatch.setattr(fourthmoment, "discover_classes", never)
+    path = out.format(missing=tmp_path / "no" / "such", tmp=tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "fourth-moment", "--family", "complete", "--n", "10", "--c", "5", "--out", path)
+    assert exc.value.code == 2
+    assert f"cannot write {path}" in capsys.readouterr().err
+
+
 def test_usage_error_no_source(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "moments", "--c", "2")

@@ -1,7 +1,9 @@
 """Byte pins: sha256 digests of reports and of an exact law. The simulate
-reports and the law were recorded before the colouring kernel was shared
-by the sampler and the exhaustive oracle; the fourth-moment reports
-before the class coefficients came from the joint-cumulant engine. Any
+reports and the gnp(10) law were recorded before the colouring kernel was
+shared by the sampler and the exhaustive oracle; the other laws before
+the exhaustive oracle enumerated colourings up to colour permutation;
+the fourth-moment reports before the class coefficients came from the
+joint-cumulant engine. Any
 change of a single byte fails here; a report change on purpose must
 update the digest and say why in CHANGES.md."""
 
@@ -10,7 +12,7 @@ import hashlib
 import pytest
 
 from monoclt.cli import run
-from monoclt.graph import gnp
+from monoclt.graph import complete, gnp
 from monoclt.sim import exact_distribution
 
 GNP60 = ("--family", "gnp", "--n", "60", "--p", "0.3", "--graph-seed", "1", "--seed", "8")
@@ -27,6 +29,14 @@ RAW_C3 = {
     "t3": "f95db242d790303f06d5440afe7eca4f043eca5a5c43bda9c095b9d6be16a3b8",
 }
 LAW_GNP10_C3 = "21438182630c9490c041168324f3ecd26d50efb9e6f3f145a1e034a41b365f4a"
+# sorted joint laws of exact_distribution; K4 at c = 7 has more colours
+# than vertices
+LAWS = {
+    "K10_c4": (complete(10), 4, "913590d987e46d53112fe6e9a18790bde6b5f4559861136b2a22251c08e8873e"),
+    "gnp13_c3": (gnp(13, 0.4, 3), 3, "27871e119063bad5abb4a32a80eb60aa60951fe603abea3bbf0da080cbcde9b1"),
+    "gnp18_c2": (gnp(18, 0.3, 5), 2, "fe4079f75a9a3be12437795c41bc3e2c411849e0e16cb1bb6f78acb748cff67d"),
+    "K4_c7": (complete(4), 7, "336e3a2a010284c9851f2076f6b04fd98d4b6bc55b5d4572b84a92d2fe2288c9"),
+}
 
 # fourth-moment reports; K9 realizes all 32 nonzero classes, so these pin
 # every coefficient polynomial with its counts and enumerated_configurations
@@ -70,10 +80,20 @@ def test_simulate_raw_out_bytes_pinned(tmp_path):
         assert _sha((tmp_path / f"raw.{stat}.bin").read_bytes()) == digest
 
 
-def test_exact_law_pinned():
-    joint = exact_distribution(gnp(10, 0.4, 6), 3).joint
+def _law_sha(g, c) -> str:
+    joint = exact_distribution(g, c).joint
     text = "".join(f"{t2} {t3} {p.numerator}/{p.denominator}\n" for (t2, t3), p in sorted(joint.items()))
-    assert _sha(text.encode()) == LAW_GNP10_C3
+    return _sha(text.encode())
+
+
+def test_exact_law_pinned():
+    assert _law_sha(gnp(10, 0.4, 6), 3) == LAW_GNP10_C3
+
+
+@pytest.mark.parametrize("case", list(LAWS))
+def test_exact_laws_pinned(case):
+    g, c, digest = LAWS[case]
+    assert _law_sha(g, c) == digest
 
 
 @pytest.mark.parametrize("case", list(FOURTH_MOMENT))

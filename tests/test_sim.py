@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from brute import brute_joint_law, relabeled
 from helpers import t2_inputs
 from monoclt import sim
 from monoclt.census import pyramid_counts, triangle_census
@@ -41,6 +42,28 @@ def test_exact_distribution_is_a_pmf(small_corpus):
         dist = exact_distribution(g, 2)
         assert sum(dist.joint.values()) == 1, name
         assert all(p > 0 for p in dist.joint.values())
+
+
+BRUTE_LAW_CASES = [
+    ("n0", Graph.from_edges(0, []), 3),
+    ("n1", Graph.from_edges(1, []), 3),
+    ("edgeless", Graph.from_edges(5, []), 3),
+    *((f"K4_c{c}", complete(4), c) for c in range(2, 7)),
+    *((f"gnp8_c{c}", gnp(8, 0.4, 1), c) for c in (2, 3)),
+    *((f"gnp8_perm{i}_c{c}", relabeled(gnp(8, 0.4, 1), perm), c)
+      for i, perm in enumerate([(7, 6, 5, 4, 3, 2, 1, 0), (3, 0, 6, 1, 7, 4, 2, 5)])
+      for c in (2, 3)),
+    ("edge_c300", Graph.from_edges(2, [(0, 1)]), 300),
+]
+
+
+@pytest.mark.parametrize("name,g,c", BRUTE_LAW_CASES, ids=[case[0] for case in BRUTE_LAW_CASES])
+def test_exact_distribution_matches_visiting_every_coloring(name, g, c):
+    # the prefix vertices are the first ones; the relabelled copies move
+    # other vertices into the prefix
+    total = c**g.n
+    want = {key: Fraction(k, total) for key, k in brute_joint_law(g, c).items()}
+    assert exact_distribution(g, c).joint == want
 
 
 def test_exact_distribution_cap():
@@ -245,10 +268,50 @@ def test_results_do_not_depend_on_the_slab_size(monkeypatch, name, slab):
     assert _sample_bytes(g, 2) == sample
 
 
+@pytest.mark.parametrize("suffix", [1, "c", 2**20])
+@pytest.mark.parametrize("name", list(KERNEL_CORPUS))
+def test_results_do_not_depend_on_the_suffix_size(monkeypatch, name, suffix):
+    # 1 puts every vertex in the prefix; c gives a one-vertex suffix;
+    # 2**20 leaves a one-vertex prefix on every graph here
+    g = KERNEL_CORPUS[name]
+    laws = {c: exact_distribution(g, c).joint for c in (2, 3)}
+    for c, joint in laws.items():
+        monkeypatch.setattr(sim, "SUFFIX", c if suffix == "c" else suffix)
+        assert exact_distribution(g, c, threads=2).joint == joint
+
+
+def test_exhaustive_oracle_evaluates_colourings_up_to_permutation(monkeypatch):
+    columns = []
+    mono_counts = sim._mono_counts
+
+    def counting(ct, cliques):
+        if cliques.shape[1] == 3:  # one call per evaluated block
+            columns.append(ct.shape[1])
+        return mono_counts(ct, cliques)
+
+    monkeypatch.setattr(sim, "_mono_counts", counting)
+    exact_distribution(complete(10), 4)
+    # 15 growth strings on the first 4 vertices times 4^6 suffix
+    # colourings, against the 4^10 = 1,048,576 covered
+    assert sum(columns) < 70_000
+
+
 def test_exact_law_with_uint16_colours():
     law = exact_distribution(Graph.from_edges(2, [(0, 1)]), 300)
     assert law.t2_pmf() == {0: Fraction(299, 300), 1: Fraction(1, 300)}
     assert law.t3_pmf() == {0: Fraction(1)}
+
+
+def test_exact_law_past_64_bit_masses():
+    # c^n >= 2^63 only with a raised cap; the perm(c, m) weights and the
+    # tallies must then stay exact
+    c = 2**30
+    law = exact_distribution(complete(3), c, cap=c**3)
+    assert law.joint == {
+        (3, 1): Fraction(1, c**2),
+        (1, 0): Fraction(3 * (c - 1), c**2),
+        (0, 0): Fraction((c - 1) * (c - 2), c**2),
+    }
 
 
 def test_block_pool_is_bounded_by_the_machine(monkeypatch):
@@ -275,8 +338,9 @@ def test_block_pool_is_bounded_by_the_machine(monkeypatch):
     g = gnp(8, 0.4, 1)
     cfg = SimConfig(c=3, replications=5000, seed=2)  # 5 blocks
     assert sample_statistics(g, cfg, threads=10**6) == sample_statistics(g, cfg, threads=1)
-    law = exact_distribution(g, 5, threads=10**6)  # 390625 colourings, 2 chunks
-    assert law.joint == exact_distribution(g, 5, threads=1).joint
+    # prefix strings 00 and 01 over the 4^6 suffix colourings: 2 groups
+    law = exact_distribution(g, 4, threads=10**6)
+    assert law.joint == exact_distribution(g, 4, threads=1).joint
     assert sizes == [3, 2]
     monkeypatch.setattr(sim.os, "cpu_count", lambda: None)  # unknown: serial
     sample_statistics(g, cfg, threads=10**6)
