@@ -3,7 +3,7 @@ edge/triangle counts under uniformly random vertex colorings.
 
 Subpackages:
     graph         graph type, edge-list I/O, family generators
-    census        triangle census, pyramid counts, 4-cycle and 4-walk statistics
+    census        triangle census, pyramid counts, 4-cycle count N(C4), b and s statistics
     moments       closed-form moments and CLT error-bound brackets
     fourthmoment  exact fourth-moment decomposition over configuration classes
     sim           Monte Carlo sampler, exhaustive enumeration, KS diagnostics

@@ -3,7 +3,7 @@
 One subcommand per module concern:
 
     generate       build a family graph and write its edge list
-    census         triangle census, pyramid counts, 4-cycle/4-walk statistics
+    census         triangle census, pyramid counts, 4-cycle count N(C4), b and s statistics
     moments        exact means/variances (and edge-count excess fourth moment)
     bounds         CLT error-bound brackets (up to absolute constants)
     fourth-moment  exact fourth-moment decomposition over classes
@@ -37,9 +37,10 @@ from .census import (
 )
 from .errors import MonocltError
 from .fourthmoment import DEFAULT_BUDGET, fourth_moment_exact
-from .graph import FAMILIES, FamilySpec, Graph, generate, parse_edge_list, serialize_edge_list
+from .graph import FAMILIES, SIMPLE_FAMILIES, FamilySpec, Graph, generate
+from .graph import parse_edge_list, serialize_edge_list
 from .moments import T2Inputs, clt_bound_t2, clt_bound_t3, t2_moments, t3_mean_var
-from .ratpoly import fraction_json
+from .ratpoly import evaluate, fraction_json
 from .sim import SimConfig, sample_statistics
 
 
@@ -59,7 +60,7 @@ def _add_graph_source(sub: argparse.ArgumentParser):
 
 def _parse_part(text: str, parser: argparse.ArgumentParser) -> FamilySpec:
     name, _, arg = text.partition(":")
-    if name not in FAMILIES or name in ("gnp", "composite", "disjoint_union") or not arg:
+    if name not in SIMPLE_FAMILIES or not arg:
         parser.error(f"bad --parts entry {text!r}; use a deterministic family like pyramid:8")
     try:
         return FamilySpec(family=name, n=int(arg))
@@ -67,7 +68,7 @@ def _parse_part(text: str, parser: argparse.ArgumentParser) -> FamilySpec:
         parser.error(f"bad --parts entry {text!r}")
 
 
-def _resolve_graph(args, parser: argparse.ArgumentParser, need_c: bool = False):
+def _resolve_graph(args, parser: argparse.ArgumentParser):
     """Returns (graph, source-config dict). Exactly one input source."""
     if (args.input is None) == (args.family is None):
         parser.error("give exactly one graph source: --input FILE or --family NAME")
@@ -116,7 +117,7 @@ def _emit(args, parser: argparse.ArgumentParser, payload: str):
         sys.stdout.write(payload)
 
 
-def _report(args, command: str, config: dict, graph: Optional[Graph], body: dict) -> str:
+def _report(command: str, config: dict, graph: Optional[Graph], body: dict) -> str:
     report = {
         "tool": "monoclt",
         "version": __version__,
@@ -221,7 +222,7 @@ def run(argv=None) -> int:
 def _dispatch(args, parser) -> int:
     cmd = args.command
     if cmd == "generate":
-        graph, source = _resolve_graph(args, parser)
+        graph, _ = _resolve_graph(args, parser)
         _emit(args, parser, serialize_edge_list(graph))
         return 0
 
@@ -238,7 +239,7 @@ def _dispatch(args, parser) -> int:
             "s_statistic_score_order": str(s_statistic(tc, order)),
             "score_ordering": order,
         }
-        _emit(args, parser, _report(args, cmd, {"source": source}, graph, body))
+        _emit(args, parser, _report(cmd, {"source": source}, graph, body))
         return 0
 
     if cmd == "moments":
@@ -260,7 +261,7 @@ def _dispatch(args, parser) -> int:
                 "variance": fraction_json(t3.variance),
                 "inputs": t3.inputs,
             }
-        _emit(args, parser, _report(args, cmd, {"source": source, "c": args.c}, graph, body))
+        _emit(args, parser, _report(cmd, {"source": source, "c": args.c}, graph, body))
         return 0
 
     if cmd == "bounds":
@@ -284,7 +285,7 @@ def _dispatch(args, parser) -> int:
                 "bound_bracket": t3b.bound,
             }
         body["note"] = "brackets bound the Kolmogorov distance up to unspecified absolute constants"
-        _emit(args, parser, _report(args, cmd, {"source": source, "c": args.c}, graph, body))
+        _emit(args, parser, _report(cmd, {"source": source, "c": args.c}, graph, body))
         return 0
 
     if cmd == "fourth-moment":
@@ -293,7 +294,7 @@ def _dispatch(args, parser) -> int:
         pc = pyramid_counts(tc)
         dec = fourth_moment_exact(tc, pc, args.c, budget=args.budget)
         config = {"source": source, "c": args.c, "budget": args.budget}
-        _emit(args, parser, _report(args, cmd, config, graph, dec.to_json_dict()))
+        _emit(args, parser, _report(cmd, config, graph, dec.to_json_dict()))
         return 0
 
     if cmd == "simulate":
@@ -318,7 +319,7 @@ def _dispatch(args, parser) -> int:
             for sink in raw_sinks.values():
                 sink.close()
         config = {"source": source, **report.to_json_dict()["config"]}
-        _emit(args, parser, _report(args, cmd, config, graph, report.to_json_dict()["results"]))
+        _emit(args, parser, _report(cmd, config, graph, report.to_json_dict()["results"]))
         return 0
 
     if cmd == "verify":
@@ -335,6 +336,7 @@ def _dispatch(args, parser) -> int:
 def _verify(threads: Optional[int]) -> int:
     from .fourthmoment import (
         bipyramid_quad_coefficient,
+        class_key,
         discover_classes,
         pyramid_class_coefficient,
     )
@@ -394,24 +396,17 @@ def _verify(threads: Optional[int]) -> int:
     )
 
     found = {rec.key for rec, _ in disc.entries}
-    from .fourthmoment import class_key
-
     named = [class_key([(0, 1, 2 + i) for i in range(s)]) for s in (1, 2, 3, 4)]
     named.append(class_key([(0, 2, 4), (1, 2, 5), (0, 3, 6), (1, 3, 7)]))
     check("pyramid and chain-quadruple classes present", all(k in found for k in named))
 
-    ok = True
-    for c in (5, 6, 7, 10):
-        x = Fraction(1, c)
-        if not all(rec.coefficient(x) > 0 for rec, _ in disc.entries):
-            ok = False
-    for c in (2, 3, 4):
-        if not pyramid_class_coefficient(4)(Fraction(1, c)) < 0:
-            ok = False
-    if pyramid_class_coefficient(4)(Fraction(1, 2)) != Fraction(-3, 16):
-        ok = False
-    if bipyramid_quad_coefficient()(Fraction(1, 2)) != Fraction(3, 32):
-        ok = False
+    d4 = pyramid_class_coefficient(4)
+    ok = all(
+        evaluate(rec.coefficient, Fraction(1, c)) > 0 for c in (5, 6, 7, 10) for rec, _ in disc.entries
+    )
+    ok = ok and all(evaluate(d4, Fraction(1, c)) < 0 for c in (2, 3, 4))
+    ok = ok and evaluate(d4, Fraction(1, 2)) == Fraction(-3, 16)
+    ok = ok and evaluate(bipyramid_quad_coefficient(), Fraction(1, 2)) == Fraction(3, 32)
     check("sign dichotomy (all positive for c >= 5; 4-pyramid negative for c <= 4)", ok)
 
     print(f"{'OK' if failures == 0 else 'FAILED'}: {4 - failures}/4 checks passed")

@@ -6,8 +6,8 @@ Its fourth cumulant E(T - ET)^4 - 3 Var(T)^2 is multilinear in the Y_t,
 so it expands over ordered 4-tuples of triangles into joint cumulants
 kappa(Y_t1, Y_t2, Y_t3, Y_t4). Grouping the tuples by the set of
 distinct triangles involved (1 to 4 of them, "the specified triangles")
-gives every such set a coefficient, a polynomial in x = 1/c that
-depends only on the isomorphism class of (union graph, specified
+gives every such set a coefficient, an integer polynomial in x = 1/c
+that depends only on the isomorphism class of (union graph, specified
 triangle set):
 
     E(Z^4) - 3 = sum over classes of coefficient(x) * count / Var(T)^2.
@@ -45,7 +45,7 @@ from typing import Iterable, Sequence
 
 from .errors import BadParamsError, BudgetExceededError, NoTrianglesError
 from .moments import _check_colors, t3_mean_var
-from .ratpoly import RationalPoly, fraction_json
+from .ratpoly import evaluate, fraction_json
 
 DEFAULT_BUDGET = 10**8
 
@@ -108,9 +108,10 @@ def _mobius_terms(r: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple((images, w) for images, w in sorted(terms.items()) if w)
 
 
-def cumulant_coefficient(cliques: Iterable[Iterable[int]], r: int) -> RationalPoly:
+def cumulant_coefficient(cliques: Iterable[Iterable[int]], r: int) -> tuple[int, ...]:
     """Order-r coefficient of a set of 1..r distinct cliques (edges or
-    triangles) as a polynomial in x = 1/c.
+    triangles) as an integer polynomial in x = 1/c: index i holds the
+    coefficient of x**i, trailing zeros stripped.
 
     It is the sum, over maps of r positions onto the set, of the joint
     cumulant of the clique indicators, i.e. the share of this set in the
@@ -130,10 +131,11 @@ def cumulant_coefficient(cliques: Iterable[Iterable[int]], r: int) -> RationalPo
     coeffs: Counter = Counter()
     for images, w in _mobius_terms(r, k):
         coeffs[sum(exponent[m] for m in images)] += w
-    return RationalPoly([coeffs[d] for d in range(max(coeffs, default=-1) + 1)])
+    degree = max((d for d, w in coeffs.items() if w), default=-1)
+    return tuple(coeffs[d] for d in range(degree + 1))
 
 
-def class_coefficient(triangles: Iterable[Triangle]) -> RationalPoly:
+def class_coefficient(triangles: Iterable[Triangle]) -> tuple[int, ...]:
     """Coefficient polynomial of the class represented by these 1..4
     distinct triangles: its share of the fourth cumulant of T, the sum
     over ordered 4-tuples covering exactly these triangles of the joint
@@ -142,7 +144,7 @@ def class_coefficient(triangles: Iterable[Triangle]) -> RationalPoly:
 
 
 @lru_cache(maxsize=None)
-def pyramid_class_coefficient(s: int) -> RationalPoly:
+def pyramid_class_coefficient(s: int) -> tuple[int, ...]:
     """Coefficient of the s-pyramid class (s triangles on one shared edge)."""
     if not 1 <= s <= 4:
         raise ValueError("pyramid classes have 1 to 4 triangles")
@@ -150,7 +152,7 @@ def pyramid_class_coefficient(s: int) -> RationalPoly:
 
 
 @lru_cache(maxsize=None)
-def bipyramid_quad_coefficient() -> RationalPoly:
+def bipyramid_quad_coefficient() -> tuple[int, ...]:
     """Coefficient of the class realized by quadruples
     {a,s,.},{b,s,.},{a,t,.},{b,t,.} in the bipyramid chain: four triangles
     meeting pairwise in at most a vertex, hub/spine contacts forming a
@@ -200,11 +202,11 @@ def key_representative(key: tuple) -> tuple[Triangle, ...]:
 @dataclass(frozen=True)
 class ClassRecord:
     """One configuration class: canonical key, a representative on small
-    vertex labels, and its coefficient polynomial."""
+    vertex labels, and its integer coefficient polynomial."""
 
     key: tuple
     representative: tuple[Triangle, ...]
-    coefficient: RationalPoly
+    coefficient: tuple[int, ...]
 
     @property
     def specified_triangles(self) -> int:
@@ -231,16 +233,10 @@ class ClassRecord:
         return _component_count(self.representative) == 1
 
 
-_RECORD_CACHE: dict[tuple, ClassRecord] = {}
-
-
+@lru_cache(maxsize=None)
 def _record_for_key(key: tuple) -> ClassRecord:
-    rec = _RECORD_CACHE.get(key)
-    if rec is None:
-        rep = key_representative(key)
-        rec = ClassRecord(key=key, representative=rep, coefficient=class_coefficient(rep))
-        _RECORD_CACHE[key] = rec
-    return rec
+    rep = key_representative(key)
+    return ClassRecord(key=key, representative=rep, coefficient=class_coefficient(rep))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +417,7 @@ def discover_classes(triangles: Sequence[Triangle], *, budget: int = DEFAULT_BUD
         # enumeration is over vertex-connected sets only; anything else
         # slipping through would signal a broken walker
         assert rec.is_connected(), f"disconnected class emitted: {key}"
-        if not rec.coefficient.is_zero:
+        if rec.coefficient:
             entries.append((rec, class_counts[key]))
     return Discovery(entries=tuple(entries), enumerated=emitted)
 
@@ -440,17 +436,9 @@ class Decomposition:
     excess4: Fraction
     enumerated: int
 
-    @property
-    def sigma4(self) -> Fraction:
-        return self.sigma2**2
-
     def to_json_dict(self) -> dict:
         classes = []
         for rec, cnt in self.entries:
-            coeffs = []
-            for coef in rec.coefficient.coeffs:
-                assert coef.denominator == 1
-                coeffs.append(str(coef.numerator))
             classes.append(
                 {
                     "signature": {
@@ -461,7 +449,7 @@ class Decomposition:
                     },
                     "representative_triangles": [list(t) for t in rec.representative],
                     "representative_edges": [list(e) for e in rec.union_edges()],
-                    "coefficient": coeffs,
+                    "coefficient": [str(a) for a in rec.coefficient],
                     "count": str(cnt),
                 }
             )
@@ -490,7 +478,7 @@ def fourth_moment_exact(
     sigma2 = t3_mean_var(pc, c).variance
     total = Fraction(0)
     for rec, cnt in disc.entries:
-        total += rec.coefficient(x) * cnt
+        total += evaluate(rec.coefficient, x) * cnt
     return Decomposition(
         c=c,
         sigma2=sigma2,

@@ -161,18 +161,6 @@ def serialize_edge_list(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # family generators
 
-FAMILIES = (
-    "complete",
-    "star",
-    "cycle",
-    "pyramid",
-    "bipyramid_chain",
-    "composite",
-    "gnp",
-    "disjoint_union",
-)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     family: str
@@ -250,12 +238,13 @@ def composite_chain_length(n: int, c: int) -> int:
     which is exactly when the construction exists.
     """
     from .fourthmoment import bipyramid_quad_coefficient, pyramid_class_coefficient
+    from .ratpoly import evaluate
 
     if c < 2:
         raise BadParamsError(f"composite requires c >= 2, got {c}")
     x = Fraction(1, c)
-    d4 = pyramid_class_coefficient(4)(x)
-    h16 = bipyramid_quad_coefficient()(x)
+    d4 = evaluate(pyramid_class_coefficient(4), x)
+    h16 = evaluate(bipyramid_quad_coefficient(), x)
     if d4 >= 0:
         raise CompositeUndefinedError(
             f"composite family undefined for c={c}: 4-pyramid coefficient {d4} is nonnegative"
@@ -294,22 +283,24 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph.from_edges(offset, edges)
 
 
+# the families fixed by n alone: name -> (generator, least n)
+SIMPLE_FAMILIES = {
+    "complete": (complete, 1),
+    "star": (star, 1),
+    "cycle": (cycle, 3),
+    "pyramid": (pyramid, 1),
+    "bipyramid_chain": (bipyramid_chain, 1),
+}
+FAMILIES = (*SIMPLE_FAMILIES, "composite", "gnp", "disjoint_union")
+
+
 def generate(spec: FamilySpec) -> Graph:
     """Build the graph described by spec. Deterministic for every family;
     gnp is deterministic given its seed."""
     fam = spec.family
-    if fam not in FAMILIES:
-        raise BadParamsError(f"unknown family {fam!r}; expected one of {FAMILIES}")
-    if fam == "complete":
-        return complete(_require_n(spec, 1))
-    if fam == "star":
-        return star(_require_n(spec, 1))
-    if fam == "cycle":
-        return cycle(_require_n(spec, 3))
-    if fam == "pyramid":
-        return pyramid(_require_n(spec, 1))
-    if fam == "bipyramid_chain":
-        return bipyramid_chain(_require_n(spec, 1))
+    if fam in SIMPLE_FAMILIES:
+        build, least = SIMPLE_FAMILIES[fam]
+        return build(_require_n(spec, least))
     if fam == "composite":
         n = _require_n(spec, 4)
         if spec.c is None:
@@ -327,4 +318,4 @@ def generate(spec: FamilySpec) -> Graph:
         if not spec.parts:
             raise BadParamsError("disjoint_union requires at least one part")
         return disjoint_union(*(generate(part) for part in spec.parts))
-    raise AssertionError("unreachable")
+    raise BadParamsError(f"unknown family {fam!r}; expected one of {FAMILIES}")

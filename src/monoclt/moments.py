@@ -36,8 +36,12 @@ def standard_normal_cdf(z: float) -> float:
 
 
 def _check_colors(c: int) -> Fraction:
+    """x = 1/c for a supported colour count: 2 <= c <= 2^64, the most
+    colours a uint64 colour array holds."""
     if c < 2:
         raise BadParamsError(f"need c >= 2 colors, got {c}")
+    if c > 1 << 64:
+        raise BadParamsError(f"need c <= 2^64 colors, got {c}")
     return Fraction(1, c)
 
 
@@ -49,18 +53,6 @@ class MomentReport:
     variance: Fraction
     excess4: Optional[Fraction]  # E Z^4 - 3; None where not computed (T3)
     inputs: dict
-
-    @property
-    def mean_float(self) -> float:
-        return float(self.mean)
-
-    @property
-    def variance_float(self) -> float:
-        return float(self.variance)
-
-    @property
-    def excess4_float(self) -> Optional[float]:
-        return None if self.excess4 is None else float(self.excess4)
 
 
 class T2Inputs(NamedTuple):

@@ -12,9 +12,10 @@ exact joint law of (edge count, triangle count) over all colorings with
 rational masses, evaluating them up to colour permutation: weighted
 prefix strings over one shared block of suffix colourings.
 
-Empirical moments are exact: statistics are small nonnegative integers,
-so each run is reduced to a value-count table and moments come from
-big-integer power sums.
+Moments are exact: statistics are small nonnegative integers, so each
+run is reduced to a value-count table and moments come from big-integer
+power sums; the exhaustive law goes through the same routine with the
+colouring counts p * c^n as its table.
 """
 
 from __future__ import annotations
@@ -126,7 +127,9 @@ class SimReport:
 
 
 def _color_dtype(c: int):
-    return np.uint8 if c <= 0xFF else np.uint16 if c <= 0xFFFF else np.uint32
+    if c <= 0xFFFF:
+        return np.uint8 if c <= 0xFF else np.uint16
+    return np.uint32 if c <= 1 << 32 else np.uint64
 
 
 def _mono_counts(ct: np.ndarray, cliques: np.ndarray) -> np.ndarray:
@@ -287,12 +290,11 @@ class ExactDistribution:
         return _marginal(self.joint, 1)
 
     def moments(self, which: str) -> tuple[Fraction, Fraction, Fraction]:
-        """(mean, variance, fourth central moment) of T2 or T3."""
+        """(mean, variance, fourth central moment) of T2 or T3, from the
+        integer colouring counts p * c^n of its law."""
         pmf = self.t2_pmf() if which == "T2" else self.t3_pmf()
-        mu = sum((Fraction(v) * p for v, p in pmf.items()), Fraction(0))
-        m2 = sum(((v - mu) ** 2 * p for v, p in pmf.items()), Fraction(0))
-        m4 = sum(((v - mu) ** 4 * p for v, p in pmf.items()), Fraction(0))
-        return mu, m2, m4
+        total = self.c**self.n
+        return _moments_from_counts([(v, int(p * total)) for v, p in pmf.items()], total)
 
     def excess4(self, which: str) -> Fraction:
         mu, m2, m4 = self.moments(which)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -228,6 +229,11 @@ def test_simulate_raw_out(capsys, tmp_path):
         ("simulate", "--c", "2", "--reps", "10", "--seed", str(2**64)),
         ("fourth-moment", "--c", "0"),
         ("fourth-moment", "--c", "2", "--budget", "-5"),
+        # colours past 2^64 do not fit a uint64 colour array
+        ("moments", "--c", str(2**64 + 1)),
+        ("bounds", "--c", str(2**64 + 1)),
+        ("fourth-moment", "--c", str(2**64 + 1)),
+        ("simulate", "--c", str(2**64 + 1), "--reps", "10", "--seed", "1"),
     ],
 )
 def test_bad_parameters_end_in_domain_error(capsys, argv):
@@ -279,15 +285,45 @@ def test_fourth_moment_budget_bounds_the_total(capsys, threads, budget, code):
         assert json.loads(out)["report"]["enumerated_configurations"] == 1_893_675
 
 
-def test_simulate_more_colors_than_uint16(capsys):
+@pytest.mark.parametrize("c", [70000, 2**32 + 1, 2**64])
+def test_simulate_more_colors_than_uint16(capsys, c):
     code, out, _ = run_cli(
         capsys,
         "simulate", "--family", "pyramid", "--n", "3",
-        "--c", "70000", "--reps", "10", "--seed", "1", "--threads", "1",
+        "--c", str(c), "--reps", "10", "--seed", "1", "--threads", "1",
     )
     assert code == 0
     for result in json.loads(out)["report"]:
         assert sum(n for _, n in result["distribution"]) == 10
+
+
+def _floats(node):
+    if isinstance(node, float):
+        yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from _floats(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _floats(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments",),
+        ("bounds",),
+        ("fourth-moment",),
+        ("simulate", "--reps", "10", "--seed", "1", "--threads", "1"),
+    ],
+)
+def test_largest_colour_count_gives_finite_floats(capsys, argv):
+    code, out, _ = run_cli(
+        capsys, argv[0], "--family", "complete", "--n", "5", "--c", str(2**64 - 1), *argv[1:]
+    )
+    assert code == 0
+    floats = list(_floats(json.loads(out)["report"]))
+    assert floats and all(math.isfinite(f) for f in floats)
 
 
 def _count_calls(monkeypatch, names):

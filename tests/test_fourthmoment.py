@@ -18,15 +18,15 @@ from monoclt.fourthmoment import (
 )
 from monoclt.graph import FamilySpec, bipyramid_chain, complete, generate, gnp, pyramid
 from monoclt.moments import T2Inputs, t2_mean_var, t2_moments, t3_mean_var
-from monoclt.ratpoly import RationalPoly
+from monoclt.ratpoly import evaluate
 from monoclt.sim import exact_distribution
 
 # frozen closed forms for the structurally identifiable classes
-DELTA1 = RationalPoly([0, 0, 1, 0, -7, 0, 12, 0, -6])
-DELTA2 = RationalPoly([0, 0, 0, 14, -14, -72, 60, 96, -84])
-DELTA3 = RationalPoly([0, 0, 0, 0, 36, -108, -72, 360, -216])
-DELTA4 = RationalPoly([0, 0, 0, 0, 0, 24, -168, 288, -144])
-H16 = RationalPoly([0, 0, 0, 0, 0, 0, 0, 24, -24])
+DELTA1 = (0, 0, 1, 0, -7, 0, 12, 0, -6)
+DELTA2 = (0, 0, 0, 14, -14, -72, 60, 96, -84)
+DELTA3 = (0, 0, 0, 0, 36, -108, -72, 360, -216)
+DELTA4 = (0, 0, 0, 0, 0, 24, -168, 288, -144)
+H16 = (0, 0, 0, 0, 0, 0, 0, 24, -24)
 
 QUAD_REP = ((0, 2, 4), (1, 2, 5), (0, 3, 6), (1, 3, 7))
 
@@ -37,16 +37,16 @@ COLORS = range(2, 12)
 
 def test_cumulant_order_2_reproduces_the_variances():
     tri, pair = [(0, 1, 2)], [(0, 1, 2), (0, 1, 3)]
-    assert cumulant_coefficient(tri, 2) == RationalPoly([0, 0, 1, 0, -1])
-    assert cumulant_coefficient(pair, 2) == RationalPoly([0, 0, 0, 2, -2])
-    assert cumulant_coefficient([(0, 1)], 2) == RationalPoly([0, 1, -1])
+    assert cumulant_coefficient(tri, 2) == (0, 0, 1, 0, -1)
+    assert cumulant_coefficient(pair, 2) == (0, 0, 0, 2, -2)
+    assert cumulant_coefficient([(0, 1)], 2) == (0, 1, -1)
     for c in COLORS:
         x = Fraction(1, c)
         one = t3_mean_var(PyramidCounts(1, 0, 0, 0), c).variance
-        assert cumulant_coefficient(tri, 2)(x) == one
+        assert evaluate(cumulant_coefficient(tri, 2), x) == one
         two = t3_mean_var(PyramidCounts(2, 1, 0, 0), c).variance
-        assert cumulant_coefficient(pair, 2)(x) == two - 2 * one
-        assert cumulant_coefficient([(0, 1)], 2)(x) == t2_mean_var(1, c).variance
+        assert evaluate(cumulant_coefficient(pair, 2), x) == two - 2 * one
+        assert evaluate(cumulant_coefficient([(0, 1)], 2), x) == t2_mean_var(1, c).variance
 
 
 def test_cumulant_order_4_on_edges_reproduces_g1_g2_g3():
@@ -62,17 +62,18 @@ def test_cumulant_order_4_on_edges_reproduces_g1_g2_g3():
     for c in COLORS:
         x = Fraction(1, c)
         g1 = kappa4(1, 0, 0, c)
-        assert cumulant_coefficient(edge, 4)(x) == g1
-        assert cumulant_coefficient(k3, 4)(x) == kappa4(1, 1, 0, c) - g1
-        assert cumulant_coefficient(c4, 4)(x) == kappa4(1, 0, 1, c) - g1
+        assert evaluate(cumulant_coefficient(edge, 4), x) == g1
+        assert evaluate(cumulant_coefficient(k3, 4), x) == kappa4(1, 1, 0, c) - g1
+        assert evaluate(cumulant_coefficient(c4, 4), x) == kappa4(1, 0, 1, c) - g1
     # a forest of edges is independent, so it contributes nothing
-    assert cumulant_coefficient([(0, 1), (1, 2)], 4).is_zero
-    assert cumulant_coefficient([(0, 1), (1, 2), (1, 3), (3, 4)], 4).is_zero
+    assert cumulant_coefficient([(0, 1), (1, 2)], 4) == ()
+    assert cumulant_coefficient([(0, 1), (1, 2), (1, 3), (3, 4)], 4) == ()
 
 
 def test_cumulant_order_4_of_one_triangle_at_two_colors():
     # E(Y - p)^4 - 3 Var(Y)^2 with p = 1/4: 21/256 - 3 (3/16)^2
-    assert class_coefficient([(0, 1, 2)])(Fraction(1, 2)) == Fraction(21, 256) - 3 * Fraction(3, 16) ** 2
+    value = evaluate(class_coefficient([(0, 1, 2)]), Fraction(1, 2))
+    assert value == Fraction(21, 256) - 3 * Fraction(3, 16) ** 2
 
 
 @pytest.mark.parametrize(
@@ -86,7 +87,7 @@ def test_cumulant_order_3_sums_to_the_third_central_moment(g):
     for c in (2, 3, 5):
         x = Fraction(1, c)
         kappa3 = sum(
-            cumulant_coefficient(key_representative(key), 3)(x) * cnt
+            evaluate(cumulant_coefficient(key_representative(key), 3), x) * cnt
             for key, cnt in class_counts.items()
             if key[0] <= 3
         )
@@ -116,22 +117,22 @@ def test_class_coefficient_identifiable_rows():
 
 def test_class_coefficient_zero_classes():
     # two triangles sharing exactly one vertex
-    assert class_coefficient([(0, 1, 2), (0, 3, 4)]).is_zero
+    assert class_coefficient([(0, 1, 2), (0, 3, 4)]) == ()
     # two vertex-disjoint edge-sharing pairs
-    assert class_coefficient([(0, 1, 2), (0, 1, 3), (4, 5, 6), (4, 5, 7)]).is_zero
+    assert class_coefficient([(0, 1, 2), (0, 1, 3), (4, 5, 6), (4, 5, 7)]) == ()
     # disconnected sets cancel in general
-    assert class_coefficient([(0, 1, 2), (3, 4, 5)]).is_zero
-    assert class_coefficient([(0, 1, 2), (0, 1, 3), (4, 5, 6)]).is_zero
-    assert class_coefficient([(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)]).is_zero
+    assert class_coefficient([(0, 1, 2), (3, 4, 5)]) == ()
+    assert class_coefficient([(0, 1, 2), (0, 1, 3), (4, 5, 6)]) == ()
+    assert class_coefficient([(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)]) == ()
 
 
 def test_class_coefficient_sign_dichotomy_rows():
-    assert pyramid_class_coefficient(4)(Fraction(1, 2)) == Fraction(-3, 16)
-    assert bipyramid_quad_coefficient()(Fraction(1, 2)) == Fraction(3, 32)
+    assert evaluate(pyramid_class_coefficient(4), Fraction(1, 2)) == Fraction(-3, 16)
+    assert evaluate(bipyramid_quad_coefficient(), Fraction(1, 2)) == Fraction(3, 32)
     for c in (2, 3, 4):
-        assert pyramid_class_coefficient(4)(Fraction(1, c)) < 0
+        assert evaluate(pyramid_class_coefficient(4), Fraction(1, c)) < 0
     for c in (5, 6, 7, 10):
-        assert pyramid_class_coefficient(4)(Fraction(1, c)) > 0
+        assert evaluate(pyramid_class_coefficient(4), Fraction(1, c)) > 0
 
 
 def test_class_key_invariant_under_relabeling_and_order():
@@ -228,7 +229,7 @@ def _nonzero_classes(class_counts: dict) -> list:
     return [
         (key, cnt)
         for key, cnt in sorted(class_counts.items())
-        if not class_coefficient(key_representative(key)).is_zero
+        if class_coefficient(key_representative(key)) != ()
     ]
 
 
@@ -278,7 +279,11 @@ def test_k9_zero_classes_are_exactly_the_separable_ones(k9_brute):
     zero = 0
     for key in class_counts:
         tris = [frozenset(t) for t in key_representative(key)]
-        is_zero = class_coefficient(tris).is_zero
+        coeffs = class_coefficient(tris)
+        # integer coefficients, trailing zeros stripped: a Fraction or a
+        # padded row would still compare equal as a tuple
+        assert all(type(a) is int for a in coeffs) and coeffs[-1:] != (0,), key
+        is_zero = coeffs == ()
         assert is_zero == _separable(tris), key
         zero += is_zero
         for i, t in enumerate(tris):

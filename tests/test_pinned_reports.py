@@ -17,12 +17,13 @@ from monoclt.sim import exact_distribution
 
 GNP60 = ("--family", "gnp", "--n", "60", "--p", "0.3", "--graph-seed", "1", "--seed", "8")
 
-# (colors, replications) -> digest of the simulate report; c = 3, 300 and
-# 70000 take the uint8, uint16 and uint32 draw paths
+# (colors, replications) -> digest of the simulate report; c = 3, 300,
+# 70000 and 2^40 take the uint8, uint16, uint32 and uint64 draw paths
 REPORTS = {
     (3, 20000): "b98a12021720455a7fec98f9726fe26bd5a6414960298bc1bc36dbb1840135f4",
     (300, 20000): "d189f31474f3382b80270c9f388660e7dba8f1a3a14bec293606924ed39f8d61",
     (70000, 2000): "4bbae29452baaceadf0ef114a2dd0b514a862be92521c762a864a0ce23f89094",
+    (2**40, 2000): "ec32203fdbe2411a34a2115c3e10c0d13b7d29cb648520b4b9835557148581f8",
 }
 RAW_C3 = {
     "t2": "bd72274835fd4899edb4ba814c259df16aeb248a9c927fd33a9533e719f958ac",
