@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -56,6 +57,14 @@ def _add_graph_source(sub: argparse.ArgumentParser):
         metavar="FAMILY:N",
         help="parts of a disjoint_union, e.g. pyramid:8 bipyramid_chain:17",
     )
+
+
+def thread_count(text: str) -> int:
+    """argparse type of --threads: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need at least one thread, got {value}")
+    return value
 
 
 def _parse_part(text: str, parser: argparse.ArgumentParser) -> FamilySpec:
@@ -170,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=DEFAULT_BUDGET, help="cap on connected configurations (>= 0)"
     )
     p.add_argument(
-        "--threads", type=int, default=os.cpu_count(),
+        "--threads", type=thread_count, default=os.cpu_count(),
         help="accepted and ignored: class discovery runs on one thread",
     )
     p.add_argument("--out", help="output path (default stdout)")
@@ -188,11 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also stream per-replication values to BASE.t2.bin / BASE.t3.bin "
         "(little-endian 64-bit integers, replication order)",
     )
-    p.add_argument("--threads", type=int, default=os.cpu_count())
+    p.add_argument("--threads", type=thread_count, default=os.cpu_count())
     p.add_argument("--out", help="output path (default stdout)")
 
     p = subs.add_parser("verify", help="run the built-in acceptance checks")
-    p.add_argument("--threads", type=int, default=os.cpu_count())
+    p.add_argument("--threads", type=thread_count, default=os.cpu_count())
     return parser
 
 
@@ -209,8 +218,8 @@ def run(argv=None) -> int:
             "operation": args.command,
             "error": type(exc).__name__,
             "detail": str(exc),
-            "inputs": {
-                k: v
+            "inputs": {  # a non-finite float goes in as text, which strict JSON allows
+                k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
                 for k, v in vars(args).items()
                 if k not in ("command", "out") and v is not None
             },

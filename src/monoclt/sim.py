@@ -2,8 +2,8 @@
 
 Both oracles count monochromatic edges and triangles with one kernel,
 _mono_counts, over vertex-major colour blocks (a row per vertex, a
-column per coloring) gathered in slabs of at most SLAB colour entries,
-so working memory is bounded by the slab size, not by the triangle
+column per coloring) in slabs of SLAB = 255 cliques tallied in uint8,
+so working memory is bounded by slab and block, not by the triangle
 count. Blocks of either oracle run on one pool, _map_blocks. Sampling
 keys a counter-based generator by (seed, block index) over fixed-size
 replication blocks, so a (seed, replications) pair gives bit-identical
@@ -37,7 +37,7 @@ from .ratpoly import fraction_json
 
 BLOCK = 1024  # replications per RNG block; fixed so reports never depend on threading
 DEFAULT_ENUM_CAP = 10**7
-SLAB = 1 << 22  # colour entries _mono_counts gathers at once
+SLAB = 255  # cliques _mono_counts gathers at once: the most hits a uint8 tally holds
 SUFFIX = 1 << 12  # most suffix colourings exact_distribution shares across prefixes
 GROUPS = 16  # most prefix groups exact_distribution hands to _map_blocks
 
@@ -55,6 +55,8 @@ class SimConfig:
         if self.replications < 1:
             raise BadParamsError(f"need at least one replication, got {self.replications}")
         _check_seed(self.seed)
+        if self.atom_gap is not None and not 0 <= self.atom_gap < math.inf:
+            raise BadParamsError(f"atom gap must be finite and >= 0, got {self.atom_gap}")
         if self.statistic not in ("T2", "T3", "both"):
             raise ValueError(f"unknown statistic {self.statistic!r}")
 
@@ -135,17 +137,16 @@ def _color_dtype(c: int):
 def _mono_counts(ct: np.ndarray, cliques: np.ndarray) -> np.ndarray:
     """For each column of the vertex-major colour block ct (n x rows), the
     number of rows of cliques (m x k vertex ids) whose k vertices all
-    share one colour. Gathers at most SLAB colour entries per step."""
-    rows = ct.shape[1]
-    out = np.zeros(rows, dtype=np.int64)
-    step = max(1, SLAB // rows)
-    for s in range(0, len(cliques), step):
-        part = cliques[s : s + step]
+    share one colour. Gathers SLAB cliques per step and tallies each
+    slab's hits per column in uint8, which holds up to 255 hits exactly."""
+    out = np.zeros(ct.shape[1], dtype=np.int64)
+    for s in range(0, len(cliques), SLAB):
+        part = cliques[s : s + SLAB]
         first = ct[part[:, 0]]
         hit = first == ct[part[:, 1]]
         for j in range(2, part.shape[1]):
             hit &= first == ct[part[:, j]]
-        out += hit.sum(axis=0)
+        out += np.add.reduce(hit.view(np.uint8), axis=0, dtype=np.uint8)
     return out
 
 
@@ -182,7 +183,7 @@ def sample_statistics(
     stream keyed (seed, b), and value counts are summed. A block is drawn
     replication-major, the shape that fixes the Philox stream, then
     transposed to vertex-major for _mono_counts, so working memory is
-    bounded by the block and SLAB, not by the triangle count.
+    bounded by the block and a 255-clique slab, not by the triangle count.
 
     raw_sinks optionally maps a statistic name ("T2"/"T3") to a writable
     binary stream; per-replication values are then written to it as

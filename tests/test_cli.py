@@ -147,6 +147,23 @@ def test_usage_error_no_source(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--family", "pyramid", "--n", "3", "--c", "2", "--reps", "10", "--seed", "1"),
+        ("verify",),
+        ("fourth-moment", "--family", "pyramid", "--n", "3", "--c", "2"),
+    ],
+    ids=["simulate", "verify", "fourth-moment"],
+)
+def test_threads_below_one_is_a_usage_error(capsys, argv, threads):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv, "--threads", threads)
+    assert exc.value.code == 2
+    assert "need at least one thread" in capsys.readouterr().err
+
+
 def test_domain_error_exit_code(capsys, tmp_path):
     # triangle-free input: fourth moment is a domain error, exit 1,
     # and no output file is created
@@ -218,6 +235,10 @@ def test_simulate_raw_out(capsys, tmp_path):
     assert not (tmp_path / "raw.t2.bin").exists()
 
 
+def _strict_json(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -234,13 +255,17 @@ def test_simulate_raw_out(capsys, tmp_path):
         ("bounds", "--c", str(2**64 + 1)),
         ("fourth-moment", "--c", str(2**64 + 1)),
         ("simulate", "--c", str(2**64 + 1), "--reps", "10", "--seed", "1"),
+        # a non-finite gap used to reach the report as NaN / Infinity, and
+        # a negative one made every support value its own atom
+        *(("simulate", "--c", "2", "--reps", "10", "--seed", "1", f"--atom-gap={gap}")
+          for gap in ("nan", "inf", "-inf", "-1")),
     ],
 )
 def test_bad_parameters_end_in_domain_error(capsys, argv):
     code, out, err = run_cli(capsys, argv[0], "--family", "pyramid", "--n", "3", *argv[1:])
     assert code == 1
     assert out == ""
-    error = json.loads(err)
+    error = json.loads(err, parse_constant=_strict_json)
     assert error["error"] == "BadParamsError"
     assert error["operation"] == argv[0]
 

@@ -2,6 +2,7 @@ import io
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from brute import brute_joint_law, relabeled
@@ -219,8 +220,6 @@ def test_report_distribution_invariants(small_corpus):
 def test_raw_sample_streaming():
     import io
 
-    import numpy as np
-
     g = complete(4)
     cfg = SimConfig(c=2, replications=3000, seed=13)
     sinks = {"T2": io.BytesIO(), "T3": io.BytesIO()}
@@ -253,11 +252,11 @@ def _sample_bytes(g, threads):
     return report.to_json_dict(), sinks["T2"].getvalue(), sinks["T3"].getvalue()
 
 
-@pytest.mark.parametrize("slab", [1, 2049])
+@pytest.mark.parametrize("slab", [1, 2])
 @pytest.mark.parametrize("name", list(KERNEL_CORPUS))
 def test_results_do_not_depend_on_the_slab_size(monkeypatch, name, slab):
-    # a tiny slab splits every gather into one- or few-clique slabs,
-    # plus a short last one
+    # one- and two-clique slabs cross a slab boundary in every gather,
+    # and two leaves a short last slab on odd clique counts
     g = KERNEL_CORPUS[name]
     laws = {c: exact_distribution(g, c).joint for c in (2, 3)}
     sample = _sample_bytes(g, 1)
@@ -266,6 +265,54 @@ def test_results_do_not_depend_on_the_slab_size(monkeypatch, name, slab):
         assert exact_distribution(g, c, threads=2).joint == joint
     assert _sample_bytes(g, 1) == sample
     assert _sample_bytes(g, 2) == sample
+
+
+def _plain_counts(ct, cliques):
+    """Per column of ct, the cliques whose vertices share one colour,
+    counted one clique at a time."""
+    rows = cliques.tolist()
+    return [sum(len({col[v] for v in q}) == 1 for q in rows) for col in ct.T.tolist()]
+
+
+@pytest.mark.parametrize("c", [3, 300], ids=["uint8", "uint16"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("m", [254, 255, 256, 510, 511, 1000])
+def test_mono_counts_across_the_uint8_tally_boundary(m, k, c):
+    # column 0 is one colour, so every clique hits there and each full
+    # slab tallies exactly 255; at c = 300 the colours 43 and 299 (and
+    # 0 and 256) share a low byte but are distinct
+    n = 9
+    rng = np.random.default_rng(m * k + c)
+    cliques = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)[:, :k]
+    palette = np.array([0, 1, 2] if c == 3 else [0, 43, 256, 299])
+    for cols in (1, 3, 1023):
+        ct = palette[rng.integers(0, len(palette), size=(n, cols))].astype(sim._color_dtype(c))
+        ct[:, 0] = c - 1
+        counts = sim._mono_counts(ct, cliques)
+        assert counts.tolist() == _plain_counts(ct, cliques)
+        assert counts[0] == m
+
+
+def test_partial_uint16_block_across_slabs_is_thread_invariant():
+    # K13 has 286 triangles, two slabs; 1,500 replications leave a
+    # partial second block; on a complete graph a colour used by j
+    # vertices makes C(j, 2) monochromatic edges and C(j, 3) triangles
+    g = complete(13)
+    cfg = SimConfig(c=300, replications=1500, seed=8)
+    runs = []
+    for threads in (1, 2):
+        sinks = {"T2": io.BytesIO(), "T3": io.BytesIO()}
+        report = sample_statistics(g, cfg, threads=threads, raw_sinks=sinks)
+        runs.append((report.to_json_dict(), sinks["T2"].getvalue(), sinks["T3"].getvalue()))
+    assert runs[0] == runs[1]
+    colors = np.concatenate([
+        _block_rng(cfg.seed, b).integers(0, 300, size=(size, 13), dtype=np.uint16)
+        for b, size in ((0, 1024), (1, 476))
+    ])
+    sizes = [np.bincount(row, minlength=300) for row in colors]
+    for raw, k in ((runs[0][1], 2), (runs[0][2], 3)):
+        expected = [sum(math.comb(int(j), k) for j in row) for row in sizes]
+        assert np.frombuffer(raw, dtype="<i8").tolist() == expected
 
 
 @pytest.mark.parametrize("suffix", [1, "c", 2**20])
