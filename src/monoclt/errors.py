@@ -46,9 +46,5 @@ class TooLargeError(MonocltError):
     """Exhaustive coloring enumeration exceeded the configured cap."""
 
 
-class EmptySampleError(MonocltError):
-    """KS distance needs at least one sample point."""
-
-
 class UnsupportedFamilyError(MonocltError):
     """No reference limit law is implemented for this family."""

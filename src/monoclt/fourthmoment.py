@@ -30,7 +30,12 @@ a single vertex.
 Class identity is decided by an exact canonical form: fixing an order of
 the k triangles, each union vertex gets a k-bit incidence pattern, and
 the multiset of patterns determines the labeled structure completely;
-minimizing over the k! <= 24 triangle orders gives a canonical key.
+minimizing over the k! <= 24 triangle orders, each a lookup table on
+patterns, gives a canonical key. The walk never builds concrete
+triangles for this: a set's fingerprint of intersection sizes fixes its
+pattern multiset, and so does a fourth triangle's tally index, so each
+class is keyed from patterns once per shape per process, however large
+the graph.
 """
 
 from __future__ import annotations
@@ -50,8 +55,6 @@ from .ratpoly import evaluate, fraction_json
 DEFAULT_BUDGET = 10**8
 
 Triangle = tuple[int, int, int]
-
-_PERMS = {k: list(itertools.permutations(range(k))) for k in (1, 2, 3, 4)}
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +167,24 @@ def bipyramid_quad_coefficient() -> tuple[int, ...]:
 # canonical classing
 
 
+# for k triangles, one table per order of them, mapping each k-bit
+# incidence pattern to the pattern it becomes under that order
+_TABLES = {
+    k: tuple(
+        tuple(sum((pat >> i & 1) << perm[i] for i in range(k)) for pat in range(1 << k))
+        for perm in itertools.permutations(range(k))
+    )
+    for k in (1, 2, 3, 4)
+}
+
+
+@lru_cache(maxsize=None)
+def _canonical(k: int, patterns: tuple[int, ...]) -> tuple:
+    """Canonical key of k triangles from the sorted incidence patterns of
+    their union vertices: the least sorted image over the k! orders."""
+    return (k, min(tuple(sorted(m[p] for p in patterns)) for m in _TABLES[k]))
+
+
 def class_key(triangles: Sequence[Triangle]) -> tuple:
     """Canonical key of a set of distinct triangles under vertex relabeling.
 
@@ -177,14 +198,38 @@ def class_key(triangles: Sequence[Triangle]) -> tuple:
     k = len(tris)
     if len(set(tris)) != k or not 1 <= k <= 4:
         raise ValueError("need 1 to 4 distinct triangles")
-    verts = sorted(set().union(*tris))
-    base = [sum(1 << i for i, t in enumerate(tris) if v in t) for v in verts]
-    best = None
-    for perm in _PERMS[k]:
-        mapped = tuple(sorted(sum(((pat >> i) & 1) << perm[i] for i in range(k)) for pat in base))
-        if best is None or mapped < best:
-            best = mapped
-    return (k, best)
+    verts = set().union(*tris)
+    return _canonical(k, tuple(sorted(sum(1 << i for i, t in enumerate(tris) if v in t) for v in verts)))
+
+
+@lru_cache(maxsize=None)
+def _fp_key(fp: tuple, idx: int) -> tuple:
+    """Class key of a walk cell: the 1..3-set of fingerprint fp if idx is
+    0, else its extension by a fourth triangle of tally index idx.
+
+    The fingerprint's intersection sizes fix the Venn counts of the
+    triangles and so their pattern multiset. The fourth triangle adds
+    bit 8 to one union vertex of each pattern packed in idx (see
+    _tally_fourth); with two patterns packed its third vertex is new.
+    """
+    if fp[0] == 1:
+        venn = {1: 3}
+    elif fp[0] == 2:
+        venn = {3: fp[1], 1: 3 - fp[1], 2: 3 - fp[1]}
+    else:
+        _, ab, ac, bc, abc = fp
+        venn = {7: abc, 3: ab - abc, 5: ac - abc, 6: bc - abc,
+                1: 3 - ab - ac + abc, 2: 3 - ab - bc + abc, 4: 3 - ac - bc + abc}
+    patterns = [p for p, n in venn.items() for _ in range(n)]
+    if not idx:
+        return _canonical(fp[0], tuple(sorted(patterns)))
+    named = (idx >> 6, idx >> 3 & 7, idx & 7) if idx >> 6 else (idx >> 3, idx & 7)
+    for p in named:
+        patterns.remove(p)
+        patterns.append(p | 8)
+    if len(named) == 2:
+        patterns.append(8)
+    return _canonical(4, tuple(sorted(patterns)))
 
 
 def key_representative(key: tuple) -> tuple[Triangle, ...]:
@@ -303,19 +348,6 @@ def _tally_fourth(
         tab[pattern[u] << 6 | pattern[v] << 3 | pattern[x]] += 1
 
 
-def _fourth_member(prefix: Sequence[Triangle], idx: int) -> Triangle:
-    """A triangle that completes the prefix to a 4-set of tally index idx:
-    its vertices in the prefix union carry the two or three incidence
-    patterns packed in idx, and with two its third vertex is new."""
-    pats = [idx >> 6, idx >> 3 & 7, idx & 7] if idx >> 6 else [idx >> 3, idx & 7]
-    union = sorted(set().union(*prefix))
-    by_pattern: dict[int, list[int]] = {}
-    for v in union:
-        by_pattern.setdefault(sum(1 << i for i, t in enumerate(prefix) if v in t), []).append(v)
-    w = [by_pattern[p].pop() for p in pats]
-    return tuple(w) if len(w) == 3 else (w[0], w[1], union[-1] + 1)
-
-
 @dataclass(frozen=True)
 class Discovery:
     """Classes found in one graph: entries pair each nonzero-coefficient
@@ -324,9 +356,6 @@ class Discovery:
 
     entries: tuple[tuple[ClassRecord, int], ...]
     enumerated: int
-
-    def by_key(self) -> dict[tuple, tuple[ClassRecord, int]]:
-        return {rec.key: (rec, cnt) for rec, cnt in self.entries}
 
 
 def discover_classes(triangles: Sequence[Triangle], *, budget: int = DEFAULT_BUDGET) -> Discovery:
@@ -347,22 +376,14 @@ def discover_classes(triangles: Sequence[Triangle], *, budget: int = DEFAULT_BUD
     vm, at, adjm = _triangle_masks(triangles)
     # fingerprint of a set of 1..3 triangles in walk order: popcounts of
     # the intersections of their vertex masks, which fix the incidence
-    # patterns and hence the class
+    # patterns and hence the class (see _fp_key)
     counts: dict[tuple, int] = {}
-    reps: dict[tuple, tuple[int, ...]] = {}
     fourth: dict[tuple, list[int]] = {}
     emitted = 0
     over = f"connected configuration count exceeded budget {budget}"
 
-    def tally(key: tuple, members: tuple[int, ...]):
-        if key in counts:
-            counts[key] += 1
-        else:
-            counts[key] = 1
-            reps[key] = members
-
     for a, va in enumerate(vm):
-        tally((1,), (a,))
+        counts[(1,)] = counts.get((1,), 0) + 1
         emitted += 1
         gt = -1 << (a + 1)
         nb1 = adjm[a] | 1 << a
@@ -373,7 +394,8 @@ def discover_classes(triangles: Sequence[Triangle], *, budget: int = DEFAULT_BUD
             b = bbit.bit_length() - 1
             vb = vm[b]
             ab = va & vb
-            tally((2, ab.bit_count()), (a, b))
+            fp = (2, ab.bit_count())
+            counts[fp] = counts.get(fp, 0) + 1
             emitted += 1
             nb2 = nb1 | adjm[b]
             ext2 = ext1 | (adjm[b] & ~nb1 & gt)
@@ -384,7 +406,7 @@ def discover_classes(triangles: Sequence[Triangle], *, budget: int = DEFAULT_BUD
                 vc = vm[c]
                 ac, bc = va & vc, vb & vc
                 fp = (3, ab.bit_count(), ac.bit_count(), bc.bit_count(), (ab & vc).bit_count())
-                tally(fp, (a, b, c))
+                counts[fp] = counts.get(fp, 0) + 1
                 ext3 = ext2 | (adjm[c] & ~nb2 & gt)
                 emitted += 1 + ext3.bit_count()
                 if emitted > budget:
@@ -398,18 +420,14 @@ def discover_classes(triangles: Sequence[Triangle], *, budget: int = DEFAULT_BUD
         raise BudgetExceededError(over)
 
     class_counts: dict[tuple, int] = {}
-
-    def add(tris: Sequence[Triangle], cnt: int):
-        key = class_key(tris)
+    for fp, cnt in counts.items():
+        key = _fp_key(fp, 0)
         class_counts[key] = class_counts.get(key, 0) + cnt
-
-    for key0, cnt in counts.items():
-        add([triangles[i] for i in reps[key0]], cnt)
     for fp, tab in fourth.items():
-        prefix = [triangles[i] for i in reps[fp]]
         for idx, cnt in enumerate(tab):
             if cnt:
-                add(prefix + [_fourth_member(prefix, idx)], cnt)
+                key = _fp_key(fp, idx)
+                class_counts[key] = class_counts.get(key, 0) + cnt
 
     entries = []
     for key in sorted(class_counts):

@@ -76,9 +76,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def digest(self) -> str:
         """sha256 of the canonical serialization; used in CLI reports."""
         return hashlib.sha256(serialize_edge_list(self).encode()).hexdigest()

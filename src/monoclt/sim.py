@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .census import TriangleCensus, pyramid_counts, triangle_census
-from .errors import BadParamsError, EmptySampleError, TooLargeError
+from .errors import BadParamsError, TooLargeError
 from .graph import Graph, _check_seed
 from .moments import _check_colors, standard_normal_cdf, t2_mean_var, t3_mean_var
 from .ratpoly import fraction_json
@@ -369,27 +369,6 @@ def exact_distribution(
 
 # ---------------------------------------------------------------------------
 # Kolmogorov-Smirnov distance and atom detection
-
-
-def ks_statistic(sample: Sequence[float], cdf: Callable[[float], float]) -> float:
-    """sup over sample points x of max(|Fhat(x) - F(x)|, |Fhat(x-) - F(x)|)
-    for the empirical CDF Fhat; for step-function empirical laws this is
-    the full Kolmogorov distance to F."""
-    sample = sorted(sample)
-    if not sample:
-        raise EmptySampleError("KS distance needs a nonempty sample")
-    values = []
-    masses = []
-    prev = None
-    for x in sample:
-        if prev is not None and x == prev:
-            masses[-1] += 1
-        else:
-            values.append(x)
-            masses.append(1)
-            prev = x
-    n = len(sample)
-    return ks_from_distribution(values, [m / n for m in masses], cdf)
 
 
 def ks_from_distribution(

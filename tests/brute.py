@@ -17,13 +17,14 @@ from math import comb
 
 import numpy as np
 
+from helpers import has_edge
 from monoclt.graph import Graph
 
 
 def brute_triangles(g: Graph) -> list[tuple[int, int, int]]:
     out = []
     for a, b, c in combinations(range(g.n), 3):
-        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c):
+        if has_edge(g, a, b) and has_edge(g, b, c) and has_edge(g, a, c):
             out.append((a, b, c))
     return out
 
@@ -32,7 +33,7 @@ def brute_d(g: Graph) -> dict[tuple[int, int], int]:
     d = {}
     for u, v in g.edges:
         d[(u, v)] = sum(
-            1 for w in range(g.n) if w not in (u, v) and g.has_edge(u, w) and g.has_edge(v, w)
+            1 for w in range(g.n) if w not in (u, v) and has_edge(g, u, w) and has_edge(g, v, w)
         )
     return d
 
@@ -54,7 +55,7 @@ def brute_c4(g: Graph) -> int:
         for a, b, c, d in ((quad[0], quad[1], quad[2], quad[3]),
                            (quad[0], quad[1], quad[3], quad[2]),
                            (quad[0], quad[2], quad[1], quad[3])):
-            if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d) and g.has_edge(d, a):
+            if has_edge(g, a, b) and has_edge(g, b, c) and has_edge(g, c, d) and has_edge(g, d, a):
                 count += 1
     return count
 
@@ -146,6 +147,25 @@ def brute_joint_law(g: Graph, c: int) -> Counter:
 # class discovery by visiting every configuration
 
 
+def brute_class_key(triangles) -> tuple:
+    """Canonical key of a set of 1 to 4 distinct triangles under vertex
+    relabeling, (k, least sorted pattern tuple): with the triangle order
+    fixed, each union vertex gets its k-bit incidence pattern, and every
+    one of the k! orders is tried in turn."""
+    tris = [frozenset(t) for t in triangles]
+    k = len(tris)
+    if len(set(tris)) != k or not 1 <= k <= 4:
+        raise ValueError("need 1 to 4 distinct triangles")
+    verts = sorted(set().union(*tris))
+    base = [sum(1 << i for i, t in enumerate(tris) if v in t) for v in verts]
+    best = None
+    for perm in permutations(range(k)):
+        mapped = tuple(sorted(sum(((pat >> i) & 1) << perm[i] for i in range(k)) for pat in base))
+        if best is None or mapped < best:
+            best = mapped
+    return (k, best)
+
+
 def _subset_key0(vm, members) -> tuple:
     # Popcounts of all intersections of the member vertex masks. For the
     # (ordered) members this determines the incidence-pattern multiset
@@ -189,8 +209,6 @@ def brute_discover_classes(triangles) -> tuple[dict, int]:
     indices, and each candidate is offered once, so every connected set
     is visited exactly once.
     """
-    from monoclt.fourthmoment import class_key
-
     vm = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triangles]
     adjm = [
         sum(1 << j for j, u in enumerate(triangles) if j != i and set(t) & set(u))
@@ -227,7 +245,7 @@ def brute_discover_classes(triangles) -> tuple[dict, int]:
         extend((v,), adjm[v] | (1 << v), adjm[v] & gt_mask, gt_mask)
     classes: Counter = Counter()
     for key0, cnt in counts.items():
-        classes[class_key([triangles[i] for i in reps[key0]])] += cnt
+        classes[brute_class_key([triangles[i] for i in reps[key0]])] += cnt
     return dict(classes), visited
 
 
@@ -364,6 +382,15 @@ def kolmogorov_distance(values, masses, cdf, extra_points=()) -> float:
     for z in extra_points:
         worst = max(worst, abs(cum[bisect_right(values, z)] - cdf(z)))
     return worst
+
+
+def ks_statistic(sample, cdf) -> float:
+    """Kolmogorov distance of the empirical law of a nonempty sample to cdf."""
+    if not sample:
+        raise ValueError("KS distance needs a nonempty sample")
+    counts = Counter(sample)
+    values = sorted(counts)
+    return kolmogorov_distance(values, [counts[v] / len(sample) for v in values], cdf)
 
 
 def lattice_ks(p: dict, q: dict) -> float:

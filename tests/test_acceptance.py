@@ -122,7 +122,7 @@ def test_criterion_2_fourth_moment_oracle_equality(small_corpus):
 def test_criterion_3_class_discovery_on_k9(k9_discovery):
     disc, elapsed = k9_discovery
     n_classes = len(disc.entries)
-    found = disc.by_key()
+    found = {rec.key: (rec, cnt) for rec, cnt in disc.entries}
     ok = n_classes == 32
     for s in (1, 2, 3, 4):
         key = class_key([(0, 1, 2 + i) for i in range(s)])

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from brute import brute_discover_classes, brute_t3_third_central_moment, relabeled
+from brute import _subset_key0, brute_class_key, brute_discover_classes, brute_t3_third_central_moment, relabeled
+from monoclt import fourthmoment
 from monoclt.census import PyramidCounts, pyramid_counts, triangle_census
 from monoclt.errors import BudgetExceededError, NoTrianglesError
 from monoclt.fourthmoment import (
@@ -152,6 +154,75 @@ def test_class_key_distinguishes_shapes():
     shared_vertex = class_key([(0, 1, 2), (0, 3, 4)])
     disjoint = class_key([(0, 1, 2), (3, 4, 5)])
     assert len({shared_edge, shared_vertex, disjoint}) == 3
+
+
+def test_class_key_equals_the_brute_canonical_form_on_random_sets():
+    tris = triangle_census(complete(9)).triangles
+    rng = random.Random(17)
+    for _ in range(3000):
+        chosen = rng.sample(tris, rng.randint(1, 4))
+        perm = list(range(9))
+        rng.shuffle(perm)
+        relabelled = [tuple(perm[v] for v in t) for t in chosen]
+        rng.shuffle(relabelled)
+        key = brute_class_key(chosen)
+        assert class_key(chosen) == key == class_key(relabelled) == brute_class_key(relabelled), chosen
+
+
+def _realize_cell(tris, fp, idx):
+    """Triangles of the graph that fall in the walk cell (fp, idx): a 1..3
+    prefix whose walk-order fingerprint is fp and, for idx != 0, a fourth
+    triangle meeting the prefix union in vertices of the incidence
+    patterns packed in idx (a pair of them means its third vertex is new)."""
+    vm = [(1 << a) | (1 << b) | (1 << c) for a, b, c in tris]
+    want = sorted((idx >> 6, idx >> 3 & 7, idx & 7) if idx >> 6 else (idx >> 3, idx & 7))
+    for prefix in itertools.permutations(range(len(tris)), fp[0]):
+        if _subset_key0(vm, prefix) != fp:
+            continue
+        if not idx:
+            return [tris[i] for i in prefix]
+        for w, t in enumerate(tris):
+            if w in prefix:
+                continue
+            shared = [sum(1 << j for j, i in enumerate(prefix) if vm[i] >> v & 1) for v in t]
+            if sorted(p for p in shared if p) == want:
+                return [tris[i] for i in prefix] + [t]
+    raise AssertionError(f"no triangles realize the cell {(fp, idx)}")
+
+
+@pytest.mark.parametrize("g", [complete(9), bipyramid_chain(20)], ids=["K9", "bipyramid_chain20"])
+def test_every_walk_cell_keys_like_its_concrete_triangles(g, monkeypatch):
+    cells = set()
+    fp_key = fourthmoment._fp_key
+
+    def recording(fp, idx):
+        cells.add((fp, idx))
+        return fp_key(fp, idx)
+
+    monkeypatch.setattr(fourthmoment, "_fp_key", recording)
+    tris = triangle_census(g).triangles
+    discover_classes(tris)
+    assert any(idx and not idx >> 6 for _, idx in cells)  # a fourth triangle with a new vertex
+    for fp, idx in cells:
+        members = _realize_cell(tris, fp, idx)
+        assert fp_key(fp, idx) == class_key(members) == brute_class_key(members), (fp, idx)
+
+
+def test_walk_canonicalises_each_pattern_multiset_once():
+    tris = triangle_census(complete(9)).triangles
+    fourthmoment._fp_key.cache_clear()
+    fourthmoment._canonical.cache_clear()
+    first = discover_classes(tris)
+    cells = fourthmoment._fp_key.cache_info()
+    canon = fourthmoment._canonical.cache_info()
+    # every cell is keyed once, and each distinct pattern multiset is
+    # minimised over the 24 triangle orders once
+    assert canon.hits + canon.misses == cells.misses == cells.currsize
+    assert canon.misses == canon.currsize < cells.misses
+    # a second walk costs no canonicalisation at all
+    assert discover_classes(tris) == first
+    assert fourthmoment._canonical.cache_info() == canon
+    assert fourthmoment._fp_key.cache_info().misses == cells.misses
 
 
 def test_key_representative_round_trip():

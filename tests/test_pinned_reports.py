@@ -2,10 +2,12 @@
 reports and the gnp(10) law were recorded before the colouring kernel was
 shared by the sampler and the exhaustive oracle; the other laws before
 the exhaustive oracle enumerated colourings up to colour permutation;
-the fourth-moment reports before the class coefficients came from the
-joint-cumulant engine. Any
-change of a single byte fails here; a report change on purpose must
-update the digest and say why in CHANGES.md."""
+the K9, composite and gnp fourth-moment reports before the class
+coefficients came from the joint-cumulant engine, and the pyramid and
+bipyramid chain ones before classes were keyed from the walk's
+fingerprints instead of concrete triangles. Any change of a single byte
+fails here; a report change on purpose must update the digest and say
+why in CHANGES.md."""
 
 import hashlib
 
@@ -40,7 +42,9 @@ LAWS = {
 }
 
 # fourth-moment reports; K9 realizes all 32 nonzero classes, so these pin
-# every coefficient polynomial with its counts and enumerated_configurations
+# every coefficient polynomial with its counts and enumerated_configurations.
+# The bipyramid chain adds fourth triangles that bring a new vertex and the
+# chain quadruple, whose 3-subsets are all separable
 FOURTH_MOMENT = {
     "K9_c2": (("--family", "complete", "--n", "9", "--c", "2"),
               "90f24ad137b7a0796dda271fe2bec838dced8df67e2a38bb391f95ab01e8fa60"),
@@ -50,6 +54,10 @@ FOURTH_MOMENT = {
                        "7690558eee20a0f4e6317698f83fc1cd6d4785643c7bd6b35190211e8378b325"),
     "gnp16_c3": (("--family", "gnp", "--n", "16", "--p", "0.45", "--graph-seed", "0", "--c", "3"),
                  "ef554c933f1b9f8a9f794521efbf9516414a1781fef6601784ac97656303650d"),
+    "bipyramid_chain20_c3": (("--family", "bipyramid_chain", "--n", "20", "--c", "3"),
+                             "a8010915f5573c223cb8b0f592c852fbf2b33b0509c9b3613542224c118dd18e"),
+    "pyramid30_c2": (("--family", "pyramid", "--n", "30", "--c", "2"),
+                     "74f6cd45d89f62d9cb19b7f54c3f4f9d50413808fe1b57231eeb058134d960c9"),
 }
 
 

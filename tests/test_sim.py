@@ -9,15 +9,14 @@ from brute import brute_joint_law, relabeled
 from helpers import t2_inputs
 from monoclt import sim
 from monoclt.census import pyramid_counts, triangle_census
-from monoclt.errors import EmptySampleError, TooLargeError
+from monoclt.errors import TooLargeError
 from monoclt.graph import Graph, complete, cycle, gnp, pyramid
-from monoclt.moments import standard_normal_cdf, t2_moments, t3_mean_var
+from monoclt.moments import t2_moments, t3_mean_var
 from monoclt.sim import (
     SimConfig,
     _block_rng,
     atom_summary,
     exact_distribution,
-    ks_statistic,
     sample_statistics,
 )
 
@@ -146,37 +145,6 @@ def test_sampler_empirical_moments_are_exact_fractions():
     mean = Fraction(sum(values), len(values))
     assert s.mean == mean
     assert s.variance == Fraction(sum(v * v for v in values), len(values)) - mean**2
-
-
-def test_ks_quantile_construction():
-    n = 200
-    sample = [standard_normal_cdf_inverse((i + 0.5) / n) for i in range(n)]
-    assert ks_statistic(sample, standard_normal_cdf) <= 1 / (2 * n) + 1e-9
-
-
-def standard_normal_cdf_inverse(q: float) -> float:
-    lo, hi = -10.0, 10.0
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        if standard_normal_cdf(mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
-def test_ks_point_mass():
-    assert ks_statistic([0.0] * 5, standard_normal_cdf) == pytest.approx(0.5)
-
-
-def test_ks_two_point():
-    want = standard_normal_cdf(1.0) - 0.5
-    assert ks_statistic([-1.0, 1.0], standard_normal_cdf) == pytest.approx(want)
-
-
-def test_ks_empty_sample():
-    with pytest.raises(EmptySampleError):
-        ks_statistic([], standard_normal_cdf)
 
 
 def test_atom_summary_two_clusters():
