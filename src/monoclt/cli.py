@@ -1,14 +1,10 @@
 """Command-line front end.
 
-One subcommand per module concern:
-
-    generate       build a family graph and write its edge list
-    census         triangle census, pyramid counts, 4-cycle count N(C4), b and s statistics
-    moments        exact means/variances (and edge-count excess fourth moment)
-    bounds         CLT error-bound brackets (up to absolute constants)
-    fourth-moment  exact fourth-moment decomposition over classes
-    simulate       seeded Monte Carlo runs with KS diagnostics
-    verify         self-checks: oracle equality, class discovery, sign dichotomy
+Each graph command is declared once, in COMMANDS: its help, whether --c
+is required, a hook that adds its own options, and a body that turns the
+parsed arguments and the resolved graph into the report's config and
+body. build_parser and _dispatch both read the table; verify, which takes
+no graph, is added beside it.
 
 Every JSON report embeds the tool version, the resolved configuration,
 and the input graph digest; rerunning an embedded configuration
@@ -24,6 +20,7 @@ import json
 import math
 import os
 import sys
+from contextlib import ExitStack
 from fractions import Fraction
 from typing import Optional
 
@@ -38,25 +35,21 @@ from .census import (
 )
 from .errors import MonocltError
 from .fourthmoment import DEFAULT_BUDGET, fourth_moment_exact
-from .graph import FAMILIES, SIMPLE_FAMILIES, FamilySpec, Graph, generate
+from .graph import FAMILIES, FAMILY_FIELDS, SIMPLE_FAMILIES, FamilySpec, Graph, generate
 from .graph import parse_edge_list, serialize_edge_list
 from .moments import T2Inputs, clt_bound_t2, clt_bound_t3, t2_moments, t3_mean_var
 from .ratpoly import evaluate, fraction_json
 from .sim import SimConfig, sample_statistics
 
-
-def _add_graph_source(sub: argparse.ArgumentParser):
-    sub.add_argument("--input", help="edge-list file (one 'u v' pair per line)")
-    sub.add_argument("--family", choices=FAMILIES, help="generated family")
-    sub.add_argument("--n", type=int, help="family size parameter")
-    sub.add_argument("--p", type=float, help="edge probability (gnp)")
-    sub.add_argument("--graph-seed", type=int, help="seed for the gnp family")
-    sub.add_argument(
-        "--parts",
-        nargs="+",
-        metavar="FAMILY:N",
-        help="parts of a disjoint_union, e.g. pyramid:8 bipyramid_chain:17",
-    )
+# the options that build a FamilySpec: flag -> (field, argparse keywords).
+# graph.FAMILY_FIELDS says which fields each family reads; --input reads none.
+SPEC_OPTIONS = {
+    "--n": ("n", {"type": int, "help": "family size parameter"}),
+    "--p": ("p", {"type": float, "help": "edge probability (gnp)"}),
+    "--graph-seed": ("seed", {"type": int, "help": "seed for the gnp family"}),
+    "--parts": ("parts", {"nargs": "+", "metavar": "FAMILY:N",
+                          "help": "parts of a disjoint_union, e.g. pyramid:8 bipyramid_chain:17"}),
+}
 
 
 def thread_count(text: str) -> int:
@@ -78,9 +71,16 @@ def _parse_part(text: str, parser: argparse.ArgumentParser) -> FamilySpec:
 
 
 def _resolve_graph(args, parser: argparse.ArgumentParser):
-    """Returns (graph, source-config dict). Exactly one input source."""
+    """Returns (graph, source-config dict). Exactly one input source, and
+    none of the graph options it does not read."""
     if (args.input is None) == (args.family is None):
         parser.error("give exactly one graph source: --input FILE or --family NAME")
+    given = {}  # argparse's dest is the flag without dashes, "-" as "_"
+    for flag, (field, _) in SPEC_OPTIONS.items():
+        given[field] = getattr(args, flag[2:].replace("-", "_"))
+        if given[field] is not None and field not in FAMILY_FIELDS.get(args.family, ()):
+            source = "--input" if args.input is not None else f"--family {args.family}"
+            parser.error(f"{flag} does not apply to {source}")
     if args.input is not None:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
@@ -89,15 +89,8 @@ def _resolve_graph(args, parser: argparse.ArgumentParser):
             parser.error(f"cannot read {args.input}: {exc}")
         result = parse_edge_list(text)
         return result.graph, {"input": args.input}
-    parts = tuple(_parse_part(p, parser) for p in (args.parts or ()))
-    spec = FamilySpec(
-        family=args.family,
-        n=args.n,
-        p=args.p,
-        seed=args.graph_seed,
-        c=getattr(args, "c", None),
-        parts=parts,
-    )
+    given["parts"] = tuple(_parse_part(p, parser) for p in (given["parts"] or ()))
+    spec = FamilySpec(family=args.family, c=args.c, **given)
     return generate(spec), spec.describe()
 
 
@@ -118,29 +111,144 @@ def _check_out(path: Optional[str], parser: argparse.ArgumentParser):
         parser.error(f"cannot write {path}: not a file in a writable directory")
 
 
-def _emit(args, parser: argparse.ArgumentParser, payload: str):
-    if getattr(args, "out", None):
-        with _open_out(args.out, "w", parser) as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-
-
-def _report(command: str, config: dict, graph: Optional[Graph], body: dict) -> str:
+def _report(command: str, config: dict, graph: Graph, body) -> str:
     report = {
         "tool": "monoclt",
         "version": __version__,
         "command": command,
         "config": config,
         "report": body,
+        "input": {"digest": graph.digest(), "vertices": graph.n, "edges": graph.edge_count},
     }
-    if graph is not None:
-        report["input"] = {
-            "digest": graph.digest(),
-            "vertices": graph.n,
-            "edges": graph.edge_count,
-        }
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# command bodies (args, graph, parser) -> (config, report body), and option
+# hooks. Bodies look the library up in this module's globals when they run,
+# so tracers and tests that rebind those names see every call.
+
+
+def _census(args, graph, parser):
+    tc = triangle_census(graph)
+    pc = pyramid_counts(tc)
+    order = score_ordering(graph, tc)
+    return {}, {
+        "triangles": str(pc.n1),
+        "pyramids": {str(s): str(v) for s, v in zip((1, 2, 3, 4), pc.as_tuple())},
+        "four_cycles": str(count_c4(graph)),
+        "b_statistic": str(b_statistic(tc)),
+        "s_statistic_score_order": str(s_statistic(tc, order)),
+        "score_ordering": order,
+    }
+
+
+def _moments(args, graph, parser):
+    pc = pyramid_counts(triangle_census(graph))
+    t2 = t2_moments(T2Inputs(graph.edge_count, pc.n1, count_c4(graph)), args.c)
+    body = {
+        "T2": {
+            "mean": fraction_json(t2.mean),
+            "variance": fraction_json(t2.variance),
+            "excess4": fraction_json(t2.excess4),
+            "inputs": t2.inputs,
+        }
+    }
+    if pc.n1 >= 1:
+        t3 = t3_mean_var(pc, args.c)
+        body["T3"] = {
+            "mean": fraction_json(t3.mean),
+            "variance": fraction_json(t3.variance),
+            "inputs": t3.inputs,
+        }
+    return {"c": args.c}, body
+
+
+def _bounds(args, graph, parser):
+    tc = triangle_census(graph)
+    pc = pyramid_counts(tc)
+    t2b = clt_bound_t2(graph.edge_count, count_c4(graph), args.c)
+    body = {
+        "T2": {
+            "rational_part": fraction_json(t2b.rational_part),
+            "sqrt_base": t2b.sqrt_base,
+            "inner": t2b.inner,
+            "bound_bracket": t2b.bound,
+        }
+    }
+    if pc.n1 >= 1:
+        t3b = clt_bound_t3(pc, b_statistic(tc))
+        body["T3"] = {
+            "r1": fraction_json(t3b.r1),
+            "r2": fraction_json(t3b.r2),
+            "bracket": t3b.bracket,
+            "bound_bracket": t3b.bound,
+        }
+    body["note"] = "brackets bound the Kolmogorov distance up to unspecified absolute constants"
+    return {"c": args.c}, body
+
+
+def _fourth_moment_options(sub: argparse.ArgumentParser):
+    sub.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET, help="cap on connected configurations (>= 0)"
+    )
+    sub.add_argument(
+        "--threads", type=thread_count, default=os.cpu_count(),
+        help="accepted and ignored: class discovery runs on one thread",
+    )
+
+
+def _fourth_moment(args, graph, parser):
+    tc = triangle_census(graph)
+    dec = fourth_moment_exact(tc, pyramid_counts(tc), args.c, budget=args.budget)
+    return {"c": args.c, "budget": args.budget}, dec.to_json_dict()
+
+
+def _simulate_options(sub: argparse.ArgumentParser):
+    sub.add_argument("--reps", type=int, required=True, help="replications")
+    sub.add_argument("--seed", type=int, required=True, help="sampling seed")
+    sub.add_argument("--statistic", choices=("T2", "T3", "both"), default="both")
+    sub.add_argument("--atom-gap", type=float, help="raw-scale gap for atom clustering")
+    sub.add_argument(
+        "--raw-out",
+        metavar="BASE",
+        help="also stream per-replication values to BASE.t2.bin / BASE.t3.bin "
+        "(little-endian 64-bit integers, replication order)",
+    )
+    sub.add_argument("--threads", type=thread_count, default=os.cpu_count())
+
+
+def _simulate(args, graph, parser):
+    cfg = SimConfig(
+        c=args.c,
+        replications=args.reps,
+        seed=args.seed,
+        statistic=args.statistic,
+        atom_gap=args.atom_gap,
+    )
+    with ExitStack() as stack:
+        raw_sinks = {
+            stat: stack.enter_context(_open_out(f"{args.raw_out}.{stat.lower()}.bin", "wb", parser))
+            for stat in ("T2", "T3")
+            if args.raw_out and cfg.statistic in (stat, "both")
+        }
+        report = sample_statistics(graph, cfg, threads=args.threads, raw_sinks=raw_sinks or None)
+    out = report.to_json_dict()
+    return out["config"], out["results"]
+
+
+# every graph command: name -> (help, whether --c is required, hook adding
+# the command's own options, body). generate has no body: it writes the
+# edge list, not a report. Each subparser takes the graph source, then --c,
+# then the command's own options, then --out.
+COMMANDS = {
+    "generate": ("write a family graph as an edge list", False, None, None),
+    "census": ("triangle census and derived statistics", False, None, _census),
+    "moments": ("exact closed-form moments", True, None, _moments),
+    "bounds": ("CLT error-bound brackets", True, None, _bounds),
+    "fourth-moment": ("exact fourth-moment decomposition", True, _fourth_moment_options, _fourth_moment),
+    "simulate": ("seeded Monte Carlo sampling", True, _simulate_options, _simulate),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,57 +259,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"monoclt {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("generate", help="write a family graph as an edge list")
-    _add_graph_source(p)
-    p.add_argument("--c", type=int, help="colors (sizes the composite family)")
-    p.add_argument("--out", help="output path (default stdout)")
-
-    p = subs.add_parser("census", help="triangle census and derived statistics")
-    _add_graph_source(p)
-    p.add_argument("--c", type=int, help="colors (sizes the composite family)")
-    p.add_argument("--out", help="output path (default stdout)")
-
-    p = subs.add_parser("moments", help="exact closed-form moments")
-    _add_graph_source(p)
-    p.add_argument("--c", type=int, required=True, help="number of colors (>= 2)")
-    p.add_argument("--out", help="output path (default stdout)")
-
-    p = subs.add_parser("bounds", help="CLT error-bound brackets")
-    _add_graph_source(p)
-    p.add_argument("--c", type=int, required=True, help="number of colors (>= 2)")
-    p.add_argument("--out", help="output path (default stdout)")
-
-    p = subs.add_parser("fourth-moment", help="exact fourth-moment decomposition")
-    _add_graph_source(p)
-    p.add_argument("--c", type=int, required=True, help="number of colors (>= 2)")
-    p.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET, help="cap on connected configurations (>= 0)"
-    )
-    p.add_argument(
-        "--threads", type=thread_count, default=os.cpu_count(),
-        help="accepted and ignored: class discovery runs on one thread",
-    )
-    p.add_argument("--out", help="output path (default stdout)")
-
-    p = subs.add_parser("simulate", help="seeded Monte Carlo sampling")
-    _add_graph_source(p)
-    p.add_argument("--c", type=int, required=True, help="number of colors (>= 2)")
-    p.add_argument("--reps", type=int, required=True, help="replications")
-    p.add_argument("--seed", type=int, required=True, help="sampling seed")
-    p.add_argument("--statistic", choices=("T2", "T3", "both"), default="both")
-    p.add_argument("--atom-gap", type=float, help="raw-scale gap for atom clustering")
-    p.add_argument(
-        "--raw-out",
-        metavar="BASE",
-        help="also stream per-replication values to BASE.t2.bin / BASE.t3.bin "
-        "(little-endian 64-bit integers, replication order)",
-    )
-    p.add_argument("--threads", type=thread_count, default=os.cpu_count())
-    p.add_argument("--out", help="output path (default stdout)")
-
-    p = subs.add_parser("verify", help="run the built-in acceptance checks")
-    p.add_argument("--threads", type=thread_count, default=os.cpu_count())
+    for name, (help_text, c_required, options, _) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--input", help="edge-list file (one 'u v' pair per line)")
+        sub.add_argument("--family", choices=FAMILIES, help="generated family")
+        for flag, (_, keywords) in SPEC_OPTIONS.items():
+            sub.add_argument(flag, **keywords)
+        sub.add_argument(
+            "--c", type=int, required=c_required,
+            help="number of colors (>= 2)" if c_required else "colors (sizes the composite family)",
+        )
+        if options:
+            options(sub)
+        sub.add_argument("--out", help="output path (default stdout)")
+    sub = subs.add_parser("verify", help="run the built-in acceptance checks")
+    sub.add_argument("--threads", type=thread_count, default=os.cpu_count())
     return parser
 
 
@@ -229,113 +301,21 @@ def run(argv=None) -> int:
 
 
 def _dispatch(args, parser) -> int:
-    cmd = args.command
-    if cmd == "generate":
-        graph, _ = _resolve_graph(args, parser)
-        _emit(args, parser, serialize_edge_list(graph))
-        return 0
-
-    if cmd == "census":
-        graph, source = _resolve_graph(args, parser)
-        tc = triangle_census(graph)
-        pc = pyramid_counts(tc)
-        order = score_ordering(graph, tc)
-        body = {
-            "triangles": str(pc.n1),
-            "pyramids": {str(s): str(v) for s, v in zip((1, 2, 3, 4), pc.as_tuple())},
-            "four_cycles": str(count_c4(graph)),
-            "b_statistic": str(b_statistic(tc)),
-            "s_statistic_score_order": str(s_statistic(tc, order)),
-            "score_ordering": order,
-        }
-        _emit(args, parser, _report(cmd, {"source": source}, graph, body))
-        return 0
-
-    if cmd == "moments":
-        graph, source = _resolve_graph(args, parser)
-        tc = triangle_census(graph)
-        pc = pyramid_counts(tc)
-        body: dict = {}
-        t2 = t2_moments(T2Inputs(graph.edge_count, pc.n1, count_c4(graph)), args.c)
-        body["T2"] = {
-            "mean": fraction_json(t2.mean),
-            "variance": fraction_json(t2.variance),
-            "excess4": fraction_json(t2.excess4),
-            "inputs": t2.inputs,
-        }
-        if pc.n1 >= 1:
-            t3 = t3_mean_var(pc, args.c)
-            body["T3"] = {
-                "mean": fraction_json(t3.mean),
-                "variance": fraction_json(t3.variance),
-                "inputs": t3.inputs,
-            }
-        _emit(args, parser, _report(cmd, {"source": source, "c": args.c}, graph, body))
-        return 0
-
-    if cmd == "bounds":
-        graph, source = _resolve_graph(args, parser)
-        tc = triangle_census(graph)
-        pc = pyramid_counts(tc)
-        body = {}
-        t2b = clt_bound_t2(graph.edge_count, count_c4(graph), args.c)
-        body["T2"] = {
-            "rational_part": fraction_json(t2b.rational_part),
-            "sqrt_base": t2b.sqrt_base,
-            "inner": t2b.inner,
-            "bound_bracket": t2b.bound,
-        }
-        if pc.n1 >= 1:
-            t3b = clt_bound_t3(pc, b_statistic(tc))
-            body["T3"] = {
-                "r1": fraction_json(t3b.r1),
-                "r2": fraction_json(t3b.r2),
-                "bracket": t3b.bracket,
-                "bound_bracket": t3b.bound,
-            }
-        body["note"] = "brackets bound the Kolmogorov distance up to unspecified absolute constants"
-        _emit(args, parser, _report(cmd, {"source": source, "c": args.c}, graph, body))
-        return 0
-
-    if cmd == "fourth-moment":
-        graph, source = _resolve_graph(args, parser)
-        tc = triangle_census(graph)
-        pc = pyramid_counts(tc)
-        dec = fourth_moment_exact(tc, pc, args.c, budget=args.budget)
-        config = {"source": source, "c": args.c, "budget": args.budget}
-        _emit(args, parser, _report(cmd, config, graph, dec.to_json_dict()))
-        return 0
-
-    if cmd == "simulate":
-        graph, source = _resolve_graph(args, parser)
-        cfg = SimConfig(
-            c=args.c,
-            replications=args.reps,
-            seed=args.seed,
-            statistic=args.statistic,
-            atom_gap=args.atom_gap,
-        )
-        raw_sinks = {}
-        try:
-            if args.raw_out:
-                for stat in ("T2", "T3"):
-                    if cfg.statistic in (stat, "both"):
-                        raw_sinks[stat] = _open_out(f"{args.raw_out}.{stat.lower()}.bin", "wb", parser)
-            report = sample_statistics(
-                graph, cfg, threads=args.threads, raw_sinks=raw_sinks or None
-            )
-        finally:
-            for sink in raw_sinks.values():
-                sink.close()
-        config = {"source": source, **report.to_json_dict()["config"]}
-        _emit(args, parser, _report(cmd, config, graph, report.to_json_dict()["results"]))
-        return 0
-
-    if cmd == "verify":
+    if args.command == "verify":
         return _verify(args.threads)
-
-    parser.error(f"unknown command {cmd!r}")
-    return 2
+    graph, source = _resolve_graph(args, parser)
+    body = COMMANDS[args.command][3]
+    if body is None:
+        payload = serialize_edge_list(graph)
+    else:
+        config, report = body(args, graph, parser)
+        payload = _report(args.command, {"source": source, **config}, graph, report)
+    if args.out:
+        with _open_out(args.out, "w", parser) as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.write(payload)
+    return 0
 
 
 # ---------------------------------------------------------------------------

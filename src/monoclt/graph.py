@@ -97,13 +97,16 @@ def parse_edge_list(text: str) -> ParseResult:
     """Parse whitespace-separated "u v" lines into a Graph.
 
     '#' starts a comment. A header comment "# vertices=N ..." pins the
-    vertex count (allowing isolated vertices); otherwise the distinct ids
+    vertex count (allowing isolated vertices), and an edge past it is a
+    malformed line, named by its number; otherwise the distinct ids
     seen are compacted to 0..k-1 and the original ids preserved in id_map.
     Duplicate edges are collapsed and tallied; self-loops are rejected.
     """
     header_n: Optional[int] = None
-    raw_edges: list[tuple[int, int]] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    edges: dict[tuple[int, int], int] = {}  # edge -> number of the line it first appears on
+    duplicates = 0
+    for line_no, line in enumerate(lines, start=1):
         body, _, comment = line.partition("#")
         if header_n is None and comment:
             m = _HEADER_RE.search(comment)
@@ -123,28 +126,22 @@ def parse_edge_list(text: str) -> ParseResult:
             raise MalformedLineError(line_no, line)
         if u == v:
             raise SelfLoopError(u, line_no)
-        raw_edges.append((u, v) if u < v else (v, u))
-
-    seen = set()
-    duplicates = 0
-    deduped = []
-    for e in raw_edges:
-        if e in seen:
+        edge = (u, v) if u < v else (v, u)
+        if edge in edges:
             duplicates += 1
         else:
-            seen.add(e)
-            deduped.append(e)
+            edges[edge] = line_no
 
     if header_n is not None:
-        for u, v in deduped:
+        for (_, v), line_no in edges.items():
             if v >= header_n:
-                raise MalformedLineError(0, f"vertex id {v} >= declared vertices={header_n}")
-        graph = Graph.from_edges(header_n, deduped)
+                raise MalformedLineError(line_no, lines[line_no - 1])
+        graph = Graph.from_edges(header_n, edges)
         return ParseResult(graph, duplicates, tuple(range(header_n)))
 
-    ids = sorted({x for e in deduped for x in e})
+    ids = sorted({x for e in edges for x in e})
     compact = {orig: i for i, orig in enumerate(ids)}
-    graph = Graph.from_edges(len(ids), [(compact[u], compact[v]) for u, v in deduped])
+    graph = Graph.from_edges(len(ids), [(compact[u], compact[v]) for u, v in edges])
     return ParseResult(graph, duplicates, tuple(ids))
 
 
@@ -168,15 +165,7 @@ class FamilySpec:
     parts: tuple["FamilySpec", ...] = field(default=())
 
     def describe(self) -> dict:
-        out: dict = {"family": self.family}
-        if self.n is not None:
-            out["n"] = self.n
-        if self.p is not None:
-            out["p"] = self.p
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.c is not None:
-            out["c"] = self.c
+        out = {k: v for k, v in vars(self).items() if v is not None and k != "parts"}
         if self.parts:
             out["parts"] = [p.describe() for p in self.parts]
         return out
@@ -288,13 +277,22 @@ SIMPLE_FAMILIES = {
     "pyramid": (pyramid, 1),
     "bipyramid_chain": (bipyramid_chain, 1),
 }
-FAMILIES = (*SIMPLE_FAMILIES, "composite", "gnp", "disjoint_union")
+# the FamilySpec fields each family reads, c aside (only composite reads it)
+FAMILY_FIELDS = {**dict.fromkeys((*SIMPLE_FAMILIES, "composite"), ("n",)),
+                 "gnp": ("n", "p", "seed"), "disjoint_union": ("parts",)}
+FAMILIES = tuple(FAMILY_FIELDS)
 
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the graph described by spec. Deterministic for every family;
-    gnp is deterministic given its seed."""
+    gnp is deterministic given its seed. A field the family does not read
+    is refused, so describe() records only what built the graph."""
     fam = spec.family
+    if fam not in FAMILY_FIELDS:
+        raise BadParamsError(f"unknown family {fam!r}; expected one of {FAMILIES}")
+    given = [f for f in ("n", "p", "seed", "parts") if getattr(spec, f) not in (None, ())]
+    if set(given) - set(FAMILY_FIELDS[fam]):
+        raise BadParamsError(f"{fam} reads only {FAMILY_FIELDS[fam]}, got {tuple(given)}")
     if fam in SIMPLE_FAMILIES:
         build, least = SIMPLE_FAMILIES[fam]
         return build(_require_n(spec, least))
@@ -311,8 +309,6 @@ def generate(spec: FamilySpec) -> Graph:
         if spec.seed is None:
             raise BadParamsError("gnp requires a seed")
         return gnp(n, spec.p, spec.seed)
-    if fam == "disjoint_union":
-        if not spec.parts:
-            raise BadParamsError("disjoint_union requires at least one part")
-        return disjoint_union(*(generate(part) for part in spec.parts))
-    raise BadParamsError(f"unknown family {fam!r}; expected one of {FAMILIES}")
+    if not spec.parts:  # disjoint_union
+        raise BadParamsError("disjoint_union requires at least one part")
+    return disjoint_union(*(generate(part) for part in spec.parts))

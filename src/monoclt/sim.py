@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -112,16 +112,7 @@ class SimReport:
         raise KeyError(statistic)
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": {
-                "c": self.config.c,
-                "replications": self.config.replications,
-                "seed": self.config.seed,
-                "statistic": self.config.statistic,
-                "atom_gap": self.config.atom_gap,
-            },
-            "results": [s.to_json_dict() for s in self.summaries],
-        }
+        return {"config": asdict(self.config), "results": [s.to_json_dict() for s in self.summaries]}
 
 
 # ---------------------------------------------------------------------------

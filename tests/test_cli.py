@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -384,3 +385,98 @@ def test_simulate_t2_needs_no_census(capsys, monkeypatch):
     )
     assert code == 0
     assert calls == []
+
+
+# Every subcommand's options as (option strings, dest, default, required,
+# choices, help), recorded before the commands were declared in one table.
+# A dropped default or help string shows in no report, so only this
+# catches it. CPUS stands for the os.cpu_count() default of --threads.
+CPUS = object()
+FAMILY_CHOICES = ("complete", "star", "cycle", "pyramid", "bipyramid_chain", "composite", "gnp",
+                  "disjoint_union")
+SOURCE_OPTIONS = [
+    (("--input",), "input", None, False, None, "edge-list file (one 'u v' pair per line)"),
+    (("--family",), "family", None, False, FAMILY_CHOICES, "generated family"),
+    (("--n",), "n", None, False, None, "family size parameter"),
+    (("--p",), "p", None, False, None, "edge probability (gnp)"),
+    (("--graph-seed",), "graph_seed", None, False, None, "seed for the gnp family"),
+    (("--parts",), "parts", None, False, None,
+     "parts of a disjoint_union, e.g. pyramid:8 bipyramid_chain:17"),
+]
+C_OPTIONAL = (("--c",), "c", None, False, None, "colors (sizes the composite family)")
+C_REQUIRED = (("--c",), "c", None, True, None, "number of colors (>= 2)")
+OUT = (("--out",), "out", None, False, None, "output path (default stdout)")
+SUBCOMMAND_OPTIONS = {
+    "generate": ("write a family graph as an edge list", [*SOURCE_OPTIONS, C_OPTIONAL, OUT]),
+    "census": ("triangle census and derived statistics", [*SOURCE_OPTIONS, C_OPTIONAL, OUT]),
+    "moments": ("exact closed-form moments", [*SOURCE_OPTIONS, C_REQUIRED, OUT]),
+    "bounds": ("CLT error-bound brackets", [*SOURCE_OPTIONS, C_REQUIRED, OUT]),
+    "fourth-moment": ("exact fourth-moment decomposition", [
+        *SOURCE_OPTIONS,
+        C_REQUIRED,
+        (("--budget",), "budget", 100_000_000, False, None, "cap on connected configurations (>= 0)"),
+        (("--threads",), "threads", CPUS, False, None,
+         "accepted and ignored: class discovery runs on one thread"),
+        OUT,
+    ]),
+    "simulate": ("seeded Monte Carlo sampling", [
+        *SOURCE_OPTIONS,
+        C_REQUIRED,
+        (("--reps",), "reps", None, True, None, "replications"),
+        (("--seed",), "seed", None, True, None, "sampling seed"),
+        (("--statistic",), "statistic", "both", False, ("T2", "T3", "both"), None),
+        (("--atom-gap",), "atom_gap", None, False, None, "raw-scale gap for atom clustering"),
+        (("--raw-out",), "raw_out", None, False, None,
+         "also stream per-replication values to BASE.t2.bin / BASE.t3.bin "
+         "(little-endian 64-bit integers, replication order)"),
+        (("--threads",), "threads", CPUS, False, None, None),
+        OUT,
+    ]),
+    "verify": ("run the built-in acceptance checks", [
+        (("--threads",), "threads", CPUS, False, None, None),
+    ]),
+}
+
+
+def test_subcommand_options_are_unchanged():
+    subs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {choice.dest: choice.help for choice in subs._choices_actions}
+    got = {}
+    for name, sub in subs.choices.items():
+        got[name] = (helps[name], [
+            (tuple(a.option_strings), a.dest, CPUS if a.dest == "threads" else a.default,
+             a.required, a.choices, a.help)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        ])
+        if name in ("fourth-moment", "simulate", "verify"):
+            assert sub.get_default("threads") == os.cpu_count()
+    assert got == SUBCOMMAND_OPTIONS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--family", "complete", "--n", "4", "--graph-seed", "7"),
+        ("moments", "--family", "star", "--n", "3", "--p", "0.9", "--c", "2"),
+        ("census", "--family", "disjoint_union", "--parts", "pyramid:3", "--n", "9"),
+        ("census", "--family", "pyramid", "--n", "3", "--parts", "pyramid:2"),
+        ("census", "--input", "{g}", "--n", "5"),
+        ("census", "--input", "{g}", "--p", "0.3"),
+        ("census", "--input", "{g}", "--graph-seed", "1"),
+        ("census", "--input", "{g}", "--parts", "pyramid:2"),
+    ],
+)
+def test_graph_options_the_source_ignores_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
+    # refused before the input is read or any graph is built
+    def never(*args, **kwargs):
+        raise AssertionError("graph built")
+
+    monkeypatch.setattr(cli, "generate", never)
+    monkeypatch.setattr(cli, "parse_edge_list", never)
+    g = tmp_path / "g.txt"
+    g.write_text("0 1\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *(a.format(g=g) for a in argv))
+    assert exc.value.code == 2
+    assert "does not apply" in capsys.readouterr().err

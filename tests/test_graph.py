@@ -71,6 +71,22 @@ def test_parse_honors_vertices_header():
     assert r.graph.degree(2) == 0
 
 
+@pytest.mark.parametrize(
+    "text,line_no,content",
+    [
+        ("# vertices=3\n0 1\n1 5\n", 3, "1 5"),
+        ("# vertices=3\n0 1\n5 1  # dup\n1 5\n", 3, "5 1  # dup"),
+        ("0 1\n2 3\n# vertices=3\n", 2, "2 3"),
+    ],
+    ids=["after-header", "first-of-duplicates", "header-after-edges"],
+)
+def test_parse_names_the_line_past_the_vertices_header(text, line_no, content):
+    with pytest.raises(MalformedLineError) as exc:
+        parse_edge_list(text)
+    assert (exc.value.line_no, exc.value.content) == (line_no, content)
+    assert str(exc.value) == f"malformed edge-list line {line_no}: {content!r}"
+
+
 def test_round_trip(small_corpus):
     for name, g in small_corpus:
         assert parse_edge_list(serialize_edge_list(g)).graph == g, name
@@ -166,6 +182,12 @@ def test_generate_validates_params():
         generate(FamilySpec(family="nosuch", n=3))
     with pytest.raises(BadParamsError):
         generate(FamilySpec(family="disjoint_union"))
+    with pytest.raises(BadParamsError):  # fields the family does not read
+        generate(FamilySpec(family="complete", n=4, seed=7))
+    with pytest.raises(BadParamsError):
+        generate(FamilySpec(family="star", n=3, p=0.9))
+    with pytest.raises(BadParamsError):
+        generate(FamilySpec(family="disjoint_union", n=9, parts=(FamilySpec("pyramid", n=3),)))
 
 
 def test_disjoint_union_layout():

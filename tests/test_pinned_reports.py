@@ -5,7 +5,9 @@ the exhaustive oracle enumerated colourings up to colour permutation;
 the K9, composite and gnp fourth-moment reports before the class
 coefficients came from the joint-cumulant engine, and the pyramid and
 bipyramid chain ones before classes were keyed from the walk's
-fingerprints instead of concrete triangles. Any change of a single byte
+fingerprints instead of concrete triangles; the generate, census, moments
+and bounds reports and the fourth-moment budget error before each graph
+command was declared once in the CLI's command table. Any change of a single byte
 fails here; a report change on purpose must update the digest and say
 why in CHANGES.md."""
 
@@ -60,6 +62,40 @@ FOURTH_MOMENT = {
                      "74f6cd45d89f62d9cb19b7f54c3f4f9d50413808fe1b57231eeb058134d960c9"),
 }
 
+# generate writes the edge list; composite(8) at c = 2 is pyramid(8) plus
+# bipyramid_chain(17), the same graph as the union
+GENERATE = {
+    "union": (("--family", "disjoint_union", "--parts", "pyramid:8", "bipyramid_chain:17"),
+              "9a3173e5e0fca328e0519a9750f2d2b6dd084f7bdaf1362472deeb3005e06b93"),
+    "composite8_c2": (("--family", "composite", "--n", "8", "--c", "2"),
+                      "9a3173e5e0fca328e0519a9750f2d2b6dd084f7bdaf1362472deeb3005e06b93"),
+}
+
+# census, moments and bounds reports; cycle(4) has no triangle, so its
+# moments and bounds reports carry no T3 section
+GRAPH_REPORTS = {
+    "bipyramid_chain5_c3": ("--family", "bipyramid_chain", "--n", "5", "--c", "3"),
+    "gnp20_c2": ("--family", "gnp", "--n", "20", "--p", "0.5", "--graph-seed", "4", "--c", "2"),
+    "cycle4_c2": ("--family", "cycle", "--n", "4", "--c", "2"),
+}
+GRAPH_REPORT_DIGESTS = {
+    ("census", "bipyramid_chain5_c3"): "8ef0ecfa4b0e7ba2b7c62e5ce3c2370a5a5803dc4a13ac740272af31ba3d3095",
+    ("census", "gnp20_c2"): "c13428cdc848137815c7a0f7ba34e90d9901267ddda3762ae958c606d7b6c353",
+    ("census", "cycle4_c2"): "542ce002382f6b94415f7ad6601e9cd492c4190b3f5be8bec444f46fc2f42ffd",
+    ("moments", "bipyramid_chain5_c3"): "0cfd5cf26b89d59ee211b2adebb866faf15dbdb394f2d516d7fd421a996dd175",
+    ("moments", "gnp20_c2"): "7db4ad3072d0ed523a92b5b256c87e2574c3d3e8ea375a53fac5eba0ef57e642",
+    ("moments", "cycle4_c2"): "0bcedd668a99695ffc8eba45e4ee7ae3b1067526c6b7b8d7e88d91ba65f1ca5b",
+    ("bounds", "bipyramid_chain5_c3"): "f11bee664428ec6ef553f2aa283c574a87c140ab58ec0f5697dba420abe1d1fb",
+    ("bounds", "gnp20_c2"): "7ad1cd692ff3645e681e9e50954a261e1b26d7b290bb181ae60ce73188f559f6",
+    ("bounds", "cycle4_c2"): "e018d661dd50d0c60c92e68fcc1340c3265af792b2848b2c5348ecaf4985a61a",
+}
+
+# the JSON domain error on stderr, with every input echoed
+BUDGET_ERROR = (
+    ("fourth-moment", "--family", "complete", "--n", "9", "--c", "5", "--budget", "0", "--threads", "2"),
+    "9e7dd1e858c08fa240629cfeb6d07ffb3bba74de7e0e5a9c20de353a09db21c2",
+)
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -111,3 +147,24 @@ def test_fourth_moment_report_bytes_pinned(tmp_path, case):
     out = tmp_path / "report.json"
     assert run(["fourth-moment", *args, "--out", str(out)]) == 0
     assert _sha(out.read_bytes()) == digest
+
+
+@pytest.mark.parametrize("case", list(GENERATE))
+def test_generate_bytes_pinned(capsysbinary, case):
+    args, digest = GENERATE[case]
+    assert run(["generate", *args]) == 0
+    assert _sha(capsysbinary.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("command,graph", list(GRAPH_REPORT_DIGESTS))
+def test_graph_report_bytes_pinned(capsysbinary, command, graph):
+    assert run([command, *GRAPH_REPORTS[graph]]) == 0
+    assert _sha(capsysbinary.readouterr().out) == GRAPH_REPORT_DIGESTS[(command, graph)]
+
+
+def test_fourth_moment_budget_error_bytes_pinned(capsysbinary):
+    argv, digest = BUDGET_ERROR
+    assert run(list(argv)) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert _sha(captured.err) == digest
