@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Each graph command is declared once, in COMMANDS: its help, whether --c
-is required, a hook that adds its own options, and a body that turns the
-parsed arguments and the resolved graph into the report's config and
-body. build_parser and _dispatch both read the table; verify, which takes
-no graph, is added beside it.
+is required, its own options, and a body that turns the parsed
+arguments and the resolved graph into the report's config and body.
+build_parser and _dispatch both read the table; verify, which takes no
+graph, is added beside it.
 
 Every JSON report embeds the tool version, the resolved configuration,
 and the input graph digest; rerunning an embedded configuration
@@ -37,7 +37,7 @@ from .errors import MonocltError
 from .fourthmoment import DEFAULT_BUDGET, fourth_moment_exact
 from .graph import FAMILIES, FAMILY_FIELDS, SIMPLE_FAMILIES, FamilySpec, Graph, generate
 from .graph import parse_edge_list, serialize_edge_list
-from .moments import T2Inputs, clt_bound_t2, clt_bound_t3, t2_moments, t3_mean_var
+from .moments import clt_bound_t2, clt_bound_t3, t2_moments, t3_mean_var
 from .ratpoly import evaluate, fraction_json
 from .sim import SimConfig, sample_statistics
 
@@ -60,55 +60,59 @@ def thread_count(text: str) -> int:
     return value
 
 
-def _parse_part(text: str, parser: argparse.ArgumentParser) -> FamilySpec:
+THREADS = {"type": thread_count, "default": os.cpu_count()}  # every --threads option
+
+
+def _parse_part(text: str) -> FamilySpec:
     name, _, arg = text.partition(":")
     if name not in SIMPLE_FAMILIES or not arg:
-        parser.error(f"bad --parts entry {text!r}; use a deterministic family like pyramid:8")
+        raise argparse.ArgumentTypeError(
+            f"bad --parts entry {text!r}; use a deterministic family like pyramid:8")
     try:
         return FamilySpec(family=name, n=int(arg))
     except ValueError:
-        parser.error(f"bad --parts entry {text!r}")
+        raise argparse.ArgumentTypeError(f"bad --parts entry {text!r}")
 
 
-def _resolve_graph(args, parser: argparse.ArgumentParser):
+def _resolve_graph(args):
     """Returns (graph, source-config dict). Exactly one input source, and
     none of the graph options it does not read."""
     if (args.input is None) == (args.family is None):
-        parser.error("give exactly one graph source: --input FILE or --family NAME")
+        raise argparse.ArgumentTypeError("give exactly one graph source: --input FILE or --family NAME")
     given = {}  # argparse's dest is the flag without dashes, "-" as "_"
     for flag, (field, _) in SPEC_OPTIONS.items():
         given[field] = getattr(args, flag[2:].replace("-", "_"))
         if given[field] is not None and field not in FAMILY_FIELDS.get(args.family, ()):
             source = "--input" if args.input is not None else f"--family {args.family}"
-            parser.error(f"{flag} does not apply to {source}")
+            raise argparse.ArgumentTypeError(f"{flag} does not apply to {source}")
     if args.input is not None:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeError) as exc:
-            parser.error(f"cannot read {args.input}: {exc}")
+            raise argparse.ArgumentTypeError(f"cannot read {args.input}: {exc}")
         result = parse_edge_list(text)
         return result.graph, {"input": args.input}
-    given["parts"] = tuple(_parse_part(p, parser) for p in (given["parts"] or ()))
+    given["parts"] = tuple(_parse_part(p) for p in (given["parts"] or ()))
     spec = FamilySpec(family=args.family, c=args.c, **given)
     return generate(spec), spec.describe()
 
 
-def _open_out(path: str, mode: str, parser: argparse.ArgumentParser):
+def _open_out(path: str, mode: str):
     """An output file opened for writing; one that cannot be opened is a usage error."""
     try:
         return open(path, mode, encoding=None if "b" in mode else "utf-8")
     except OSError as exc:
-        parser.error(f"cannot write {path}: {exc}")
+        raise argparse.ArgumentTypeError(f"cannot write {path}: {exc}")
 
 
-def _check_out(path: Optional[str], parser: argparse.ArgumentParser):
+def _check_out(path: Optional[str]):
     """Refuses, before any work, an --out that is a directory or not in a
     writable one; the file is opened only for the finished report."""
     folder = os.path.dirname(path or "") or "."
     writable = os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)
     if path and (os.path.isdir(path) or not writable):
-        parser.error(f"cannot write {path}: not a file in a writable directory")
+        raise argparse.ArgumentTypeError(f"cannot write {path}: not a file in a writable directory")
 
 
 def _report(command: str, config: dict, graph: Graph, body) -> str:
@@ -124,12 +128,12 @@ def _report(command: str, config: dict, graph: Graph, body) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command bodies (args, graph, parser) -> (config, report body), and option
-# hooks. Bodies look the library up in this module's globals when they run,
+# command bodies (args, graph) -> (config, report body), and option
+# tables. Bodies look the library up in this module's globals when they run,
 # so tracers and tests that rebind those names see every call.
 
 
-def _census(args, graph, parser):
+def _census(args, graph):
     tc = triangle_census(graph)
     pc = pyramid_counts(tc)
     order = score_ordering(graph, tc)
@@ -143,9 +147,9 @@ def _census(args, graph, parser):
     }
 
 
-def _moments(args, graph, parser):
+def _moments(args, graph):
     pc = pyramid_counts(triangle_census(graph))
-    t2 = t2_moments(T2Inputs(graph.edge_count, pc.n1, count_c4(graph)), args.c)
+    t2 = t2_moments(graph.edge_count, pc.n1, count_c4(graph), args.c)
     body = {
         "T2": {
             "mean": fraction_json(t2.mean),
@@ -164,7 +168,7 @@ def _moments(args, graph, parser):
     return {"c": args.c}, body
 
 
-def _bounds(args, graph, parser):
+def _bounds(args, graph):
     tc = triangle_census(graph)
     pc = pyramid_counts(tc)
     t2b = clt_bound_t2(graph.edge_count, count_c4(graph), args.c)
@@ -188,37 +192,31 @@ def _bounds(args, graph, parser):
     return {"c": args.c}, body
 
 
-def _fourth_moment_options(sub: argparse.ArgumentParser):
-    sub.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET, help="cap on connected configurations (>= 0)"
-    )
-    sub.add_argument(
-        "--threads", type=thread_count, default=os.cpu_count(),
-        help="accepted and ignored: class discovery runs on one thread",
-    )
+FOURTH_MOMENT_OPTIONS = {
+    "--budget": {"type": int, "default": DEFAULT_BUDGET,
+                 "help": "cap on connected configurations (>= 0)"},
+    "--threads": {**THREADS, "help": "accepted and ignored: class discovery runs on one thread"},
+}
 
 
-def _fourth_moment(args, graph, parser):
+def _fourth_moment(args, graph):
     tc = triangle_census(graph)
     dec = fourth_moment_exact(tc, pyramid_counts(tc), args.c, budget=args.budget)
     return {"c": args.c, "budget": args.budget}, dec.to_json_dict()
 
 
-def _simulate_options(sub: argparse.ArgumentParser):
-    sub.add_argument("--reps", type=int, required=True, help="replications")
-    sub.add_argument("--seed", type=int, required=True, help="sampling seed")
-    sub.add_argument("--statistic", choices=("T2", "T3", "both"), default="both")
-    sub.add_argument("--atom-gap", type=float, help="raw-scale gap for atom clustering")
-    sub.add_argument(
-        "--raw-out",
-        metavar="BASE",
-        help="also stream per-replication values to BASE.t2.bin / BASE.t3.bin "
-        "(little-endian 64-bit integers, replication order)",
-    )
-    sub.add_argument("--threads", type=thread_count, default=os.cpu_count())
+SIMULATE_OPTIONS = {
+    "--reps": {"type": int, "required": True, "help": "replications"},
+    "--seed": {"type": int, "required": True, "help": "sampling seed"},
+    "--statistic": {"choices": ("T2", "T3", "both"), "default": "both"},
+    "--atom-gap": {"type": float, "help": "raw-scale gap for atom clustering"},
+    "--raw-out": {"metavar": "BASE", "help": "also stream per-replication values to BASE.t2.bin / "
+                  "BASE.t3.bin (little-endian 64-bit integers, replication order)"},
+    "--threads": THREADS,
+}
 
 
-def _simulate(args, graph, parser):
+def _simulate(args, graph):
     cfg = SimConfig(
         c=args.c,
         replications=args.reps,
@@ -228,7 +226,7 @@ def _simulate(args, graph, parser):
     )
     with ExitStack() as stack:
         raw_sinks = {
-            stat: stack.enter_context(_open_out(f"{args.raw_out}.{stat.lower()}.bin", "wb", parser))
+            stat: stack.enter_context(_open_out(f"{args.raw_out}.{stat.lower()}.bin", "wb"))
             for stat in ("T2", "T3")
             if args.raw_out and cfg.statistic in (stat, "both")
         }
@@ -237,17 +235,17 @@ def _simulate(args, graph, parser):
     return out["config"], out["results"]
 
 
-# every graph command: name -> (help, whether --c is required, hook adding
-# the command's own options, body). generate has no body: it writes the
-# edge list, not a report. Each subparser takes the graph source, then --c,
-# then the command's own options, then --out.
+# every graph command: name -> (help, whether --c is required, the
+# command's own options as flag -> argparse keywords, body). generate has
+# no body: it writes the edge list, not a report. Each subparser takes the
+# graph source, then --c, then the command's own options, then --out.
 COMMANDS = {
-    "generate": ("write a family graph as an edge list", False, None, None),
-    "census": ("triangle census and derived statistics", False, None, _census),
-    "moments": ("exact closed-form moments", True, None, _moments),
-    "bounds": ("CLT error-bound brackets", True, None, _bounds),
-    "fourth-moment": ("exact fourth-moment decomposition", True, _fourth_moment_options, _fourth_moment),
-    "simulate": ("seeded Monte Carlo sampling", True, _simulate_options, _simulate),
+    "generate": ("write a family graph as an edge list", False, {}, None),
+    "census": ("triangle census and derived statistics", False, {}, _census),
+    "moments": ("exact closed-form moments", True, {}, _moments),
+    "bounds": ("CLT error-bound brackets", True, {}, _bounds),
+    "fourth-moment": ("exact fourth-moment decomposition", True, FOURTH_MOMENT_OPTIONS, _fourth_moment),
+    "simulate": ("seeded Monte Carlo sampling", True, SIMULATE_OPTIONS, _simulate),
 }
 
 
@@ -258,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         "edge/triangle counts under uniformly random vertex colorings",
     )
     parser.add_argument("--version", action="version", version=f"monoclt {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, c_required, options, _) in COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         sub.add_argument("--input", help="edge-list file (one 'u v' pair per line)")
@@ -269,20 +267,22 @@ def build_parser() -> argparse.ArgumentParser:
             "--c", type=int, required=c_required,
             help="number of colors (>= 2)" if c_required else "colors (sizes the composite family)",
         )
-        if options:
-            options(sub)
+        for flag, keywords in options.items():
+            sub.add_argument(flag, **keywords)
         sub.add_argument("--out", help="output path (default stdout)")
     sub = subs.add_parser("verify", help="run the built-in acceptance checks")
-    sub.add_argument("--threads", type=thread_count, default=os.cpu_count())
+    sub.add_argument("--threads", **THREADS)
     return parser
 
 
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_out(getattr(args, "out", None), parser)
     try:
-        return _dispatch(args, parser)
+        _check_out(getattr(args, "out", None))
+        return _dispatch(args)
+    except argparse.ArgumentTypeError as exc:  # a usage error found after parsing
+        parser.subparsers.choices[args.command].error(str(exc))
     except MonocltError as exc:
         error = {
             "tool": "monoclt",
@@ -300,18 +300,18 @@ def run(argv=None) -> int:
         return 1
 
 
-def _dispatch(args, parser) -> int:
+def _dispatch(args) -> int:
     if args.command == "verify":
         return _verify(args.threads)
-    graph, source = _resolve_graph(args, parser)
+    graph, source = _resolve_graph(args)
     body = COMMANDS[args.command][3]
     if body is None:
         payload = serialize_edge_list(graph)
     else:
-        config, report = body(args, graph, parser)
+        config, report = body(args, graph)
         payload = _report(args.command, {"source": source, **config}, graph, report)
     if args.out:
-        with _open_out(args.out, "w", parser) as fh:
+        with _open_out(args.out, "w") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -360,11 +360,11 @@ def _verify(threads: Optional[int]) -> int:
     for name, g in corpus:
         tc = triangle_census(g)
         pc = pyramid_counts(tc)
-        t2_inputs = T2Inputs(g.edge_count, pc.n1, count_c4(g))
+        c4 = count_c4(g)
         for c in (2, 3):
             dist = exact_distribution(g, c, tc=tc, threads=threads)
             mu2, v2, _ = dist.moments("T2")
-            rep2 = t2_moments(t2_inputs, c)
+            rep2 = t2_moments(g.edge_count, pc.n1, c4, c)
             if (mu2, v2) != (rep2.mean, rep2.variance) or dist.excess4("T2") != rep2.excess4:
                 ok, detail = False, f"T2 mismatch on {name}, c={c}"
             if pc.n1 >= 1:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .census import PyramidCounts
 from .errors import BadParamsError, NoEdgesError, NoTrianglesError, UnsupportedFamilyError
@@ -47,20 +47,10 @@ def _check_colors(c: int) -> Fraction:
 
 @dataclass(frozen=True)
 class MomentReport:
-    statistic: str  # "T2" or "T3"
-    c: int
     mean: Fraction
     variance: Fraction
     excess4: Optional[Fraction]  # E Z^4 - 3; None where not computed (T3)
     inputs: dict
-
-
-class T2Inputs(NamedTuple):
-    """The three counts the edge-statistic moments depend on."""
-
-    edge_count: int
-    triangle_count: int
-    c4_count: int
 
 
 def t3_mean_var(pc: PyramidCounts, c: int) -> MomentReport:
@@ -70,14 +60,7 @@ def t3_mean_var(pc: PyramidCounts, c: int) -> MomentReport:
         raise NoTrianglesError("triangle statistics need at least one triangle")
     mean = pc.n1 * x**2
     variance = pc.n1 * x**2 * (1 - x**2) + 2 * pc.n2 * (x**3 - x**4)
-    return MomentReport(
-        statistic="T3",
-        c=c,
-        mean=mean,
-        variance=variance,
-        excess4=None,
-        inputs={"triangles": pc.n1, "pyramids2": pc.n2},
-    )
+    return MomentReport(mean, variance, None, {"triangles": pc.n1, "pyramids2": pc.n2})
 
 
 def t2_mean_var(edge_count: int, c: int) -> MomentReport:
@@ -85,31 +68,21 @@ def t2_mean_var(edge_count: int, c: int) -> MomentReport:
     x = _check_colors(c)
     if edge_count < 1:
         raise NoEdgesError("edge statistics need at least one edge")
-    return MomentReport(
-        statistic="T2",
-        c=c,
-        mean=edge_count * x,
-        variance=edge_count * x * (1 - x),
-        excess4=None,
-        inputs={"edges": edge_count},
-    )
+    return MomentReport(edge_count * x, edge_count * x * (1 - x), None, {"edges": edge_count})
 
 
-def t2_moments(counts: T2Inputs, c: int) -> MomentReport:
+def t2_moments(edges: int, triangles: int, four_cycles: int, c: int) -> MomentReport:
     """Exact mean, variance, and excess fourth moment of the
-    monochromatic edge count. Depends on the graph only through counts."""
-    m, k3, c4 = counts
-    base = t2_mean_var(m, c)
+    monochromatic edge count. Depends on the graph only through the
+    counts of its edges, triangles and four-cycles."""
+    base = t2_mean_var(edges, c)
     x = Fraction(1, c)
     g1 = x * (1 - 7 * x + 12 * x**2 - 6 * x**3)
     g2 = 36 * x**2 * (1 - x) * (1 - 2 * x)
     g3 = 24 * x**3 * (1 - x)
-    excess4 = (g1 * m + g2 * k3 + g3 * c4) / base.variance**2
-    return replace(
-        base,
-        excess4=excess4,
-        inputs={"edges": m, "triangles": k3, "four_cycles": c4},
-    )
+    excess4 = (g1 * edges + g2 * triangles + g3 * four_cycles) / base.variance**2
+    inputs = {"edges": edges, "triangles": triangles, "four_cycles": four_cycles}
+    return replace(base, excess4=excess4, inputs=inputs)
 
 
 @dataclass(frozen=True)

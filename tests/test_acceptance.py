@@ -74,7 +74,7 @@ def test_criterion_1_exact_moment_oracle_equality(small_corpus):
         for c in (2, 3, 5):
             dist = exact_distribution(g, c, tc=tc, threads=THREADS)
             mu2, v2, _ = dist.moments("T2")
-            rep2 = t2_moments(t2_inputs(g), c)
+            rep2 = t2_moments(*t2_inputs(g), c)
             assert (rep2.mean, rep2.variance) == (mu2, v2), (name, c)
             mu3, v3, _ = dist.moments("T3")
             if pc.n1 >= 1:

@@ -148,6 +148,42 @@ def test_usage_error_no_source(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("entry", ["gnp:5", "composite:8", "pyramid", "pyramid:x"])
+def test_bad_parts_entry_is_a_usage_error(capsys, entry):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "census", "--family", "disjoint_union", "--parts", entry)
+    assert exc.value.code == 2
+    assert f"bad --parts entry {entry!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--family", "pyramid", "--n", "3", "--input", "{g}"),
+        ("moments", "--c", "2"),
+        ("bounds", "--family", "star", "--n", "3", "--p", "0.9", "--c", "2"),
+        ("generate", "--input", "{bad}"),
+        ("census", "--family", "disjoint_union", "--parts", "pyramid:x"),
+        ("fourth-moment", "--family", "complete", "--n", "5", "--c", "5", "--out", "{missing}/x.json"),
+        ("simulate", "--family", "pyramid", "--n", "3", "--c", "2", "--reps", "10", "--seed", "1",
+         "--raw-out", "{missing}/base"),
+    ],
+    ids=["two-sources", "no-source", "ignored-option", "input-not-utf8", "bad-parts",
+         "out-unwritable", "raw-out-unwritable"],
+)
+def test_post_parse_usage_errors_print_the_command_usage(capsys, tmp_path, argv):
+    (tmp_path / "g.txt").write_text("0 1\n")
+    (tmp_path / "bad.txt").write_bytes(b"0 1\n\xff\n")
+    paths = {"g": tmp_path / "g.txt", "bad": tmp_path / "bad.txt", "missing": tmp_path / "no" / "such"}
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: monoclt {argv[0]} [-h]")
+    assert f"\nmonoclt {argv[0]}: error: " in captured.err
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 @pytest.mark.parametrize(
     "argv",
@@ -163,6 +199,19 @@ def test_threads_below_one_is_a_usage_error(capsys, argv, threads):
         run_cli(capsys, *argv, "--threads", threads)
     assert exc.value.code == 2
     assert "need at least one thread" in capsys.readouterr().err
+
+
+def test_verify_passes_its_four_checks(capsys):
+    code, out, err = run_cli(capsys, "verify", "--threads", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS  oracle equality (closed forms vs full enumeration)",
+        "PASS  class discovery on K9 finds exactly 32 classes",
+        "PASS  pyramid and chain-quadruple classes present",
+        "PASS  sign dichotomy (all positive for c >= 5; 4-pyramid negative for c <= 4)",
+        "OK: 4/4 checks passed",
+    ]
+    assert err == ""
 
 
 def test_domain_error_exit_code(capsys, tmp_path):

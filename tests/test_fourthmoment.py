@@ -19,7 +19,7 @@ from monoclt.fourthmoment import (
     pyramid_class_coefficient,
 )
 from monoclt.graph import FamilySpec, bipyramid_chain, complete, generate, gnp, pyramid
-from monoclt.moments import T2Inputs, t2_mean_var, t2_moments, t3_mean_var
+from monoclt.moments import t2_mean_var, t2_moments, t3_mean_var
 from monoclt.ratpoly import evaluate
 from monoclt.sim import exact_distribution
 
@@ -55,7 +55,7 @@ def test_cumulant_order_4_on_edges_reproduces_g1_g2_g3():
     # t2_moments gives kappa4(T2) = g1 |E| + g2 N(K3) + g3 N(C4), linear in
     # the three counts, so each g is a difference of two evaluations
     def kappa4(m, k3, c4, c):
-        rep = t2_moments(T2Inputs(m, k3, c4), c)
+        rep = t2_moments(m, k3, c4, c)
         return rep.excess4 * rep.variance**2
 
     edge = [(0, 1)]

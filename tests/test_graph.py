@@ -178,6 +178,10 @@ def test_generate_validates_params():
         generate(FamilySpec(family="cycle", n=2))
     with pytest.raises(BadParamsError):
         generate(FamilySpec(family="gnp", n=10, p=0.5))  # missing seed
+    with pytest.raises(BadParamsError, match="gnp requires p"):
+        generate(FamilySpec(family="gnp", n=10, seed=1))
+    with pytest.raises(BadParamsError, match="composite requires c"):
+        generate(FamilySpec(family="composite", n=8))
     with pytest.raises(BadParamsError):
         generate(FamilySpec(family="nosuch", n=3))
     with pytest.raises(BadParamsError):

@@ -7,9 +7,10 @@ coefficients came from the joint-cumulant engine, and the pyramid and
 bipyramid chain ones before classes were keyed from the walk's
 fingerprints instead of concrete triangles; the generate, census, moments
 and bounds reports and the fourth-moment budget error before each graph
-command was declared once in the CLI's command table. Any change of a single byte
-fails here; a report change on purpose must update the digest and say
-why in CHANGES.md."""
+command was declared once in the CLI's command table; the simulate report
+with atoms before post-parse usage errors were reported on the command's
+own parser. Any change of a single byte fails here; a report change on
+purpose must update the digest and say why in CHANGES.md."""
 
 import hashlib
 
@@ -90,6 +91,13 @@ GRAPH_REPORT_DIGESTS = {
     ("bounds", "cycle4_c2"): "e018d661dd50d0c60c92e68fcc1340c3265af792b2848b2c5348ecaf4985a61a",
 }
 
+# a T3 simulate report whose clustering finds two atoms
+ATOMS = (
+    ("simulate", "--family", "pyramid", "--n", "40", "--c", "2", "--reps", "4000", "--seed", "5",
+     "--statistic", "T3", "--atom-gap", "5"),
+    "c30a955e9b591446fd176b3169c81f93a17ec70e921db1d1b5781cb6fdeff50b",
+)
+
 # the JSON domain error on stderr, with every input echoed
 BUDGET_ERROR = (
     ("fourth-moment", "--family", "complete", "--n", "9", "--c", "5", "--budget", "0", "--threads", "2"),
@@ -160,6 +168,12 @@ def test_generate_bytes_pinned(capsysbinary, case):
 def test_graph_report_bytes_pinned(capsysbinary, command, graph):
     assert run([command, *GRAPH_REPORTS[graph]]) == 0
     assert _sha(capsysbinary.readouterr().out) == GRAPH_REPORT_DIGESTS[(command, graph)]
+
+
+def test_simulate_atoms_report_bytes_pinned(capsysbinary):
+    argv, digest = ATOMS
+    assert run(list(argv)) == 0
+    assert _sha(capsysbinary.readouterr().out) == digest
 
 
 def test_fourth_moment_budget_error_bytes_pinned(capsysbinary):

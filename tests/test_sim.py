@@ -85,7 +85,7 @@ def test_exact_moments_match_closed_forms(small_corpus):
         for c in (2, 3, 5):
             dist = exact_distribution(g, c, tc=tc)
             mu2, v2, m42 = dist.moments("T2")
-            rep2 = t2_moments(t2_inputs(g), c)
+            rep2 = t2_moments(*t2_inputs(g), c)
             assert (mu2, v2) == (rep2.mean, rep2.variance), (name, c)
             assert dist.excess4("T2") == rep2.excess4, (name, c)
             if pc.n1 >= 1:
