@@ -277,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # the command's parser reports them, with its own usage line
+        parser.subparsers.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         _check_out(getattr(args, "out", None))
         return _dispatch(args)

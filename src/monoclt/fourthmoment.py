@@ -23,19 +23,21 @@ cliques equal to x^(|V(union)| - components(union)); see
 cumulant_coefficient.
 
 Class discovery walks the sets of 1 to 3 triangles one at a time and
-counts the 4-sets grown from each 3-set in bulk, by popcounts of
-triangle bitmasks, skipping the fourth triangles that meet the 3-set in
-a single vertex.
+counts the 4-sets locally per connected pair of triangles: a
+non-separable 4-set is reached from each of its connected pairs as two
+further triangles meeting the pair's union, so Gram matrices of those
+triangles' counts by type, built with numpy, give every nonzero class
+count (see _count_fourth).
 
 Class identity is decided by an exact canonical form: fixing an order of
 the k triangles, each union vertex gets a k-bit incidence pattern, and
 the multiset of patterns determines the labeled structure completely;
 minimizing over the k! <= 24 triangle orders, each a lookup table on
-patterns, gives a canonical key. The walk never builds concrete
+patterns, gives a canonical key. Discovery never builds concrete
 triangles for this: a set's fingerprint of intersection sizes fixes its
-pattern multiset, and so does a fourth triangle's tally index, so each
-class is keyed from patterns once per shape per process, however large
-the graph.
+pattern multiset, and so does a fourth-level cell, so each class is
+keyed from patterns once per shape per process, however large the
+graph.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import BadParamsError, BudgetExceededError, NoTrianglesError
 from .moments import _check_colors, t3_mean_var
@@ -203,15 +207,10 @@ def class_key(triangles: Sequence[Triangle]) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _fp_key(fp: tuple, idx: int) -> tuple:
-    """Class key of a walk cell: the 1..3-set of fingerprint fp if idx is
-    0, else its extension by a fourth triangle of tally index idx.
-
-    The fingerprint's intersection sizes fix the Venn counts of the
-    triangles and so their pattern multiset. The fourth triangle adds
-    bit 8 to one union vertex of each pattern packed in idx (see
-    _tally_fourth); with two patterns packed its third vertex is new.
-    """
+def _fp_key(fp: tuple) -> tuple:
+    """Class key of a 1..3-set of the walk from its fingerprint fp: the
+    intersection sizes fix the Venn counts of the triangles and so their
+    pattern multiset."""
     if fp[0] == 1:
         venn = {1: 3}
     elif fp[0] == 2:
@@ -220,15 +219,19 @@ def _fp_key(fp: tuple, idx: int) -> tuple:
         _, ab, ac, bc, abc = fp
         venn = {7: abc, 3: ab - abc, 5: ac - abc, 6: bc - abc,
                 1: 3 - ab - ac + abc, 2: 3 - ab - bc + abc, 4: 3 - ac - bc + abc}
-    patterns = [p for p, n in venn.items() for _ in range(n)]
-    if not idx:
-        return _canonical(fp[0], tuple(sorted(patterns)))
-    named = (idx >> 6, idx >> 3 & 7, idx & 7) if idx >> 6 else (idx >> 3, idx & 7)
-    for p in named:
-        patterns.remove(p)
-        patterns.append(p | 8)
-    if len(named) == 2:
-        patterns.append(8)
+    return _canonical(fp[0], tuple(sorted(p for p, n in venn.items() for _ in range(n))))
+
+
+@lru_cache(maxsize=None)
+def _cell_key(share: int, t1: int, t2: int, k: int) -> tuple:
+    """Class key of a fourth-level cell: a connected pair {a, b} sharing
+    `share` vertices, and triangles c and w meeting its union in the slots
+    of bitmasks t1 and t2 and sharing k vertices outside it. The slots
+    are the a-only vertices, then the b-only ones, then the shared ones;
+    bit 4 marks the vertices of c, bit 8 those of w."""
+    slots = (1,) * (3 - share) + (2,) * (3 - share) + (3,) * share
+    patterns = [p | (t1 >> i & 1) << 2 | (t2 >> i & 1) << 3 for i, p in enumerate(slots)]
+    patterns += [12] * k + [4] * (3 - t1.bit_count() - k) + [8] * (3 - t2.bit_count() - k)
     return _canonical(4, tuple(sorted(patterns)))
 
 
@@ -288,64 +291,146 @@ def _record_for_key(key: tuple) -> ClassRecord:
 # enumeration of connected triangle sets
 
 
-def _triangle_masks(triangles: Sequence[Triangle]) -> tuple[list[int], list[int], list[int]]:
+def _triangle_masks(triangles: Sequence[Triangle]) -> tuple[list[int], list[int]]:
     """Bitmasks over vertices and triangle indices: each triangle's vertex
-    set, the triangles at each vertex, and each triangle's adjacent
-    triangles (those sharing at least one vertex with it)."""
+    set, and its adjacent triangles (those sharing at least one vertex)."""
     vm = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triangles]
     at = [0] * (max(map(max, triangles), default=-1) + 1)
     for i, t in enumerate(triangles):
         for v in t:
             at[v] |= 1 << i
     adjm = [(at[a] | at[b] | at[c]) & ~(1 << i) for i, (a, b, c) in enumerate(triangles)]
-    return vm, at, adjm
+    return vm, adjm
 
 
-def _tally_fourth(
-    tab: list[int],
-    va: int,
-    vb: int,
-    vc: int,
-    ext: int,
-    at: Sequence[int],
-    triangles: Sequence[Triangle],
-):
-    # Adds the 4-sets {a, b, c, w}, w in ext, to tab. A 4-set's class is
-    # fixed by the prefix fingerprint plus the incidence patterns (over
-    # a, b, c) of the vertices w shares with the prefix union U; tab is
-    # indexed by those patterns packed 3 bits each. A w meeting U in one
-    # vertex makes the set separable, so its class is zero: it is skipped.
-    # A w meeting U in two vertices u, v lies in the masks of u and v
-    # only, and is counted in bulk per pair; one inside U lies in three
-    # masks and is visited alone.
-    union = va | vb | vc
-    once = twice = inside = 0
-    pattern: dict[int, int] = {}
-    met = []
-    while union:
-        xbit = union & -union
-        union ^= xbit
-        x = xbit.bit_length() - 1
-        mx = ext & at[x]
-        if mx:
-            p = pattern[x] = (va >> x & 1) | (vb >> x & 1) << 1 | (vc >> x & 1) << 2
-            met.append((p, mx))
-            inside |= twice & mx
-            twice |= once & mx
-            once |= mx
-    twice &= ~inside
-    for i, (p, mx) in enumerate(met):
-        mx &= twice
-        if mx:
-            for q, my in met[i + 1 :]:
-                pair = mx & my
-                if pair:
-                    tab[p << 3 | q] += pair.bit_count()
-    while inside:
-        wbit = inside & -inside
-        inside ^= wbit
-        u, v, x = triangles[wbit.bit_length() - 1]
-        tab[pattern[u] << 6 | pattern[v] << 3 | pattern[x]] += 1
+# (pair, triangle) incidences per numpy pass of the fourth level, and rows
+# per dense block of a Gram matrix: together they bound the level's arrays
+# to a few MB whatever the graph
+_CHUNK = 1 << 12
+_BLOCK = 1 << 11
+
+
+def _gram(rows: np.ndarray, types: np.ndarray, width: int) -> np.ndarray:
+    """M^T M in float64 for the row-by-type count matrix M holding one
+    count per entry (rows[i], types[i]), rows ascending; M is built a
+    block of rows at a time."""
+    gram = np.zeros((width, width))
+    if len(rows):
+        cut = np.searchsorted(rows, np.arange(0, rows[-1] + _BLOCK + 1, _BLOCK))
+        for lo, hi in zip(cut, cut[1:]):
+            if lo < hi:
+                base = rows[lo]
+                m = np.bincount((rows[lo:hi] - base) * width + types[lo:hi],
+                                minlength=(rows[hi - 1] - base + 1) * width)
+                m = m.reshape(-1, width).astype(np.float64)
+                gram += m.T @ m
+    return gram
+
+
+def _rows_by(pair: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts entries by (pair, key), and ascending row ids
+    in that order, one row per distinct (pair, key)."""
+    joint = pair * (int(key.max(initial=0)) + 1) + key
+    order = np.argsort(joint)
+    joint = joint[order]
+    return order, np.cumsum(np.r_[False, joint[1:] != joint[:-1]])
+
+
+def _count_fourth(triangles: Sequence[Triangle], pairs: np.ndarray) -> Counter:
+    """Cell sums of the fourth level, by class key.
+
+    For each connected pair P = {a, b} (the rows of pairs, a < b), the
+    candidate triangles are those other than a and b meeting the union
+    U(P), typed by the bitmask of the slots of U(P) they contain (see
+    _cell_key). An ordered pair (c, w) of distinct candidates falls
+    in the cell (share, t1, t2, k), k the number of vertices c and w share
+    outside U(P); the cell fixes the class of {a, b, c, w} (_cell_key).
+    The cells are Gram matrices of candidate type counts, summed over P
+    (all pairs), over (P, x) for outside vertices x (pairs sharing x,
+    counted once per shared vertex) and over (P, xy) for outside edges
+    (pairs sharing two outside vertices).
+
+    A non-separable 4-set Q is reached from every connected pair P in Q:
+    a member missing U(P) would share two vertices with the fourth, which
+    has at most one outside U(P). So its class sums its count times 2
+    (the orders of c and w) times the connected 2-subsets of Q.
+    """
+    tv = np.sort(np.array(triangles, dtype=np.int64), axis=1)
+    n = int(tv.max()) + 1
+    deg = np.bincount(tv.ravel(), minlength=n)
+    # each triangle's edges, numbered, opposite its vertices 0, 1 and 2
+    opposite = np.unique(tv[:, [1, 0, 0]] * n + tv[:, [2, 2, 1]], return_inverse=True)[1].reshape(-1, 3)
+    graph = (tv, deg, np.cumsum(deg) - deg, np.argsort(tv.ravel(), kind="stable") // 3, opposite)
+    va, vb = tv[pairs[:, 0]], tv[pairs[:, 1]]
+    a_in_b = (va[:, :, None] == vb[:, None, :]).any(2)
+    b_in_a = (vb[:, :, None] == va[:, None, :]).any(2)
+    share = a_in_b.sum(1)
+    sums: Counter = Counter()
+    for sh in (1, 2):
+        sel = share == sh
+        slots = np.hstack([va[sel][~a_in_b[sel]].reshape(-1, 3 - sh),
+                           vb[sel][~b_in_a[sel]].reshape(-1, 3 - sh),
+                           va[sel][a_in_b[sel]].reshape(-1, sh)])
+        own = pairs[sel]
+        width = 1 << slots.shape[1]
+        total = np.zeros(width, dtype=np.int64)
+        cells = np.zeros((3, width, width))  # by k; float64 sums of counts
+        cut = np.r_[0, np.cumsum(deg[slots].sum(1))]  # incidences before each pair
+        lo = 0
+        while lo < len(slots):
+            hi = max(lo + 1, int(np.searchsorted(cut, cut[lo] + _CHUNK, "right")) - 1)
+            _count_chunk(graph, slots[lo:hi], own[lo:hi], width, total, cells)
+            lo = hi
+        # summed over k the cells count every ordered pair once, and no
+        # partial sum is more than twice that, so float64 was exact
+        assert cells.sum(0).max(initial=0) < 2**52
+        cells = cells.astype(np.int64)
+        for t in range(1, width):
+            if t.bit_count() <= 3:
+                cells[3 - t.bit_count(), t, t] -= total[t]  # the pairs c = w
+        for k, t1, t2 in zip(*np.nonzero(cells)):
+            t1, t2, k = int(t1), int(t2), int(k)
+            # skip c or w meeting the rest in a single vertex: separable
+            if k or min(t1.bit_count(), t2.bit_count()) > 1:
+                sums[_cell_key(sh, t1, t2, k)] += int(cells[k, t1, t2])
+    return sums
+
+
+def _count_chunk(graph, slots, own, width, total, cells) -> None:
+    """Adds one run of pairs with the same overlap to cells, and their
+    candidates by type to total."""
+    tv, deg, at_start, at_tri, opposite = graph
+    # every triangle at every slot vertex, then typed by its slots and
+    # kept at its lowest one, unless it is a or b
+    s = slots.shape[1]
+    flat = slots.ravel()
+    cnt = deg[flat]
+    p, slot = np.divmod(np.repeat(np.arange(len(flat)), cnt), s)
+    c = at_tri[np.arange(len(p)) - np.repeat(np.cumsum(cnt) - cnt - at_start[flat], cnt)]
+    x = tv[c].T
+    types = np.zeros(len(c), dtype=np.int64)
+    inside = np.zeros(x.shape, dtype=bool)
+    for j in range(s):
+        hit = x == slots[p, j]
+        inside |= hit
+        types |= (hit[0] | hit[1] | hit[2]) << j
+    keep = ((types & -types) == 1 << slot) & (c != own[p, 0]) & (c != own[p, 1])
+    p, c, types, x, inside = p[keep], c[keep], types[keep], x[:, keep].T, inside[:, keep].T
+    total += np.bincount(types, minlength=width)
+    every = _gram(p, types, width)
+    outside = 3 - inside.sum(1)
+    order, rows = _rows_by(np.repeat(p, outside), x[~inside])
+    by_vertex = _gram(rows, np.repeat(types, outside)[order], width)
+    two = outside == 2
+    order, rows = _rows_by(p[two], opposite[c[two], inside[two].argmax(1)])
+    by_edge = _gram(rows, types[two][order], width)
+    cells[0] += every - by_vertex + by_edge
+    cells[1] += by_vertex - 2 * by_edge
+    cells[2] += by_edge
+
+
+def _connected_pairs(tris: Sequence[Triangle]) -> int:
+    return sum(bool(set(t) & set(u)) for t, u in itertools.combinations(tris, 2))
 
 
 @dataclass(frozen=True)
@@ -366,19 +451,21 @@ def discover_classes(triangles: Sequence[Triangle], *, budget: int = DEFAULT_BUD
     enumeration on the triangle-adjacency graph (Wernicke 2006): a set
     whose minimum index is a only grows through indices > a, and each
     candidate is offered exactly once, so every connected set appears
-    exactly once. The fourth level is counted in bulk: at each 3-set the
-    extension mask holds exactly its 4-set extensions, which are tallied
-    by popcount (see _tally_fourth). The budget bounds the running total
-    of configurations counted.
+    exactly once. At each 3-set the extension mask holds exactly its
+    4-set extensions, so the walk adds them to the configuration total
+    by popcount; the budget bounds that running total. The 4-sets
+    themselves are counted per connected pair of triangles (see
+    _count_fourth): a nonzero class's count is its cell sum divided by
+    twice the connected pairs of its representative.
     """
     if budget < 0:
         raise BadParamsError(f"budget must be >= 0, got {budget}")
-    vm, at, adjm = _triangle_masks(triangles)
+    vm, adjm = _triangle_masks(triangles)
     # fingerprint of a set of 1..3 triangles in walk order: popcounts of
     # the intersections of their vertex masks, which fix the incidence
     # patterns and hence the class (see _fp_key)
     counts: dict[tuple, int] = {}
-    fourth: dict[tuple, list[int]] = {}
+    pairs: list[int] = []
     emitted = 0
     over = f"connected configuration count exceeded budget {budget}"
 
@@ -392,6 +479,7 @@ def discover_classes(triangles: Sequence[Triangle], *, budget: int = DEFAULT_BUD
             bbit = ext1 & -ext1
             ext1 ^= bbit
             b = bbit.bit_length() - 1
+            pairs += (a, b)
             vb = vm[b]
             ab = va & vb
             fp = (2, ab.bit_count())
@@ -407,27 +495,23 @@ def discover_classes(triangles: Sequence[Triangle], *, budget: int = DEFAULT_BUD
                 ac, bc = va & vc, vb & vc
                 fp = (3, ab.bit_count(), ac.bit_count(), bc.bit_count(), (ab & vc).bit_count())
                 counts[fp] = counts.get(fp, 0) + 1
-                ext3 = ext2 | (adjm[c] & ~nb2 & gt)
-                emitted += 1 + ext3.bit_count()
+                emitted += 1 + (ext2 | (adjm[c] & ~nb2 & gt)).bit_count()
                 if emitted > budget:
                     raise BudgetExceededError(over)
-                if ext3:
-                    tab = fourth.get(fp)
-                    if tab is None:
-                        tab = fourth[fp] = [0] * 512
-                    _tally_fourth(tab, va, vb, vc, ext3, at, triangles)
     if emitted > budget:
         raise BudgetExceededError(over)
 
     class_counts: dict[tuple, int] = {}
     for fp, cnt in counts.items():
-        key = _fp_key(fp, 0)
+        key = _fp_key(fp)
         class_counts[key] = class_counts.get(key, 0) + cnt
-    for fp, tab in fourth.items():
-        for idx, cnt in enumerate(tab):
-            if cnt:
-                key = _fp_key(fp, idx)
-                class_counts[key] = class_counts.get(key, 0) + cnt
+    if pairs:
+        for key, total in _count_fourth(triangles, np.array(pairs).reshape(-1, 2)).items():
+            rec = _record_for_key(key)
+            if rec.coefficient:  # a separable class is not reached evenly; it counts zero anyway
+                count, rest = divmod(total, 2 * _connected_pairs(rec.representative))
+                assert not rest, f"uneven fourth-level sum for {key}"
+                class_counts[key] = count
 
     entries = []
     for key in sorted(class_counts):

@@ -184,6 +184,25 @@ def test_post_parse_usage_errors_print_the_command_usage(capsys, tmp_path, argv)
     assert f"\nmonoclt {argv[0]}: error: " in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,unknown",
+    [
+        (("census", "--bogus"), "--bogus"),
+        (("census", "--family", "pyramid", "--n", "3", "--budget", "5"), "--budget 5"),
+        (("verify", "--c", "3"), "--c 3"),
+    ],
+    ids=["unknown-option", "other-command-option", "verify"],
+)
+def test_unknown_arguments_print_the_command_usage(capsys, argv, unknown):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: monoclt {argv[0]} [-h]")
+    assert captured.err.endswith(f"\nmonoclt {argv[0]}: error: unrecognized arguments: {unknown}\n")
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 @pytest.mark.parametrize(
     "argv",

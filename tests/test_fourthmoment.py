@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from brute import _subset_key0, brute_class_key, brute_discover_classes, brute_t3_third_central_moment, relabeled
@@ -18,7 +19,7 @@ from monoclt.fourthmoment import (
     key_representative,
     pyramid_class_coefficient,
 )
-from monoclt.graph import FamilySpec, bipyramid_chain, complete, generate, gnp, pyramid
+from monoclt.graph import FamilySpec, bipyramid_chain, complete, disjoint_union, generate, gnp, pyramid
 from monoclt.moments import t2_mean_var, t2_moments, t3_mean_var
 from monoclt.ratpoly import evaluate
 from monoclt.sim import exact_distribution
@@ -169,60 +170,72 @@ def test_class_key_equals_the_brute_canonical_form_on_random_sets():
         assert class_key(chosen) == key == class_key(relabelled) == brute_class_key(relabelled), chosen
 
 
-def _realize_cell(tris, fp, idx):
-    """Triangles of the graph that fall in the walk cell (fp, idx): a 1..3
-    prefix whose walk-order fingerprint is fp and, for idx != 0, a fourth
-    triangle meeting the prefix union in vertices of the incidence
-    patterns packed in idx (a pair of them means its third vertex is new)."""
+def _realize_prefix(tris, fp):
+    """Triangles of the graph forming a 1..3-set whose walk-order
+    fingerprint is fp."""
     vm = [(1 << a) | (1 << b) | (1 << c) for a, b, c in tris]
-    want = sorted((idx >> 6, idx >> 3 & 7, idx & 7) if idx >> 6 else (idx >> 3, idx & 7))
     for prefix in itertools.permutations(range(len(tris)), fp[0]):
-        if _subset_key0(vm, prefix) != fp:
-            continue
-        if not idx:
+        if _subset_key0(vm, prefix) == fp:
             return [tris[i] for i in prefix]
-        for w, t in enumerate(tris):
-            if w in prefix:
-                continue
-            shared = [sum(1 << j for j, i in enumerate(prefix) if vm[i] >> v & 1) for v in t]
-            if sorted(p for p in shared if p) == want:
-                return [tris[i] for i in prefix] + [t]
-    raise AssertionError(f"no triangles realize the cell {(fp, idx)}")
+    raise AssertionError(f"no triangles realize the fingerprint {fp}")
+
+
+def _realize_cells(tris, cells):
+    """Triangles a, b, c, w of the graph realizing each fourth-level cell
+    (share, t1, t2, k): a connected pair a < b sharing `share` vertices,
+    whose union's slots are its a-only, b-only and shared vertices (each
+    ascending), and two other triangles c != w meeting the union in the
+    slots of bitmasks t1 and t2 and sharing k vertices outside it."""
+    found = {}
+    for i, j in itertools.combinations(range(len(tris)), 2):
+        a, b = set(tris[i]), set(tris[j])
+        if not a & b:
+            continue
+        slots = sorted(a - b) + sorted(b - a) + sorted(a & b)
+        others = [t for n, t in enumerate(tris) if n not in (i, j) and set(t) & (a | b)]
+        for c, w in itertools.permutations(others, 2):
+            t1, t2 = (sum(1 << n for n, v in enumerate(slots) if v in t) for t in (c, w))
+            cell = (len(a & b), t1, t2, len(set(c) & set(w) - a - b))
+            if cell in cells:
+                found.setdefault(cell, [tris[i], tris[j], c, w])
+        if len(found) == len(cells):
+            return found
+    raise AssertionError(f"no triangles realize the cells {set(cells) - set(found)}")
 
 
 @pytest.mark.parametrize("g", [complete(9), bipyramid_chain(20)], ids=["K9", "bipyramid_chain20"])
-def test_every_walk_cell_keys_like_its_concrete_triangles(g, monkeypatch):
-    cells = set()
-    fp_key = fourthmoment._fp_key
-
-    def recording(fp, idx):
-        cells.add((fp, idx))
-        return fp_key(fp, idx)
-
-    monkeypatch.setattr(fourthmoment, "_fp_key", recording)
+def test_every_cell_keys_like_its_concrete_triangles(g, monkeypatch):
+    fps, cells = set(), set()
+    fp_key, cell_key = fourthmoment._fp_key, fourthmoment._cell_key
+    monkeypatch.setattr(fourthmoment, "_fp_key", lambda fp: fps.add(fp) or fp_key(fp))
+    monkeypatch.setattr(fourthmoment, "_cell_key", lambda *cell: cells.add(cell) or cell_key(*cell))
     tris = triangle_census(g).triangles
     discover_classes(tris)
-    assert any(idx and not idx >> 6 for _, idx in cells)  # a fourth triangle with a new vertex
-    for fp, idx in cells:
-        members = _realize_cell(tris, fp, idx)
-        assert fp_key(fp, idx) == class_key(members) == brute_class_key(members), (fp, idx)
+    assert any(k for *_, k in cells)  # c and w share a vertex outside the pair
+    for fp in fps:
+        members = _realize_prefix(tris, fp)
+        assert fp_key(fp) == class_key(members) == brute_class_key(members), fp
+    for cell, members in _realize_cells(tris, cells).items():
+        assert cell_key(*cell) == class_key(members) == brute_class_key(members), cell
 
 
-def test_walk_canonicalises_each_pattern_multiset_once():
+def test_discovery_canonicalises_each_pattern_multiset_once():
     tris = triangle_census(complete(9)).triangles
-    fourthmoment._fp_key.cache_clear()
-    fourthmoment._canonical.cache_clear()
+    keyed = (fourthmoment._fp_key, fourthmoment._cell_key)
+    for f in (*keyed, fourthmoment._canonical):
+        f.cache_clear()
     first = discover_classes(tris)
-    cells = fourthmoment._fp_key.cache_info()
+    infos = [f.cache_info() for f in keyed]
     canon = fourthmoment._canonical.cache_info()
-    # every cell is keyed once, and each distinct pattern multiset is
-    # minimised over the 24 triangle orders once
-    assert canon.hits + canon.misses == cells.misses == cells.currsize
-    assert canon.misses == canon.currsize < cells.misses
-    # a second walk costs no canonicalisation at all
+    # every fingerprint and every cell is keyed once, and each distinct
+    # pattern multiset is minimised over the triangle orders once
+    assert all(info.hits == 0 and info.misses == info.currsize for info in infos)
+    assert canon.hits + canon.misses == sum(info.misses for info in infos)
+    assert canon.misses == canon.currsize < canon.hits
+    # a second discovery costs no canonicalisation at all
     assert discover_classes(tris) == first
     assert fourthmoment._canonical.cache_info() == canon
-    assert fourthmoment._fp_key.cache_info().misses == cells.misses
+    assert [f.cache_info().misses for f in keyed] == [info.misses for info in infos]
 
 
 def test_key_representative_round_trip():
@@ -309,12 +322,18 @@ def k9_brute():
     return brute_discover_classes(triangle_census(complete(9)).triangles)
 
 
+UNION = disjoint_union(complete(6), pyramid(5), bipyramid_chain(6))
+
+
 def _discovery_corpus():
     graphs = [(f"K{n}", complete(n)) for n in (7, 8)]
     graphs += [(f"composite{n}", generate(FamilySpec("composite", n=n, c=2))) for n in range(6, 13)]
+    graphs += [("composite6_c3", generate(FamilySpec("composite", n=6, c=3)))]
     graphs += [(f"gnp16_seed{s}", gnp(16, 0.45, s)) for s in range(3)]
     graphs += [(f"gnp18_seed{s}", gnp(18, 0.45, s)) for s in (0, 2, 3)]
+    graphs += [(f"gnp14_p0.6_seed{s}", gnp(14, 0.6, s)) for s in range(3)]
     graphs += [("pyramid30", pyramid(30)), ("bipyramid_chain20", bipyramid_chain(20))]
+    graphs += [("union_K6_pyramid5_chain6", UNION)]
     rng = random.Random(11)
     relabelled = []
     for name, g in graphs:
@@ -367,6 +386,49 @@ def test_k9_zero_classes_are_exactly_the_separable_ones(k9_brute):
         levels[k] += cnt
     assert levels == {1: 84, 2: 2_646, 3: 79_884, 4: 1_811_061}
     assert visited == 1_893_675
+
+
+def _nonseparable(reps):
+    return [rep for rep in reps if len(rep) == 4 and not _separable([set(t) for t in rep])]
+
+
+def test_nonseparable_sets_meet_the_union_of_every_pair(k9_brute):
+    # why the fourth level counts each such set from every connected pair
+    reps = [key_representative(key) for key in k9_brute[0]] + [QUAD_REP]
+    for rep in reps:
+        tris = [set(t) for t in rep]
+        if len(tris) < 3 or _separable(tris):
+            continue
+        for i, j in itertools.combinations(range(len(tris)), 2):
+            union = tris[i] | tris[j]
+            assert all(t & union for n, t in enumerate(tris) if n not in (i, j)), (rep, i, j)
+    assert len(_nonseparable(reps)) == 25 + 1  # K9's four-triangle classes, H16 again
+
+
+def test_fourth_level_reaches_a_set_twice_per_connected_pair(k9_brute):
+    # on its own four triangles, a non-separable set's cell sum is the
+    # divisor discover_classes takes out: both orders of (c, w) from each
+    # connected pair
+    for rep in _nonseparable([key_representative(key) for key in k9_brute[0]] + [QUAD_REP]):
+        pairs = [(i, j) for i, j in itertools.combinations(range(4), 2) if set(rep[i]) & set(rep[j])]
+        sums = fourthmoment._count_fourth(rep, np.array(pairs))
+        assert sums == {class_key(rep): 2 * len(pairs)}, rep
+        assert fourthmoment._connected_pairs(rep) == len(pairs)
+
+
+@pytest.mark.parametrize("chunk,block", [(1, 5), (1 << 20, 1 << 20)], ids=["one_pair", "2^20"])
+@pytest.mark.parametrize(
+    "g", [complete(9), generate(FamilySpec("composite", n=12, c=2)), UNION],
+    ids=["K9", "composite12", "union"],
+)
+def test_discovery_does_not_depend_on_the_chunk_bound(g, chunk, block, monkeypatch):
+    # one connected pair per pass and five rows per Gram block, or
+    # everything at once
+    tris = triangle_census(g).triangles
+    want = discover_classes(tris)
+    monkeypatch.setattr(fourthmoment, "_CHUNK", chunk)
+    monkeypatch.setattr(fourthmoment, "_BLOCK", block)
+    assert discover_classes(tris) == want
 
 
 def test_discovery_counts_on_k4():

@@ -9,7 +9,8 @@ fingerprints instead of concrete triangles; the generate, census, moments
 and bounds reports and the fourth-moment budget error before each graph
 command was declared once in the CLI's command table; the simulate report
 with atoms before post-parse usage errors were reported on the command's
-own parser. Any change of a single byte fails here; a report change on
+own parser; the disjoint-union and gnp(18, 0.6) fourth-moment reports
+before the fourth level was counted per connected pair of triangles. Any change of a single byte fails here; a report change on
 purpose must update the digest and say why in CHANGES.md."""
 
 import hashlib
@@ -61,6 +62,11 @@ FOURTH_MOMENT = {
                              "a8010915f5573c223cb8b0f592c852fbf2b33b0509c9b3613542224c118dd18e"),
     "pyramid30_c2": (("--family", "pyramid", "--n", "30", "--c", "2"),
                      "74f6cd45d89f62d9cb19b7f54c3f4f9d50413808fe1b57231eeb058134d960c9"),
+    "union_K6_pyramid5_chain6_c3": (("--family", "disjoint_union", "--parts", "complete:6", "pyramid:5",
+                                     "bipyramid_chain:6", "--c", "3"),
+                                    "1bf88eb2b3a37c89766511ac2cf9cf26bbb4fd00361aa281f6368b0ca4c15055"),
+    "gnp18_c5": (("--family", "gnp", "--n", "18", "--p", "0.6", "--graph-seed", "1", "--c", "5"),
+                 "7dd258f1f8540bb30a785e96adbd4a1a64ec08a48b1edc4fd40ed76c4aa9b5de"),
 }
 
 # generate writes the edge list; composite(8) at c = 2 is pyramid(8) plus
