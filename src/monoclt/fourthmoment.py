@@ -22,20 +22,24 @@ Moebius inversion over the set partitions of the four positions
 cliques equal to x^(|V(union)| - components(union)); see
 cumulant_coefficient.
 
-Class discovery walks the sets of 1 to 3 triangles one at a time and
-counts the 4-sets locally per connected pair of triangles: a
-non-separable 4-set is reached from each of its connected pairs as two
-further triangles meeting the pair's union, so Gram matrices of those
-triangles' counts by type, built with numpy, give every nonzero class
-count (see _count_fourth).
+Class discovery counts the connected sets without visiting them. Single
+triangles and connected pairs are counted from the triangles at each
+vertex and each edge. Sets of three and four triangles are counted per
+connected pair of triangles: the triangles meeting the pair's union are
+typed by the union vertices they contain, and numpy counts them, and
+ordered pairs of them, by type in small Gram matrices (cells). A cell
+fixes the class of its sets and which of their triangles meet, so it
+also fixes how often a set is reached: once per dominating pair, an
+adjacent pair whose two triangles between them meet all the others.
+This is counting induced shapes from local counts, as in ESCAPE (Pinar,
+Seshadhri & Vishal 2017); see _count_configurations.
 
 Class identity is decided by an exact canonical form: fixing an order of
 the k triangles, each union vertex gets a k-bit incidence pattern, and
 the multiset of patterns determines the labeled structure completely;
 minimizing over the k! <= 24 triangle orders, each a lookup table on
 patterns, gives a canonical key. Discovery never builds concrete
-triangles for this: a set's fingerprint of intersection sizes fixes its
-pattern multiset, and so does a fourth-level cell, so each class is
+triangles for this: a cell fixes its pattern multiset, so each class is
 keyed from patterns once per shape per process, however large the
 graph.
 """
@@ -206,33 +210,22 @@ def class_key(triangles: Sequence[Triangle]) -> tuple:
     return _canonical(k, tuple(sorted(sum(1 << i for i, t in enumerate(tris) if v in t) for v in verts)))
 
 
-@lru_cache(maxsize=None)
-def _fp_key(fp: tuple) -> tuple:
-    """Class key of a 1..3-set of the walk from its fingerprint fp: the
-    intersection sizes fix the Venn counts of the triangles and so their
-    pattern multiset."""
-    if fp[0] == 1:
-        venn = {1: 3}
-    elif fp[0] == 2:
-        venn = {3: fp[1], 1: 3 - fp[1], 2: 3 - fp[1]}
-    else:
-        _, ab, ac, bc, abc = fp
-        venn = {7: abc, 3: ab - abc, 5: ac - abc, 6: bc - abc,
-                1: 3 - ab - ac + abc, 2: 3 - ab - bc + abc, 4: 3 - ac - bc + abc}
-    return _canonical(fp[0], tuple(sorted(p for p, n in venn.items() for _ in range(n))))
+# the class key of a single triangle
+_ONE = (1, (1, 1, 1))
 
 
 @lru_cache(maxsize=None)
-def _cell_key(share: int, t1: int, t2: int, k: int) -> tuple:
-    """Class key of a fourth-level cell: a connected pair {a, b} sharing
-    `share` vertices, and triangles c and w meeting its union in the slots
-    of bitmasks t1 and t2 and sharing k vertices outside it. The slots
-    are the a-only vertices, then the b-only ones, then the shared ones;
-    bit 4 marks the vertices of c, bit 8 those of w."""
+def _cell_key(share: int, types: tuple[int, ...] = (), k: int = 0) -> tuple:
+    """Class key of a cell: a connected pair {a, b} sharing `share`
+    vertices, with no, one or two further triangles meeting its union in
+    the slots of the bitmasks in types, the two sharing k vertices outside
+    it. The slots are the a-only vertices, then the b-only ones, then the
+    shared ones; bit 4 marks the vertices of the first further triangle,
+    bit 8 those of the second."""
     slots = (1,) * (3 - share) + (2,) * (3 - share) + (3,) * share
-    patterns = [p | (t1 >> i & 1) << 2 | (t2 >> i & 1) << 3 for i, p in enumerate(slots)]
-    patterns += [12] * k + [4] * (3 - t1.bit_count() - k) + [8] * (3 - t2.bit_count() - k)
-    return _canonical(4, tuple(sorted(patterns)))
+    patterns = [p | sum((t >> i & 1) << 2 + j for j, t in enumerate(types)) for i, p in enumerate(slots)]
+    patterns += [12] * k + [4 << j for j, t in enumerate(types) for _ in range(3 - t.bit_count() - k)]
+    return _canonical(2 + len(types), tuple(sorted(patterns)))
 
 
 def key_representative(key: tuple) -> tuple[Triangle, ...]:
@@ -288,26 +281,46 @@ def _record_for_key(key: tuple) -> ClassRecord:
 
 
 # ---------------------------------------------------------------------------
-# enumeration of connected triangle sets
+# counting connected triangle sets per connected pair
 
 
-def _triangle_masks(triangles: Sequence[Triangle]) -> tuple[list[int], list[int]]:
-    """Bitmasks over vertices and triangle indices: each triangle's vertex
-    set, and its adjacent triangles (those sharing at least one vertex)."""
-    vm = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triangles]
-    at = [0] * (max(map(max, triangles), default=-1) + 1)
-    for i, t in enumerate(triangles):
-        for v in t:
-            at[v] |= 1 << i
-    adjm = [(at[a] | at[b] | at[c]) & ~(1 << i) for i, (a, b, c) in enumerate(triangles)]
-    return vm, adjm
-
-
-# (pair, triangle) incidences per numpy pass of the fourth level, and rows
-# per dense block of a Gram matrix: together they bound the level's arrays
-# to a few MB whatever the graph
+# incidences per numpy pass, and rows per dense block of a Gram matrix:
+# together they bound the arrays of a pass to a few MB whatever the graph
 _CHUNK = 1 << 12
 _BLOCK = 1 << 11
+
+
+def _dominating(adj):
+    """Dominating pairs of a graph on len(adj) members with adjacency
+    adj[i][j] (booleans, or boolean arrays read elementwise): adjacent
+    pairs whose two members, between them, meet every other member."""
+    count = 0
+    for i, j in itertools.combinations(range(len(adj)), 2):
+        hit = adj[i][j]
+        for o in range(len(adj)):
+            if o != i and o != j:
+                hit = hit & (adj[i][o] | adj[j][o])
+        count = count + hit
+    return count
+
+
+@lru_cache(maxsize=None)
+def _reach(share: int) -> tuple[np.ndarray, np.ndarray]:
+    """How often a set is reached through a cell of pairs sharing `share`
+    vertices: by type t of the third triangle, its dominating pairs, and
+    by cell (k, t1, t2) of the fourth level, twice those (both orders of
+    the last two). Each cell fixes which members meet: c meets a iff t1
+    holds an a-only or shared slot, and w iff they share a slot or k > 0.
+    Cells no triangle falls in (t = 0) get 1."""
+    a_only, shared = (1 << 3 - share) - 1, ((1 << share) - 1) << 6 - 2 * share
+    at_a, at_b = a_only | shared, a_only << 3 - share | shared
+    t = np.arange(1 << 6 - share)
+    ta, tb = (t & at_a) > 0, (t & at_b) > 0
+    third = _dominating([[None, True, ta], [True, None, tb], [ta, tb, None]])
+    ca, cb, wa, wb = ta[:, None], tb[:, None], ta[None, :], tb[None, :]
+    cw = ((t[:, None] & t[None, :]) > 0) | (np.arange(3)[:, None, None] > 0)
+    fourth = 2 * _dominating([[None, True, ca, wa], [True, None, cb, wb], [ca, cb, None, cw], [wa, wb, cw, None]])
+    return np.maximum(third, 1), np.maximum(fourth, 1)
 
 
 def _gram(rows: np.ndarray, types: np.ndarray, width: int) -> np.ndarray:
@@ -320,9 +333,8 @@ def _gram(rows: np.ndarray, types: np.ndarray, width: int) -> np.ndarray:
         for lo, hi in zip(cut, cut[1:]):
             if lo < hi:
                 base = rows[lo]
-                m = np.bincount((rows[lo:hi] - base) * width + types[lo:hi],
-                                minlength=(rows[hi - 1] - base + 1) * width)
-                m = m.reshape(-1, width).astype(np.float64)
+                m = np.bincount((rows[lo:hi] - base) * width + types[lo:hi], np.ones(hi - lo),
+                                (rows[hi - 1] - base + 1) * width).reshape(-1, width)
                 gram += m.T @ m
     return gram
 
@@ -336,77 +348,158 @@ def _rows_by(pair: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return order, np.cumsum(np.r_[False, joint[1:] != joint[:-1]])
 
 
-def _count_fourth(triangles: Sequence[Triangle], pairs: np.ndarray) -> Counter:
-    """Cell sums of the fourth level, by class key.
+def _runs(weights: np.ndarray, bound: int):
+    """Consecutive ranges (lo, hi) of the items, each of weight at most
+    bound in all or of a single item."""
+    cut = np.r_[0, np.cumsum(weights)]
+    lo = 0
+    while lo < len(weights):
+        hi = max(lo + 1, int(np.searchsorted(cut, cut[lo] + bound, "right")) - 1)
+        yield lo, hi
+        lo = hi
 
-    For each connected pair P = {a, b} (the rows of pairs, a < b), the
-    candidate triangles are those other than a and b meeting the union
-    U(P), typed by the bitmask of the slots of U(P) they contain (see
-    _cell_key). An ordered pair (c, w) of distinct candidates falls
-    in the cell (share, t1, t2, k), k the number of vertices c and w share
-    outside U(P); the cell fixes the class of {a, b, c, w} (_cell_key).
-    The cells are Gram matrices of candidate type counts, summed over P
-    (all pairs), over (P, x) for outside vertices x (pairs sharing x,
-    counted once per shared vertex) and over (P, xy) for outside edges
-    (pairs sharing two outside vertices).
 
-    A non-separable 4-set Q is reached from every connected pair P in Q:
-    a member missing U(P) would share two vertices with the fourth, which
-    has at most one outside U(P). So its class sums its count times 2
-    (the orders of c and w) times the connected 2-subsets of Q.
+def _at(graph, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, triangle) for every triangle at every vertex verts[i], by i."""
+    _, deg, at_start, at_tri, _ = graph
+    cnt = deg[verts]
+    i = np.repeat(np.arange(len(verts)), cnt)
+    return i, at_tri[np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt - at_start[verts], cnt)]
+
+
+def _pairs(graph, lo: int, hi: int):
+    """The connected pairs a < b with lo <= a < hi, by overlap: yields the
+    share, each pair's slots (see _cell_key) and the pairs (a, b)."""
+    tv = graph[0]
+    i, b = _at(graph, tv[lo:hi].ravel())
+    a = lo + i // 3
+    va, vb = tv[a], tv[b]
+    a_in_b = (va[:, :, None] == vb[:, None, :]).any(2)
+    # each pair once, at the first vertex of a that b contains
+    keep = (b > a) & (a_in_b.argmax(1) == i % 3)
+    a, b, va, vb, a_in_b = a[keep], b[keep], va[keep], vb[keep], a_in_b[keep]
+    b_in_a = (vb[:, :, None] == va[:, None, :]).any(2)
+    share = a_in_b.sum(1)
+    for sh in (1, 2):
+        sel = share == sh
+        slots = np.hstack([va[sel][~a_in_b[sel]].reshape(-1, 3 - sh),
+                           vb[sel][~b_in_a[sel]].reshape(-1, 3 - sh),
+                           va[sel][a_in_b[sel]].reshape(-1, sh)])
+        yield sh, slots, np.stack([a[sel], b[sel]], 1)
+
+
+def _choose_sum(counts: np.ndarray, k: int) -> int:
+    vals, mult = np.unique(counts, return_counts=True)
+    return sum(math.comb(int(v), k) * int(m) for v, m in zip(vals, mult))
+
+
+def _count_configurations(triangles: Sequence[Triangle], budget: int) -> Counter:
+    """The connected sets of 1 to 4 triangles, counted by class key; the
+    sets of 3 or 4 triangles whose class has a zero coefficient are
+    counted together under (3, ()) and (4, ()).
+
+    Single triangles are counted as given, and connected pairs by overlap
+    from the triangles at each vertex and at each edge (two distinct
+    triangles share at most an edge). Sets of 3 and 4 triangles are
+    counted per connected pair P = {a, b} (a < b): its candidates are the
+    triangles other than a and b meeting the union U(P), typed by the
+    bitmask of the slots of U(P) they contain (see _cell_key). A candidate
+    c falls in the cell (share, t) of its type, and an ordered pair (c, w)
+    of distinct candidates in the cell (share, t1, t2, k), k the number of
+    vertices c and w share outside U(P). Each cell fixes the class of
+    {a, b, c(, w)}, and which of its members meet. The fourth-level cells
+    are Gram matrices of candidate type counts, summed over P (all pairs),
+    over (P, x) for outside vertices x (pairs sharing x, counted once per
+    shared vertex) and over (P, xy) for outside edges (pairs sharing two
+    outside vertices).
+
+    A connected set is reached from each of its dominating pairs, once
+    per order of its candidates (see _reach), so a class's count is its
+    cell sum divided by that. A non-separable set has every connected
+    pair dominating: a member missing U(P) would share two vertices with
+    the fourth, which has at most one outside U(P). A class of nonzero
+    coefficient is non-separable, so no member meets the rest in a single
+    vertex, and its cells are the only ones keyed.
+
+    The budget caps the total: it is checked against sets at a common
+    vertex before any pass, and against the cells counted so far after
+    each pass of at most _CHUNK (pair, triangle) incidences.
     """
+    over = f"connected configuration count exceeded budget {budget}"
+    if not triangles:
+        return Counter()
     tv = np.sort(np.array(triangles, dtype=np.int64), axis=1)
     n = int(tv.max()) + 1
     deg = np.bincount(tv.ravel(), minlength=n)
     # each triangle's edges, numbered, opposite its vertices 0, 1 and 2
     opposite = np.unique(tv[:, [1, 0, 0]] * n + tv[:, [2, 2, 1]], return_inverse=True)[1].reshape(-1, 3)
     graph = (tv, deg, np.cumsum(deg) - deg, np.argsort(tv.ravel(), kind="stable") // 3, opposite)
-    va, vb = tv[pairs[:, 0]], tv[pairs[:, 1]]
-    a_in_b = (va[:, :, None] == vb[:, None, :]).any(2)
-    b_in_a = (vb[:, :, None] == va[:, None, :]).any(2)
-    share = a_in_b.sum(1)
+    at_edge = np.bincount(opposite.ravel())
+
+    def stars(k):  # sets of k >= 2 triangles with a common vertex
+        return _choose_sum(deg, k) - _choose_sum(at_edge, k)
+
+    pairs, edge_pairs = stars(2), _choose_sum(at_edge, 2)
+    base = len(triangles) + pairs
+    if base + stars(3) + stars(4) > budget:
+        raise BudgetExceededError(over)
+    counts = Counter({_ONE: len(triangles)})
+    for sh, cnt in ((1, pairs - edge_pairs), (2, edge_pairs)):
+        if cnt:
+            counts[_cell_key(sh)] = cnt
+
+    # cell sums by overlap: by type t of the third triangle, and by
+    # (k, t1, t2) of the other two
+    reached = {sh: (np.zeros(1 << 6 - sh, np.int64), np.zeros((3, 1 << 6 - sh, 1 << 6 - sh), np.int64))
+               for sh in (1, 2)}
+
+    def lower():  # each cell's sets, at least
+        return base + sum(int((x // d).sum()) for sh in (1, 2) for x, d in zip(reached[sh], _reach(sh)))
+
+    for lo, hi in _runs(deg[tv].sum(1), _CHUNK):
+        for sh, slots, own in _pairs(graph, lo, hi):
+            third, fourth = reached[sh]
+            for p, q in _runs(deg[slots].sum(1), _CHUNK):
+                total, cells = _count_chunk(graph, slots[p:q], own[p:q], len(third))
+                third += total
+                fourth += cells
+                if lower() > budget:
+                    raise BudgetExceededError(over)
+
     sums: Counter = Counter()
+
+    def add(level, key, div, value):
+        if key is None or not _record_for_key(key).coefficient:
+            key = (level, ())
+        sums[key, int(div)] += int(value)
+
     for sh in (1, 2):
-        sel = share == sh
-        slots = np.hstack([va[sel][~a_in_b[sel]].reshape(-1, 3 - sh),
-                           vb[sel][~b_in_a[sel]].reshape(-1, 3 - sh),
-                           va[sel][a_in_b[sel]].reshape(-1, sh)])
-        own = pairs[sel]
-        width = 1 << slots.shape[1]
-        total = np.zeros(width, dtype=np.int64)
-        cells = np.zeros((3, width, width))  # by k; float64 sums of counts
-        cut = np.r_[0, np.cumsum(deg[slots].sum(1))]  # incidences before each pair
-        lo = 0
-        while lo < len(slots):
-            hi = max(lo + 1, int(np.searchsorted(cut, cut[lo] + _CHUNK, "right")) - 1)
-            _count_chunk(graph, slots[lo:hi], own[lo:hi], width, total, cells)
-            lo = hi
-        # summed over k the cells count every ordered pair once, and no
-        # partial sum is more than twice that, so float64 was exact
-        assert cells.sum(0).max(initial=0) < 2**52
-        cells = cells.astype(np.int64)
-        for t in range(1, width):
-            if t.bit_count() <= 3:
-                cells[3 - t.bit_count(), t, t] -= total[t]  # the pairs c = w
-        for k, t1, t2 in zip(*np.nonzero(cells)):
-            t1, t2, k = int(t1), int(t2), int(k)
-            # skip c or w meeting the rest in a single vertex: separable
-            if k or min(t1.bit_count(), t2.bit_count()) > 1:
-                sums[_cell_key(sh, t1, t2, k)] += int(cells[k, t1, t2])
-    return sums
+        (third, fourth), (div3, div4) = reached[sh], _reach(sh)
+        for t in np.flatnonzero(third).tolist():
+            # c meeting a and b in a single vertex: separable
+            add(3, _cell_key(sh, (t,)) if t.bit_count() > 1 else None, div3[t], third[t])
+        for k, t1, t2 in np.argwhere(fourth).tolist():
+            # c or w meeting the rest in a single vertex: separable
+            key = _cell_key(sh, (t1, t2), k) if k or min(t1.bit_count(), t2.bit_count()) > 1 else None
+            add(4, key, div4[k, t1, t2], fourth[k, t1, t2])
+    for (key, div), total in sums.items():
+        count, rest = divmod(total, div)
+        assert not rest, f"uneven cell sum for {key}"
+        counts[key] += count
+    if sum(counts.values()) > budget:
+        raise BudgetExceededError(over)
+    return counts
 
 
-def _count_chunk(graph, slots, own, width, total, cells) -> None:
-    """Adds one run of pairs with the same overlap to cells, and their
-    candidates by type to total."""
-    tv, deg, at_start, at_tri, opposite = graph
+def _count_chunk(graph, slots, own, width) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of one run of pairs with the same overlap: candidates by
+    type, and ordered pairs of distinct candidates by (k, t1, t2)."""
+    tv, opposite = graph[0], graph[4]
     # every triangle at every slot vertex, then typed by its slots and
     # kept at its lowest one, unless it is a or b
     s = slots.shape[1]
-    flat = slots.ravel()
-    cnt = deg[flat]
-    p, slot = np.divmod(np.repeat(np.arange(len(flat)), cnt), s)
-    c = at_tri[np.arange(len(p)) - np.repeat(np.cumsum(cnt) - cnt - at_start[flat], cnt)]
+    i, c = _at(graph, slots.ravel())
+    p, slot = np.divmod(i, s)
     x = tv[c].T
     types = np.zeros(len(c), dtype=np.int64)
     inside = np.zeros(x.shape, dtype=bool)
@@ -416,7 +509,7 @@ def _count_chunk(graph, slots, own, width, total, cells) -> None:
         types |= (hit[0] | hit[1] | hit[2]) << j
     keep = ((types & -types) == 1 << slot) & (c != own[p, 0]) & (c != own[p, 1])
     p, c, types, x, inside = p[keep], c[keep], types[keep], x[:, keep].T, inside[:, keep].T
-    total += np.bincount(types, minlength=width)
+    total = np.bincount(types, minlength=width)
     every = _gram(p, types, width)
     outside = 3 - inside.sum(1)
     order, rows = _rows_by(np.repeat(p, outside), x[~inside])
@@ -424,13 +517,14 @@ def _count_chunk(graph, slots, own, width, total, cells) -> None:
     two = outside == 2
     order, rows = _rows_by(p[two], opposite[c[two], inside[two].argmax(1)])
     by_edge = _gram(rows, types[two][order], width)
-    cells[0] += every - by_vertex + by_edge
-    cells[1] += by_vertex - 2 * by_edge
-    cells[2] += by_edge
-
-
-def _connected_pairs(tris: Sequence[Triangle]) -> int:
-    return sum(bool(set(t) & set(u)) for t, u in itertools.combinations(tris, 2))
+    cells = np.stack([every - by_vertex + by_edge, by_vertex - 2 * by_edge, by_edge])
+    # summed over k the cells count every ordered pair once, and no
+    # partial sum is more than twice that, so float64 was exact
+    assert cells.sum(0).max(initial=0) < 2**52
+    cells = cells.astype(np.int64)
+    t = np.flatnonzero(total)
+    cells[3 - np.bitwise_count(t), t, t] -= total[t]  # the pairs c = w
+    return total, cells
 
 
 @dataclass(frozen=True)
@@ -447,81 +541,25 @@ def discover_classes(triangles: Sequence[Triangle], *, budget: int = DEFAULT_BUD
     """Count all connected 1..4-triangle configurations, grouped into
     canonical classes with exact counts.
 
-    Sets of 1 to 3 triangles are walked one at a time by extension
-    enumeration on the triangle-adjacency graph (Wernicke 2006): a set
-    whose minimum index is a only grows through indices > a, and each
-    candidate is offered exactly once, so every connected set appears
-    exactly once. At each 3-set the extension mask holds exactly its
-    4-set extensions, so the walk adds them to the configuration total
-    by popcount; the budget bounds that running total. The 4-sets
-    themselves are counted per connected pair of triangles (see
-    _count_fourth): a nonzero class's count is its cell sum divided by
-    twice the connected pairs of its representative.
+    No set is visited: every count comes from the triangles at each
+    vertex and edge, and from the cells of candidate triangles around
+    each connected pair (see _count_configurations). The budget bounds
+    the number of connected configurations; a graph with more is refused
+    as soon as a lower bound on that number passes it.
     """
     if budget < 0:
         raise BadParamsError(f"budget must be >= 0, got {budget}")
-    vm, adjm = _triangle_masks(triangles)
-    # fingerprint of a set of 1..3 triangles in walk order: popcounts of
-    # the intersections of their vertex masks, which fix the incidence
-    # patterns and hence the class (see _fp_key)
-    counts: dict[tuple, int] = {}
-    pairs: list[int] = []
-    emitted = 0
-    over = f"connected configuration count exceeded budget {budget}"
-
-    for a, va in enumerate(vm):
-        counts[(1,)] = counts.get((1,), 0) + 1
-        emitted += 1
-        gt = -1 << (a + 1)
-        nb1 = adjm[a] | 1 << a
-        ext1 = adjm[a] & gt
-        while ext1:
-            bbit = ext1 & -ext1
-            ext1 ^= bbit
-            b = bbit.bit_length() - 1
-            pairs += (a, b)
-            vb = vm[b]
-            ab = va & vb
-            fp = (2, ab.bit_count())
-            counts[fp] = counts.get(fp, 0) + 1
-            emitted += 1
-            nb2 = nb1 | adjm[b]
-            ext2 = ext1 | (adjm[b] & ~nb1 & gt)
-            while ext2:
-                cbit = ext2 & -ext2
-                ext2 ^= cbit
-                c = cbit.bit_length() - 1
-                vc = vm[c]
-                ac, bc = va & vc, vb & vc
-                fp = (3, ab.bit_count(), ac.bit_count(), bc.bit_count(), (ab & vc).bit_count())
-                counts[fp] = counts.get(fp, 0) + 1
-                emitted += 1 + (ext2 | (adjm[c] & ~nb2 & gt)).bit_count()
-                if emitted > budget:
-                    raise BudgetExceededError(over)
-    if emitted > budget:
-        raise BudgetExceededError(over)
-
-    class_counts: dict[tuple, int] = {}
-    for fp, cnt in counts.items():
-        key = _fp_key(fp)
-        class_counts[key] = class_counts.get(key, 0) + cnt
-    if pairs:
-        for key, total in _count_fourth(triangles, np.array(pairs).reshape(-1, 2)).items():
-            rec = _record_for_key(key)
-            if rec.coefficient:  # a separable class is not reached evenly; it counts zero anyway
-                count, rest = divmod(total, 2 * _connected_pairs(rec.representative))
-                assert not rest, f"uneven fourth-level sum for {key}"
-                class_counts[key] = count
-
+    counts = _count_configurations(triangles, budget)
     entries = []
-    for key in sorted(class_counts):
-        rec = _record_for_key(key)
-        # enumeration is over vertex-connected sets only; anything else
-        # slipping through would signal a broken walker
-        assert rec.is_connected(), f"disconnected class emitted: {key}"
-        if rec.coefficient:
-            entries.append((rec, class_counts[key]))
-    return Discovery(entries=tuple(entries), enumerated=emitted)
+    for key in sorted(counts):
+        if key[1]:  # not the zero-coefficient sets counted together
+            rec = _record_for_key(key)
+            # only connected sets are counted; anything else slipping
+            # through would signal broken counting
+            assert rec.is_connected(), f"disconnected class emitted: {key}"
+            if rec.coefficient:
+                entries.append((rec, counts[key]))
+    return Discovery(entries=tuple(entries), enumerated=sum(counts.values()))
 
 
 # ---------------------------------------------------------------------------

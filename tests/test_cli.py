@@ -379,6 +379,20 @@ def test_fourth_moment_budget_bounds_the_total(capsys, threads, budget, code):
         assert json.loads(out)["report"]["enumerated_configurations"] == 1_893_675
 
 
+@pytest.mark.parametrize("budget,code", [("504507", 1), ("504508", 0)])
+def test_fourth_moment_budget_on_composite(capsys, budget, code):
+    # composite(12) at c = 2 has 504,508 connected configurations
+    got, out, err = run_cli(
+        capsys, "fourth-moment", "--family", "composite", "--n", "12", "--c", "2", "--budget", budget,
+    )
+    assert got == code
+    if code:
+        assert out == ""
+        assert json.loads(err)["error"] == "BudgetExceededError"
+    else:
+        assert json.loads(out)["report"]["enumerated_configurations"] == 504_508
+
+
 @pytest.mark.parametrize("c", [70000, 2**32 + 1, 2**64])
 def test_simulate_more_colors_than_uint16(capsys, c):
     code, out, _ = run_cli(

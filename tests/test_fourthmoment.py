@@ -2,10 +2,9 @@ import itertools
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from brute import _subset_key0, brute_class_key, brute_discover_classes, brute_t3_third_central_moment, relabeled
+from brute import brute_class_key, brute_discover_classes, brute_t3_third_central_moment, relabeled
 from monoclt import fourthmoment
 from monoclt.census import PyramidCounts, pyramid_counts, triangle_census
 from monoclt.errors import BudgetExceededError, NoTrianglesError
@@ -170,22 +169,12 @@ def test_class_key_equals_the_brute_canonical_form_on_random_sets():
         assert class_key(chosen) == key == class_key(relabelled) == brute_class_key(relabelled), chosen
 
 
-def _realize_prefix(tris, fp):
-    """Triangles of the graph forming a 1..3-set whose walk-order
-    fingerprint is fp."""
-    vm = [(1 << a) | (1 << b) | (1 << c) for a, b, c in tris]
-    for prefix in itertools.permutations(range(len(tris)), fp[0]):
-        if _subset_key0(vm, prefix) == fp:
-            return [tris[i] for i in prefix]
-    raise AssertionError(f"no triangles realize the fingerprint {fp}")
-
-
 def _realize_cells(tris, cells):
-    """Triangles a, b, c, w of the graph realizing each fourth-level cell
-    (share, t1, t2, k): a connected pair a < b sharing `share` vertices,
-    whose union's slots are its a-only, b-only and shared vertices (each
-    ascending), and two other triangles c != w meeting the union in the
-    slots of bitmasks t1 and t2 and sharing k vertices outside it."""
+    """Triangles of the graph realizing each cell (share, types, k): a
+    connected pair a < b sharing `share` vertices, whose union's slots are
+    its a-only, b-only and shared vertices (each ascending), and no, one
+    or two other distinct triangles meeting the union in the slots of the
+    bitmasks in types, the two sharing k vertices outside it."""
     found = {}
     for i, j in itertools.combinations(range(len(tris)), 2):
         a, b = set(tris[i]), set(tris[j])
@@ -193,49 +182,51 @@ def _realize_cells(tris, cells):
             continue
         slots = sorted(a - b) + sorted(b - a) + sorted(a & b)
         others = [t for n, t in enumerate(tris) if n not in (i, j) and set(t) & (a | b)]
-        for c, w in itertools.permutations(others, 2):
-            t1, t2 = (sum(1 << n for n, v in enumerate(slots) if v in t) for t in (c, w))
-            cell = (len(a & b), t1, t2, len(set(c) & set(w) - a - b))
-            if cell in cells:
-                found.setdefault(cell, [tris[i], tris[j], c, w])
+        for r in (0, 1, 2):
+            for extra in itertools.permutations(others, r):
+                types = tuple(sum(1 << n for n, v in enumerate(slots) if v in t) for t in extra)
+                k = len(set(extra[0]) & set(extra[1]) - a - b) if r == 2 else 0
+                if (len(a & b), types, k) in cells:
+                    found.setdefault((len(a & b), types, k), [tris[i], tris[j], *extra])
         if len(found) == len(cells):
             return found
     raise AssertionError(f"no triangles realize the cells {set(cells) - set(found)}")
 
 
-@pytest.mark.parametrize("g", [complete(9), bipyramid_chain(20)], ids=["K9", "bipyramid_chain20"])
-def test_every_cell_keys_like_its_concrete_triangles(g, monkeypatch):
-    fps, cells = set(), set()
-    fp_key, cell_key = fourthmoment._fp_key, fourthmoment._cell_key
-    monkeypatch.setattr(fourthmoment, "_fp_key", lambda fp: fps.add(fp) or fp_key(fp))
-    monkeypatch.setattr(fourthmoment, "_cell_key", lambda *cell: cells.add(cell) or cell_key(*cell))
+# the chain keys no cell of three triangles: a triangle meeting a
+# connected pair's union in one vertex makes the three separable
+@pytest.mark.parametrize("g,sizes", [(complete(9), {2, 3, 4}), (bipyramid_chain(20), {2, 4})],
+                         ids=["K9", "bipyramid_chain20"])
+def test_every_cell_keys_like_its_concrete_triangles(g, sizes, monkeypatch):
+    cells = set()
+    cell_key = fourthmoment._cell_key
+    monkeypatch.setattr(fourthmoment, "_cell_key",
+                        lambda share, types=(), k=0: cells.add((share, types, k)) or cell_key(share, types, k))
     tris = triangle_census(g).triangles
     discover_classes(tris)
-    assert any(k for *_, k in cells)  # c and w share a vertex outside the pair
-    for fp in fps:
-        members = _realize_prefix(tris, fp)
-        assert fp_key(fp) == class_key(members) == brute_class_key(members), fp
+    # cells of 2, 3 and 4 triangles, and c and w sharing a vertex outside the pair
+    assert {2 + len(types) for _, types, _ in cells} == sizes
+    assert any(k for *_, k in cells)
     for cell, members in _realize_cells(tris, cells).items():
         assert cell_key(*cell) == class_key(members) == brute_class_key(members), cell
 
 
 def test_discovery_canonicalises_each_pattern_multiset_once():
     tris = triangle_census(complete(9)).triangles
-    keyed = (fourthmoment._fp_key, fourthmoment._cell_key)
-    for f in (*keyed, fourthmoment._canonical):
+    for f in (fourthmoment._cell_key, fourthmoment._canonical):
         f.cache_clear()
     first = discover_classes(tris)
-    infos = [f.cache_info() for f in keyed]
+    info = fourthmoment._cell_key.cache_info()
     canon = fourthmoment._canonical.cache_info()
-    # every fingerprint and every cell is keyed once, and each distinct
+    # every cell of 2, 3 or 4 triangles is keyed once, and each distinct
     # pattern multiset is minimised over the triangle orders once
-    assert all(info.hits == 0 and info.misses == info.currsize for info in infos)
-    assert canon.hits + canon.misses == sum(info.misses for info in infos)
+    assert info.hits == 0 and info.misses == info.currsize
+    assert canon.hits + canon.misses == info.misses
     assert canon.misses == canon.currsize < canon.hits
     # a second discovery costs no canonicalisation at all
     assert discover_classes(tris) == first
     assert fourthmoment._canonical.cache_info() == canon
-    assert [f.cache_info().misses for f in keyed] == [info.misses for info in infos]
+    assert fourthmoment._cell_key.cache_info().misses == info.misses
 
 
 def test_key_representative_round_trip():
@@ -406,14 +397,95 @@ def test_nonseparable_sets_meet_the_union_of_every_pair(k9_brute):
 
 
 def test_fourth_level_reaches_a_set_twice_per_connected_pair(k9_brute):
-    # on its own four triangles, a non-separable set's cell sum is the
-    # divisor discover_classes takes out: both orders of (c, w) from each
-    # connected pair
+    # every connected pair of a non-separable set dominates it, so its
+    # cells sum to twice its connected pairs (both orders of c and w):
+    # counted on its own four triangles, the set is found exactly once
     for rep in _nonseparable([key_representative(key) for key in k9_brute[0]] + [QUAD_REP]):
-        pairs = [(i, j) for i, j in itertools.combinations(range(4), 2) if set(rep[i]) & set(rep[j])]
-        sums = fourthmoment._count_fourth(rep, np.array(pairs))
-        assert sums == {class_key(rep): 2 * len(pairs)}, rep
-        assert fourthmoment._connected_pairs(rep) == len(pairs)
+        adj = [[bool(set(t) & set(u)) for u in rep] for t in rep]
+        assert fourthmoment._dominating(adj) == sum(adj[i][j] for i, j in itertools.combinations(range(4), 2))
+        counts = fourthmoment._count_configurations(rep, 100)
+        assert counts[class_key(rep)] == 1, rep
+        assert sum(cnt for (k, _), cnt in counts.items() if k == 4) == 1, rep
+
+
+# dominating pairs of each connected graph on 3 and 4 members, by its
+# sorted degrees: path and triangle; P4, star, C4, paw, diamond and K4
+DOMINATING = {(1, 1, 2): 2, (2, 2, 2): 3,
+              (1, 1, 2, 2): 1, (1, 1, 1, 3): 3, (2, 2, 2, 2): 4, (1, 2, 2, 3): 3, (2, 2, 3, 3): 5, (3, 3, 3, 3): 6}
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_dominating_pairs_of_every_connected_graph(m):
+    # a connected set of m triangles is reached from each adjacent pair
+    # whose two members, between them, meet every other member
+    shapes = set()
+    pairs = list(itertools.combinations(range(m), 2))
+    for mask in range(1 << len(pairs)):
+        edges = {pairs[i] for i in range(len(pairs)) if mask >> i & 1}
+        adj = [[(min(i, j), max(i, j)) in edges for j in range(m)] for i in range(m)]
+        reach, grown = {0}, True
+        while grown:
+            new = {j for i in reach for j in range(m) if adj[i][j]} | reach
+            grown, reach = new != reach, new
+        if len(reach) < m:
+            continue
+        brute = sum(all(adj[i][o] or adj[j][o] for o in range(m) if o not in (i, j)) for i, j in edges)
+        shape = tuple(sorted(sum(row) for row in adj))
+        shapes.add(shape)
+        assert brute == fourthmoment._dominating(adj) == DOMINATING[shape], edges
+    assert shapes == {shape for shape in DOMINATING if len(shape) == m}
+
+
+def test_k9_configurations_per_level():
+    counts = fourthmoment._count_configurations(triangle_census(complete(9)).triangles, 10**7)
+    levels = {k: 0 for k in (1, 2, 3, 4)}
+    for (k, _), cnt in counts.items():
+        levels[k] += cnt
+    assert levels == {1: 84, 2: 2_646, 3: 79_884, 4: 1_811_061}
+
+
+def _count_passes(monkeypatch):
+    passes = []
+    count_chunk = fourthmoment._count_chunk
+    monkeypatch.setattr(fourthmoment, "_count_chunk", lambda *a: passes.append(1) or count_chunk(*a))
+    return passes
+
+
+def test_budget_is_the_exact_configuration_count():
+    tris = triangle_census(generate(FamilySpec("composite", n=12, c=2))).triangles
+    with pytest.raises(BudgetExceededError):
+        discover_classes(tris, budget=504_507)
+    assert discover_classes(tris, budget=504_508).enumerated == 504_508
+
+
+def test_budget_below_the_sets_at_a_vertex_runs_no_pass(monkeypatch):
+    # K9: 84 triangles and 2,646 connected pairs; with the sets of three
+    # and four triangles at a common vertex, 213,969 configurations
+    monkeypatch.setattr(fourthmoment, "_count_chunk", lambda *a: pytest.fail("a pass ran"))
+    tris = triangle_census(complete(9)).triangles
+    for budget in (2_729, 2_730, 213_968):
+        with pytest.raises(BudgetExceededError):
+            discover_classes(tris, budget=budget)
+
+
+def test_budget_stops_the_passes_early(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    tris = triangle_census(complete(9)).triangles
+    assert discover_classes(tris, budget=1_893_675).enumerated == 1_893_675
+    every = len(passes)
+    passes.clear()
+    with pytest.raises(BudgetExceededError):
+        discover_classes(tris, budget=1_000_000)
+    assert 0 < len(passes) < every * 3 // 4
+
+
+def test_budget_refuses_k20_before_any_pass(monkeypatch):
+    # K20's sets of four triangles at a common vertex alone pass the
+    # default budget three times over
+    passes = _count_passes(monkeypatch)
+    with pytest.raises(BudgetExceededError):
+        discover_classes(triangle_census(complete(20)).triangles)
+    assert passes == []
 
 
 @pytest.mark.parametrize("chunk,block", [(1, 5), (1 << 20, 1 << 20)], ids=["one_pair", "2^20"])

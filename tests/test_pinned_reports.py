@@ -10,8 +10,11 @@ and bounds reports and the fourth-moment budget error before each graph
 command was declared once in the CLI's command table; the simulate report
 with atoms before post-parse usage errors were reported on the command's
 own parser; the disjoint-union and gnp(18, 0.6) fourth-moment reports
-before the fourth level was counted per connected pair of triangles. Any change of a single byte fails here; a report change on
-purpose must update the digest and say why in CHANGES.md."""
+before the fourth level was counted per connected pair of triangles; the
+gnp(24, 0.4) report and the K20 and K30 budget errors before the levels
+below it were counted from the same per-pair cells. Any change of a
+single byte fails here; a report change on purpose must update the
+digest and say why in CHANGES.md."""
 
 import hashlib
 
@@ -67,6 +70,9 @@ FOURTH_MOMENT = {
                                     "1bf88eb2b3a37c89766511ac2cf9cf26bbb4fd00361aa281f6368b0ca4c15055"),
     "gnp18_c5": (("--family", "gnp", "--n", "18", "--p", "0.6", "--graph-seed", "1", "--c", "5"),
                  "7dd258f1f8540bb30a785e96adbd4a1a64ec08a48b1edc4fd40ed76c4aa9b5de"),
+    # 3,759,715 configurations, twice K9's
+    "gnp24_c3": (("--family", "gnp", "--n", "24", "--p", "0.4", "--graph-seed", "1", "--c", "3"),
+                 "0de33ccd329c1cbf23db43c4eb69335114e7ab22b64437b3b261329b1affee77"),
 }
 
 # generate writes the edge list; composite(8) at c = 2 is pyramid(8) plus
@@ -104,11 +110,18 @@ ATOMS = (
     "c30a955e9b591446fd176b3169c81f93a17ec70e921db1d1b5781cb6fdeff50b",
 )
 
-# the JSON domain error on stderr, with every input echoed
+# the JSON domain error on stderr, with every input echoed; K20 and K30
+# pass the default budget many times over
 BUDGET_ERROR = (
     ("fourth-moment", "--family", "complete", "--n", "9", "--c", "5", "--budget", "0", "--threads", "2"),
     "9e7dd1e858c08fa240629cfeb6d07ffb3bba74de7e0e5a9c20de353a09db21c2",
 )
+BUDGET_ERRORS = {
+    "K20": (("fourth-moment", "--family", "complete", "--n", "20", "--c", "3", "--threads", "2"),
+            "ff1a5932edd74d5b5f3d82deb742d41bed704ec32979bcac146a45ba2b42357a"),
+    "K30": (("fourth-moment", "--family", "complete", "--n", "30", "--c", "3", "--threads", "2"),
+            "14519c71171d99ae5f8ab6c45881ecf951f08ebc26a70b09dbd7a00bba52c55f"),
+}
 
 
 def _sha(data: bytes) -> str:
@@ -184,6 +197,15 @@ def test_simulate_atoms_report_bytes_pinned(capsysbinary):
 
 def test_fourth_moment_budget_error_bytes_pinned(capsysbinary):
     argv, digest = BUDGET_ERROR
+    assert run(list(argv)) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert _sha(captured.err) == digest
+
+
+@pytest.mark.parametrize("case", list(BUDGET_ERRORS))
+def test_fourth_moment_default_budget_error_bytes_pinned(capsysbinary, case):
+    argv, digest = BUDGET_ERRORS[case]
     assert run(list(argv)) == 1
     captured = capsysbinary.readouterr()
     assert captured.out == b""
