@@ -22,17 +22,22 @@ Moebius inversion over the set partitions of the four positions
 cliques equal to x^(|V(union)| - components(union)); see
 cumulant_coefficient.
 
-Class discovery counts the connected sets without visiting them. Single
-triangles and connected pairs are counted from the triangles at each
-vertex and each edge. Sets of three and four triangles are counted per
-connected pair of triangles: the triangles meeting the pair's union are
-typed by the union vertices they contain, and numpy counts them, and
-ordered pairs of them, by type in small Gram matrices (cells). A cell
-fixes the class of its sets and which of their triangles meet, so it
-also fixes how often a set is reached: once per dominating pair, an
-adjacent pair whose two triangles between them meet all the others.
-This is counting induced shapes from local counts, as in ESCAPE (Pinar,
-Seshadhri & Vishal 2017); see _count_configurations.
+Class discovery counts the connected sets without visiting them, and
+keys only those whose class has a nonzero coefficient (see
+_count_configurations):
+
+- the connected sets of each size, which the budget caps, are the
+  connected induced subgraphs of the triangles' intersection graph, got
+  from its graphlet counts as in ESCAPE (Pinar, Seshadhri & Vishal 2017);
+- a nonzero class of three or four triangles but two has a connected
+  pair whose union holds two or more vertices of every other member.
+  Per connected pair, the triangles holding two vertices of its union,
+  gathered from the edges between them, are typed by the union vertices
+  they contain, and numpy counts them, and ordered pairs of them, by
+  type in small Gram matrices (cells). A cell fixes the class of its
+  sets, whose count is the cell sum over the class's qualifying pairs;
+- the other two are triangles on the four edges of a 4-cycle, counted
+  per 4-cycle listed in degree order (Chiba & Nishizeki 1985).
 
 Class identity is decided by an exact canonical form: fixing an order of
 the k triangles, each union vertex gets a k-bit incidence pattern, and
@@ -52,7 +57,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -281,46 +286,217 @@ def _record_for_key(key: tuple) -> ClassRecord:
 
 
 # ---------------------------------------------------------------------------
-# counting connected triangle sets per connected pair
+# counting connected triangle sets
 
 
-# incidences per numpy pass, and rows per dense block of a Gram matrix:
+# elements per numpy pass, and rows per dense block of a Gram matrix:
 # together they bound the arrays of a pass to a few MB whatever the graph
 _CHUNK = 1 << 12
 _BLOCK = 1 << 11
 
-
-def _dominating(adj):
-    """Dominating pairs of a graph on len(adj) members with adjacency
-    adj[i][j] (booleans, or boolean arrays read elementwise): adjacent
-    pairs whose two members, between them, meet every other member."""
-    count = 0
-    for i, j in itertools.combinations(range(len(adj)), 2):
-        hit = adj[i][j]
-        for o in range(len(adj)):
-            if o != i and o != j:
-                hit = hit & (adj[i][o] | adj[j][o])
-        count = count + hit
-    return count
+# the two classes no pair reaches: triangles on the four edges of a 4-cycle
+# with four distinct third vertices, and with the last two equal
+_CYCLE8 = class_key([(0, 1, 4), (1, 2, 5), (2, 3, 6), (3, 0, 7)])
+_CYCLE7 = class_key([(0, 1, 4), (1, 2, 5), (2, 3, 6), (3, 0, 6)])
 
 
-@lru_cache(maxsize=None)
-def _reach(share: int) -> tuple[np.ndarray, np.ndarray]:
-    """How often a set is reached through a cell of pairs sharing `share`
-    vertices: by type t of the third triangle, its dominating pairs, and
-    by cell (k, t1, t2) of the fourth level, twice those (both orders of
-    the last two). Each cell fixes which members meet: c meets a iff t1
-    holds an a-only or shared slot, and w iff they share a slot or k > 0.
-    Cells no triangle falls in (t = 0) get 1."""
-    a_only, shared = (1 << 3 - share) - 1, ((1 << share) - 1) << 6 - 2 * share
-    at_a, at_b = a_only | shared, a_only << 3 - share | shared
-    t = np.arange(1 << 6 - share)
-    ta, tb = (t & at_a) > 0, (t & at_b) > 0
-    third = _dominating([[None, True, ta], [True, None, tb], [ta, tb, None]])
-    ca, cb, wa, wb = ta[:, None], tb[:, None], ta[None, :], tb[None, :]
-    cw = ((t[:, None] & t[None, :]) > 0) | (np.arange(3)[:, None, None] > 0)
-    fourth = 2 * _dominating([[None, True, ca, wa], [True, None, cb, wb], [ca, cb, None, cw], [wa, wb, cw, None]])
-    return np.maximum(third, 1), np.maximum(fourth, 1)
+class _Index(NamedTuple):
+    """The triangles of a graph on n vertices as rows of ascending
+    vertices, listed at each vertex and on each edge they cover (start,
+    count and the triangles in order), with those edges as ascending keys
+    u * n + v, u < v."""
+
+    tv: np.ndarray
+    n: int
+    at_start: np.ndarray
+    at_count: np.ndarray
+    at_tri: np.ndarray
+    edges: np.ndarray
+    on_start: np.ndarray
+    on_count: np.ndarray
+    on_tri: np.ndarray
+
+
+def _index(triangles: Sequence[Triangle]) -> _Index:
+    tv = np.sort(np.array(triangles, dtype=np.int64), axis=1)
+    n = int(tv.max()) + 1
+    edges, edge = np.unique(tv[:, [0, 0, 1]] * n + tv[:, [1, 2, 2]], return_inverse=True)
+    edge = edge.reshape(-1)
+    at, on = np.bincount(tv.ravel(), minlength=n), np.bincount(edge, minlength=len(edges))
+    return _Index(tv, n, np.cumsum(at) - at, at, np.argsort(tv.ravel(), kind="stable") // 3,
+                  edges, np.cumsum(on) - on, on, np.argsort(edge, kind="stable") // 3)
+
+
+def _expand(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, position) for the count[i] positions from start[i], by i."""
+    i = np.repeat(np.arange(len(count)), count)
+    return i, np.arange(len(i)) - np.repeat(np.cumsum(count) - count - start, count)
+
+
+def _edge_ids(index: _Index, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The ids of the edges uv, or -1 where no triangle covers uv."""
+    key = np.minimum(u, v) * index.n + np.maximum(u, v)
+    e = np.minimum(np.searchsorted(index.edges, key), len(index.edges) - 1)
+    return np.where(index.edges[e] == key, e, -1)
+
+
+def _runs(weights: np.ndarray, bound: int):
+    """Consecutive ranges (lo, hi) of the items, each of weight at most
+    bound in all or of a single item."""
+    cut = np.r_[0, np.cumsum(weights)]
+    lo = 0
+    while lo < len(weights):
+        hi = max(lo + 1, int(np.searchsorted(cut, cut[lo] + bound, "right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
+def _choose_sum(counts: np.ndarray, k: int) -> int:
+    mult = np.bincount(counts)
+    return sum(math.comb(v, k) * int(mult[v]) for v in np.flatnonzero(mult).tolist())
+
+
+def _exact_sum(values: np.ndarray) -> int:
+    """The sum of nonnegative int64 values, asserted free of overflow."""
+    assert values.max(initial=0) <= (2**63 - 1) // max(len(values), 1)
+    return int(values.sum())
+
+
+def _pairs(index: _Index):
+    """The connected pairs a < b of triangles, as arrays a and b, a run of
+    triangles a at a time."""
+    tv = index.tv
+    for lo, hi in _runs(index.at_count[tv].sum(1), _CHUNK):
+        verts = tv[lo:hi].ravel()
+        i, pos = _expand(index.at_start[verts], index.at_count[verts])
+        a, b = lo + i // 3, index.at_tri[pos]
+        a_in_b = (tv[a][:, :, None] == tv[b][:, None, :]).any(2)
+        # each pair once, at the first vertex of a that b contains
+        keep = (b > a) & (a_in_b.argmax(1) == i % 3)
+        yield a[keep], b[keep]
+
+
+def _connected_sets(index: _Index) -> tuple[int, int, int, int]:
+    """The connected sets of 1, 2, 3 and 4 triangles.
+
+    They are the connected induced subgraphs of H, the graph with a node
+    per triangle and an edge per connected pair, so they follow from
+    graphlet counts of H (ESCAPE: Pinar, Seshadhri & Vishal 2017). Three
+    nodes: the wedges, less twice the triangles T. Four: the induced
+    counts of the six connected graphlets, got from the non-induced
+    counts of 3-stars, 3-paths, tailed triangles, 4-cycles, diamonds and
+    K4s by inverting the table of copies of each in the others.
+
+    H is relabelled by (degree, id) and each edge runs up from its lower
+    end (Chiba & Nishizeki 1985). A node u with k upper neighbours holds
+    the triangles and K4s of H whose lowest node it is, as the edges and
+    triangles of the k x k adjacency B among those neighbours; nodes of
+    equal k are stacked a run at a time. A 4-cycle is charged to its top
+    node u, as a pair of wedges u - v - w with v and w below u. A pass
+    holds about _CHUNK entries, or those of one node, and the sums are
+    exact integers.
+    """
+    tv = index.tv
+    n1 = len(tv)
+    # a triangle meets the others at its vertices, twice those on its edges
+    deg = index.at_count[tv].sum(1) - index.on_count[_edge_ids(index, tv[:, [0, 0, 1]], tv[:, [1, 2, 2]])].sum(1)
+    m = int(deg.sum()) // 2
+    order = np.lexsort((np.arange(n1), deg))
+    rank = np.empty(n1, np.int64)
+    rank[order] = np.arange(n1)
+    deg = deg[order]
+    # each edge as lo * n1 + hi, up from its lower end, ascending
+    key = np.empty(m, np.int64)
+    filled = 0
+    for a, b in _pairs(index):
+        a, b = rank[a], rank[b]
+        key[filled:filled + len(a)] = np.minimum(a, b) * n1 + np.maximum(a, b)
+        filled += len(a)
+    assert filled == m
+    key.sort()
+    up_start = np.searchsorted(key, np.arange(n1 + 1) * n1)
+    ups = np.diff(up_start)
+    downs = deg - ups
+    down_start = np.cumsum(downs) - downs
+    # the lower end of each edge, by upper end
+    mid = key % n1
+    mid *= n1
+    mid += key // n1
+    mid.sort()
+    mid %= n1
+
+    # a 4-cycle is charged to its top node u, as two wedges u - v - w with
+    # v and w below u: w is any neighbour of v below v, or one above v and
+    # below u (up_to of them); deg[v] bounds both together. The same pass
+    # sums (d_u - 1)(d_v - 1) over the edges for the 3-paths.
+    c4 = path = 0
+    bound = np.zeros(n1, np.int64)
+    bound[downs > 0] = np.add.reduceat(deg[mid], down_start[downs > 0])
+    for a, b in _runs(bound, _CHUNK):
+        lo, hi = down_start[a], down_start[b - 1] + downs[b - 1]
+        # a pass of one top takes its edges a piece at a time, tallying
+        # the wedges by bottom node
+        single = b - a == 1
+        tally = np.zeros(a if single else 0, np.int64)
+        for p, q in _runs(deg[mid[lo:hi]], _CHUNK) if single else [(0, hi - lo)]:
+            v = mid[lo + p:lo + q]
+            u = np.repeat(np.arange(a, b), downs[a:b])[p:q]
+            path += _exact_sum((deg[u] - 1) * (deg[v] - 1))
+            up_to = np.searchsorted(key, v * n1 + u) - up_start[v]
+            i, below = _expand(down_start[v], downs[v])
+            j, above = _expand(up_start[v], up_to)
+            ends = np.r_[u[i] * n1 + mid[below], u[j] * n1 + key[above] % n1]
+            if single:
+                np.add.at(tally, ends % n1, 1)
+            else:
+                ends.sort()
+                wedges = np.diff(np.flatnonzero(np.r_[True, ends[1:] != ends[:-1], True]))
+                c4 += _exact_sum(wedges * (wedges - 1) // 2)
+        c4 += _exact_sum(tally * (tally - 1) // 2)
+    del mid, bound
+
+    te = np.zeros(m, np.int64)  # the triangles of H on each edge
+    at = np.zeros(n1, np.int64)  # and at each node
+    tri = k4 = 0
+    by_ups = np.argsort(ups, kind="stable")
+    cut = np.searchsorted(ups[by_ups], np.arange(ups.max(initial=0) + 2))
+    for k in range(2, len(cut) - 1):
+        nodes = by_ups[cut[k]:cut[k + 1]]
+        r, uv = _expand(up_start[nodes], ups[nodes])
+        gather = np.bincount(r, ups[key[uv] % n1], len(nodes)).astype(np.int64)
+        for a, b in _runs(k * k + gather, _CHUNK):
+            u = nodes[a:b]
+            # the edges (u, v) up from these nodes, then the edges (v, w)
+            # up from those, kept where (u, w) is an edge too
+            r, uv = _expand(up_start[u], ups[u])
+            v = key[uv] % n1
+            f, vw = _expand(up_start[v], ups[v])
+            w_key = u[r[f]] * n1 + key[vw] % n1
+            uw = np.minimum(np.searchsorted(key, w_key), m - 1)
+            hit = key[uw] == w_key
+            f, vw, uw = f[hit], vw[hit], uw[hit]
+            start = up_start[u][r]
+            B = np.zeros((len(u), k, k))
+            B[r[f], uv[f] - start[f], uw - start[f]] = 1
+            tri += len(f)
+            np.add.at(te, vw, 1)
+            te[uv] += (B.sum(1) + B.sum(2))[r, uv - start].astype(np.int64)
+            for ends in (u[r[f]], v[f], key[vw] % n1):
+                np.add.at(at, ends, 1)
+            cliques = (B @ B * B).sum()
+            # at most k^3 per node and a few thousand nodes: float64 was exact
+            assert cliques < 2**52
+            k4 += int(cliques)
+
+    three = _choose_sum(deg, 2) - 2 * tri
+    diamond = _choose_sum(te, 2) - 6 * k4
+    cycle = c4 - diamond - 3 * k4
+    paw = _exact_sum(at * (deg - 2)) - 4 * diamond - 12 * k4
+    path -= 3 * tri + 2 * paw + 4 * cycle + 6 * diamond + 12 * k4
+    star = _choose_sum(deg, 3) - paw - 2 * diamond - 4 * k4
+    induced = (star, path, paw, cycle, diamond, k4)
+    assert min(induced) >= 0, induced
+    return n1, m, three, sum(induced)
 
 
 def _gram(rows: np.ndarray, types: np.ndarray, width: int) -> np.ndarray:
@@ -345,186 +521,265 @@ def _rows_by(pair: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     joint = pair * (int(key.max(initial=0)) + 1) + key
     order = np.argsort(joint)
     joint = joint[order]
-    return order, np.cumsum(np.r_[False, joint[1:] != joint[:-1]])
+    rows = np.zeros(len(joint), np.int64)
+    rows[1:] = np.cumsum(joint[1:] != joint[:-1])
+    return order, rows
 
 
-def _runs(weights: np.ndarray, bound: int):
-    """Consecutive ranges (lo, hi) of the items, each of weight at most
-    bound in all or of a single item."""
-    cut = np.r_[0, np.cumsum(weights)]
-    lo = 0
-    while lo < len(weights):
-        hi = max(lo + 1, int(np.searchsorted(cut, cut[lo] + bound, "right")) - 1)
-        yield lo, hi
-        lo = hi
-
-
-def _at(graph, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(i, triangle) for every triangle at every vertex verts[i], by i."""
-    _, deg, at_start, at_tri, _ = graph
-    cnt = deg[verts]
-    i = np.repeat(np.arange(len(verts)), cnt)
-    return i, at_tri[np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt - at_start[verts], cnt)]
-
-
-def _pairs(graph, lo: int, hi: int):
-    """The connected pairs a < b with lo <= a < hi, by overlap: yields the
-    share, each pair's slots (see _cell_key) and the pairs (a, b)."""
-    tv = graph[0]
-    i, b = _at(graph, tv[lo:hi].ravel())
-    a = lo + i // 3
-    va, vb = tv[a], tv[b]
+def _slots(tv: np.ndarray, own: np.ndarray, sh: int) -> np.ndarray:
+    """The slots of each pair (a, b) sharing sh vertices: its a-only
+    vertices, then its b-only ones, then the shared ones (see _cell_key)."""
+    va, vb = tv[own[:, 0]], tv[own[:, 1]]
     a_in_b = (va[:, :, None] == vb[:, None, :]).any(2)
-    # each pair once, at the first vertex of a that b contains
-    keep = (b > a) & (a_in_b.argmax(1) == i % 3)
-    a, b, va, vb, a_in_b = a[keep], b[keep], va[keep], vb[keep], a_in_b[keep]
     b_in_a = (vb[:, :, None] == va[:, None, :]).any(2)
-    share = a_in_b.sum(1)
-    for sh in (1, 2):
-        sel = share == sh
-        slots = np.hstack([va[sel][~a_in_b[sel]].reshape(-1, 3 - sh),
-                           vb[sel][~b_in_a[sel]].reshape(-1, 3 - sh),
-                           va[sel][a_in_b[sel]].reshape(-1, sh)])
-        yield sh, slots, np.stack([a[sel], b[sel]], 1)
+    return np.hstack([va[~a_in_b].reshape(-1, 3 - sh), vb[~b_in_a].reshape(-1, 3 - sh),
+                      va[a_in_b].reshape(-1, sh)])
 
 
-def _choose_sum(counts: np.ndarray, k: int) -> int:
-    vals, mult = np.unique(counts, return_counts=True)
-    return sum(math.comb(int(v), k) * int(m) for v, m in zip(vals, mult))
+def _cells(index: _Index) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The cells of the connected pairs, summed over them by the number of
+    vertices they share: third triangles by type, and ordered pairs of
+    them by (k, t1, t2). A run of pairs at a time finds the edges between
+    their slots, then passes of at most _CHUNK triangles on those edges
+    are counted."""
+    tv = index.tv
+    cells = {sh: (np.zeros(1 << 6 - sh, np.int64), np.zeros((2, 1 << 6 - sh, 1 << 6 - sh), np.int64))
+             for sh in (1, 2)}
+    for a, b in _pairs(index):
+        share = (tv[a][:, :, None] == tv[b][:, None, :]).any(2).sum(1)
+        for sh, (third, fourth) in cells.items():
+            own = np.stack([a[share == sh], b[share == sh]], 1)
+            slots = _slots(tv, own, sh)
+            first, second = np.triu_indices(6 - sh, 1)
+            eid = _edge_ids(index, slots[:, first], slots[:, second])
+            for p, q in _runs(np.where(eid < 0, 0, index.on_count[eid]).sum(1), _CHUNK):
+                total, counted = _count_chunk(index, slots[p:q], own[p:q], eid[p:q])
+                third += total
+                fourth += counted
+    return cells
+
+
+def _count_chunk(index: _Index, slots: np.ndarray, own: np.ndarray,
+                 eid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of one run of pairs with the same overlap, given the ids
+    of the edges between their slots (eid, one column per two slots, -1
+    where there is none): candidates by type, and ordered pairs of
+    distinct candidates by (k, t1, t2)."""
+    s = slots.shape[1]
+    width = 1 << s
+    first, second = np.triu_indices(s, 1)
+    # every triangle on an edge between two slots but a and b, typed by
+    # its slots; one inside U(P) is on three such edges, and is kept at
+    # the one between its lowest two slots
+    p, col = np.nonzero(eid >= 0)
+    i, pos = _expand(index.on_start[eid[p, col]], index.on_count[eid[p, col]])
+    p, col, c = p[i], col[i], index.on_tri[pos]
+    x = index.tv[c].sum(1) - slots[p, first[col]] - slots[p, second[col]]
+    slot = np.argmax(slots[p] == x[:, None], 1)
+    inside = slots[p, slot] == x
+    keep = (c != own[p, 0]) & (c != own[p, 1]) & (~inside | (slot > second[col]))
+    p, x, inside = p[keep], x[keep], inside[keep]
+    types = (1 << first[col[keep]]) | (1 << second[col[keep]]) | np.where(inside, 1 << slot[keep], 0)
+    total = np.bincount(types, minlength=width)
+    every = _gram(p, types, width)
+    # c and w share a vertex outside U(P) when it is the third vertex of both
+    out = ~inside
+    order, rows = _rows_by(p[out], x[out])
+    shared = _gram(rows, types[out][order], width)
+    # every counts each ordered pair once, and no partial sum is more:
+    # float64 was exact
+    assert every.max(initial=0) < 2**52
+    cells = np.stack([every - shared, shared]).astype(np.int64)
+    # less the pairs c = w: k = 0 inside U(P), 1 outside it
+    cells[0] -= np.diag(np.bincount(types[inside], minlength=width))
+    cells[1] -= np.diag(np.bincount(types[out], minlength=width))
+    return total, cells
+
+
+@lru_cache(maxsize=None)
+def _divisor(key: tuple) -> int:
+    """How often the cells reach a set of the class: once per qualifying
+    pair, a connected pair whose union holds at least two vertices of
+    every other member, and for four triangles once per order of the
+    other two."""
+    rep = [set(t) for t in key_representative(key)]
+    pairs = sum(
+        bool(rep[i] & rep[j])
+        and all(len(t & (rep[i] | rep[j])) >= 2 for o, t in enumerate(rep) if o not in (i, j))
+        for i, j in itertools.combinations(range(len(rep)), 2)
+    )
+    return pairs * math.factorial(len(rep) - 2)
+
+
+def _injective(size: np.ndarray, masks: Sequence[int]) -> np.ndarray:
+    """Per cycle, the choices of distinct vertices, one from X_S for each
+    S in masks, where size[S] is |X_S| and X of a union of sets of edges
+    is the intersection of theirs: a Moebius sum over the set partitions
+    of the choices, each block weighted (-1)^(|block| - 1) (|block| - 1)!."""
+    total = 0
+    for blocks in _set_partitions(len(masks)):
+        term = 1
+        for block in blocks:
+            union = 0
+            for i in block:
+                union |= masks[i]
+            term = term * (-1) ** (len(block) - 1) * math.factorial(len(block) - 1) * size[union]
+        total = total + term
+    return total
+
+
+def _cycle_counts(index: _Index, thirds: np.ndarray, cycle: np.ndarray) -> tuple[int, int]:
+    """Sets of _CYCLE8, and twice those of _CYCLE7, on the 4-cycles that
+    are the rows (a, s, b, t) of cycle, given the ascending keys e * n + x
+    of every edge e of a triangle and its third vertex x.
+
+    X_1..X_4 are the third vertices of the triangles on as, sb, bt and ta,
+    less a, s, b and t. Each vertex of their union is taken from the
+    first X holding it, with the mask of the X's that hold it: |X_S| for a
+    set S of the four edges counts the vertices whose mask holds S."""
+    c = len(cycle)
+    e = np.stack([_edge_ids(index, cycle[:, i], cycle[:, (i + 1) % 4]) for i in range(4)], 1)
+    tally = []
+    for i in range(4):
+        k, pos = _expand(index.on_start[e[:, i]], index.on_count[e[:, i]])
+        x = index.tv[index.on_tri[pos]].sum(1) - cycle[k, i] - cycle[k, (i + 1) % 4]
+        mask = np.zeros(len(x), np.int64)
+        for j in range(4):
+            key = e[k, j] * index.n + x
+            at = np.minimum(np.searchsorted(thirds, key), len(thirds) - 1)
+            mask |= (thirds[at] == key).astype(np.int64) << j
+        keep = (cycle[k] != x[:, None]).all(1) & (mask & (1 << i) - 1 == 0)
+        tally.append(k[keep] * 16 + mask[keep])
+    size = np.bincount(np.concatenate(tally), minlength=16 * c).reshape(c, 16).T.copy()
+    for bit in (1, 2, 4, 8):
+        for mask in range(16):
+            if not mask & bit:
+                size[mask] += size[mask | bit]
+    # |X| below 2^14 keeps every term of the sums below 2^62
+    assert size.max(initial=0) < 1 << 14
+    eight = _injective(size, (1, 2, 4, 8))
+    # z in two adjacent X_i, then one vertex from each of the other two
+    seven = sum(_injective(size, masks) for masks in ((3, 4, 8), (6, 8, 1), (12, 1, 2), (9, 2, 4)))
+    return sum(eight.tolist()), sum(seven.tolist())
+
+
+def _contact_cycles(index: _Index) -> tuple[int, int]:
+    """The sets of the classes _CYCLE8 and _CYCLE7, which no pair reaches.
+
+    Both hang on a 4-cycle a - s - b - t of edges that triangles cover,
+    with a triangle on each of its edges. Per such cycle, _CYCLE8 sets are
+    the choices of distinct x_i in X_i, and _CYCLE7 sets the choices of
+    distinct z in two adjacent X_i and x_j, x_k in the other two; each
+    _CYCLE7 set hangs on two cycles, through z or through the vertex the
+    two adjacent edges share. Cycles are listed in degree order (Chiba &
+    Nishizeki 1985), each charged to its top vertex as a pair of wedges
+    down from it, in passes of about _CHUNK wedges, and of cycles whose
+    edges carry about _CHUNK triangles; every cycle adds at least one to
+    the census's b statistic.
+    """
+    n = index.n
+    u, v = np.divmod(index.edges, n)
+    deg = np.bincount(np.r_[u, v], minlength=n)
+    order = np.lexsort((np.arange(n), deg))
+    rank = np.empty(n, np.int64)
+    rank[order] = np.arange(n)
+    x, y = rank[np.r_[u, v]], rank[np.r_[v, u]]
+    s = np.lexsort((y, x))
+    x, y = x[s], y[s]
+    key = x * n + y
+    start = np.cumsum(deg[order]) - deg[order]
+    # the edges down from each top vertex, and how many neighbours of
+    # the lower end lie below the top
+    down = y < x
+    top, mid = x[down], y[down]
+    below = np.searchsorted(key, mid * n + top) - start[mid]
+    on = np.repeat(np.arange(len(index.edges)), index.on_count)
+    thirds = np.sort(on * n + index.tv[index.on_tri].sum(1) - index.edges[on] // n - index.edges[on] % n)
+    eight = twice_seven = 0
+    for lo, hi in _runs(np.bincount(top, below, n).astype(np.int64), _CHUNK):
+        sel = slice(*np.searchsorted(top, [lo, hi]))
+        i, pos = _expand(start[mid[sel]], below[sel])
+        ends = top[sel][i] * n + y[pos]
+        g = np.argsort(ends, kind="stable")
+        ends, tops, mids, bottoms = ends[g], top[sel][i][g], mid[sel][i][g], y[pos][g]
+        # each wedge pairs with the later ones of its top and bottom, and a
+        # cycle costs the triangles on its four edges: a pass holds at
+        # most _CHUNK of them
+        end = np.searchsorted(ends, ends, "right")
+        later = end - np.arange(len(ends)) - 1
+        half = (index.on_count[_edge_ids(index, order[tops], order[mids])]
+                + index.on_count[_edge_ids(index, order[mids], order[bottoms])])
+        cum = np.r_[0, np.cumsum(half)]
+        for p, q in _runs(later * half + cum[end] - cum[1:], _CHUNK):
+            j, other = _expand(np.arange(p, q) + 1, later[p:q])
+            j += p
+            got = _cycle_counts(index, thirds, order[np.stack([tops[j], mids[j], bottoms[j], mids[other]], 1)])
+            eight += got[0]
+            twice_seven += got[1]
+    assert twice_seven % 2 == 0
+    return eight, twice_seven // 2
 
 
 def _count_configurations(triangles: Sequence[Triangle], budget: int) -> Counter:
-    """The connected sets of 1 to 4 triangles, counted by class key; the
-    sets of 3 or 4 triangles whose class has a zero coefficient are
-    counted together under (3, ()) and (4, ()).
+    """The connected sets of 1 to 4 triangles, counted by class key for
+    the classes of nonzero coefficient; the other sets of 3 or 4
+    triangles are counted together under (3, ()) and (4, ()).
 
-    Single triangles are counted as given, and connected pairs by overlap
-    from the triangles at each vertex and at each edge (two distinct
-    triangles share at most an edge). Sets of 3 and 4 triangles are
-    counted per connected pair P = {a, b} (a < b): its candidates are the
-    triangles other than a and b meeting the union U(P), typed by the
-    bitmask of the slots of U(P) they contain (see _cell_key). A candidate
-    c falls in the cell (share, t) of its type, and an ordered pair (c, w)
-    of distinct candidates in the cell (share, t1, t2, k), k the number of
-    vertices c and w share outside U(P). Each cell fixes the class of
-    {a, b, c(, w)}, and which of its members meet. The fourth-level cells
-    are Gram matrices of candidate type counts, summed over P (all pairs),
-    over (P, x) for outside vertices x (pairs sharing x, counted once per
-    shared vertex) and over (P, xy) for outside edges (pairs sharing two
-    outside vertices).
+    Single triangles are counted as given, and connected pairs by
+    overlap. The sets of each size are counted in all as connected
+    subgraphs of the triangles' intersection graph (_connected_sets),
+    which is what the budget caps: it is checked first against the sets
+    at a common vertex, before that graph is built, then exactly.
 
-    A connected set is reached from each of its dominating pairs, once
-    per order of its candidates (see _reach), so a class's count is its
-    cell sum divided by that. A non-separable set has every connected
-    pair dominating: a member missing U(P) would share two vertices with
-    the fourth, which has at most one outside U(P). A class of nonzero
-    coefficient is non-separable, so no member meets the rest in a single
-    vertex, and its cells are the only ones keyed.
-
-    The budget caps the total: it is checked against sets at a common
-    vertex before any pass, and against the cells counted so far after
-    each pass of at most _CHUNK (pair, triangle) incidences.
+    A class of 3 or 4 triangles with a nonzero coefficient is counted per
+    connected pair P = {a, b} (a < b) whose union U(P) holds two or more
+    vertices of every other member (a qualifying pair). P's candidates
+    are the triangles other than a and b holding two or more vertices of
+    U(P), gathered from the edges between them; each is typed by the
+    bitmask of the slots of U(P) it contains (see _cell_key) and has at
+    most one vertex outside U(P). A candidate c falls in the cell (share,
+    t) of its type, and an ordered pair (c, w) of distinct candidates in
+    the cell (share, t1, t2, k), k = 1 if c and w share their outside
+    vertex and 0 if not. Each cell fixes the class of {a, b, c(, w)}, so
+    a class's count is its cell sum over _divisor. The two classes with
+    no qualifying pair are counted per 4-cycle (_contact_cycles).
     """
     over = f"connected configuration count exceeded budget {budget}"
     if not triangles:
         return Counter()
-    tv = np.sort(np.array(triangles, dtype=np.int64), axis=1)
-    n = int(tv.max()) + 1
-    deg = np.bincount(tv.ravel(), minlength=n)
-    # each triangle's edges, numbered, opposite its vertices 0, 1 and 2
-    opposite = np.unique(tv[:, [1, 0, 0]] * n + tv[:, [2, 2, 1]], return_inverse=True)[1].reshape(-1, 3)
-    graph = (tv, deg, np.cumsum(deg) - deg, np.argsort(tv.ravel(), kind="stable") // 3, opposite)
-    at_edge = np.bincount(opposite.ravel())
+    index = _index(triangles)
+    n1 = len(index.tv)
 
     def stars(k):  # sets of k >= 2 triangles with a common vertex
-        return _choose_sum(deg, k) - _choose_sum(at_edge, k)
+        return _choose_sum(index.at_count, k) - _choose_sum(index.on_count, k)
 
-    pairs, edge_pairs = stars(2), _choose_sum(at_edge, 2)
-    base = len(triangles) + pairs
-    if base + stars(3) + stars(4) > budget:
+    if n1 + stars(2) + stars(3) + stars(4) > budget:
         raise BudgetExceededError(over)
-    counts = Counter({_ONE: len(triangles)})
-    for sh, cnt in ((1, pairs - edge_pairs), (2, edge_pairs)):
+    levels = _connected_sets(index)
+    if sum(levels) > budget:
+        raise BudgetExceededError(over)
+
+    edge_pairs = _choose_sum(index.on_count, 2)
+    counts = Counter({_ONE: n1})
+    for sh, cnt in ((1, levels[1] - edge_pairs), (2, edge_pairs)):
         if cnt:
             counts[_cell_key(sh)] = cnt
-
-    # cell sums by overlap: by type t of the third triangle, and by
-    # (k, t1, t2) of the other two
-    reached = {sh: (np.zeros(1 << 6 - sh, np.int64), np.zeros((3, 1 << 6 - sh, 1 << 6 - sh), np.int64))
-               for sh in (1, 2)}
-
-    def lower():  # each cell's sets, at least
-        return base + sum(int((x // d).sum()) for sh in (1, 2) for x, d in zip(reached[sh], _reach(sh)))
-
-    for lo, hi in _runs(deg[tv].sum(1), _CHUNK):
-        for sh, slots, own in _pairs(graph, lo, hi):
-            third, fourth = reached[sh]
-            for p, q in _runs(deg[slots].sum(1), _CHUNK):
-                total, cells = _count_chunk(graph, slots[p:q], own[p:q], len(third))
-                third += total
-                fourth += cells
-                if lower() > budget:
-                    raise BudgetExceededError(over)
-
     sums: Counter = Counter()
-
-    def add(level, key, div, value):
-        if key is None or not _record_for_key(key).coefficient:
-            key = (level, ())
-        sums[key, int(div)] += int(value)
-
-    for sh in (1, 2):
-        (third, fourth), (div3, div4) = reached[sh], _reach(sh)
+    for sh, (third, fourth) in _cells(index).items():
         for t in np.flatnonzero(third).tolist():
-            # c meeting a and b in a single vertex: separable
-            add(3, _cell_key(sh, (t,)) if t.bit_count() > 1 else None, div3[t], third[t])
+            sums[_cell_key(sh, (t,))] += int(third[t])
         for k, t1, t2 in np.argwhere(fourth).tolist():
-            # c or w meeting the rest in a single vertex: separable
-            key = _cell_key(sh, (t1, t2), k) if k or min(t1.bit_count(), t2.bit_count()) > 1 else None
-            add(4, key, div4[k, t1, t2], fourth[k, t1, t2])
-    for (key, div), total in sums.items():
-        count, rest = divmod(total, div)
-        assert not rest, f"uneven cell sum for {key}"
-        counts[key] += count
-    if sum(counts.values()) > budget:
-        raise BudgetExceededError(over)
-    return counts
-
-
-def _count_chunk(graph, slots, own, width) -> tuple[np.ndarray, np.ndarray]:
-    """The cells of one run of pairs with the same overlap: candidates by
-    type, and ordered pairs of distinct candidates by (k, t1, t2)."""
-    tv, opposite = graph[0], graph[4]
-    # every triangle at every slot vertex, then typed by its slots and
-    # kept at its lowest one, unless it is a or b
-    s = slots.shape[1]
-    i, c = _at(graph, slots.ravel())
-    p, slot = np.divmod(i, s)
-    x = tv[c].T
-    types = np.zeros(len(c), dtype=np.int64)
-    inside = np.zeros(x.shape, dtype=bool)
-    for j in range(s):
-        hit = x == slots[p, j]
-        inside |= hit
-        types |= (hit[0] | hit[1] | hit[2]) << j
-    keep = ((types & -types) == 1 << slot) & (c != own[p, 0]) & (c != own[p, 1])
-    p, c, types, x, inside = p[keep], c[keep], types[keep], x[:, keep].T, inside[:, keep].T
-    total = np.bincount(types, minlength=width)
-    every = _gram(p, types, width)
-    outside = 3 - inside.sum(1)
-    order, rows = _rows_by(np.repeat(p, outside), x[~inside])
-    by_vertex = _gram(rows, np.repeat(types, outside)[order], width)
-    two = outside == 2
-    order, rows = _rows_by(p[two], opposite[c[two], inside[two].argmax(1)])
-    by_edge = _gram(rows, types[two][order], width)
-    cells = np.stack([every - by_vertex + by_edge, by_vertex - 2 * by_edge, by_edge])
-    # summed over k the cells count every ordered pair once, and no
-    # partial sum is more than twice that, so float64 was exact
-    assert cells.sum(0).max(initial=0) < 2**52
-    cells = cells.astype(np.int64)
-    t = np.flatnonzero(total)
-    cells[3 - np.bitwise_count(t), t, t] -= total[t]  # the pairs c = w
-    return total, cells
+            sums[_cell_key(sh, (t1, t2), k)] += int(fourth[k, t1, t2])
+    for key, total in sums.items():
+        if _record_for_key(key).coefficient:
+            counts[key], rest = divmod(total, _divisor(key))
+            assert not rest, f"uneven cell sum for {key}"
+    counts[_CYCLE8], counts[_CYCLE7] = _contact_cycles(index)
+    for level in (3, 4):
+        rest = levels[level - 1] - sum(cnt for (k, _), cnt in counts.items() if k == level)
+        assert rest >= 0, f"more keyed sets of {level} triangles than connected ones"
+        counts[level, ()] = rest
+    return +counts  # without the classes found no time
 
 
 @dataclass(frozen=True)
@@ -541,11 +796,14 @@ def discover_classes(triangles: Sequence[Triangle], *, budget: int = DEFAULT_BUD
     """Count all connected 1..4-triangle configurations, grouped into
     canonical classes with exact counts.
 
-    No set is visited: every count comes from the triangles at each
-    vertex and edge, and from the cells of candidate triangles around
-    each connected pair (see _count_configurations). The budget bounds
-    the number of connected configurations; a graph with more is refused
-    as soon as a lower bound on that number passes it.
+    No set is visited: the number of connected configurations comes from
+    graphlet counts of the triangles' intersection graph, and the count
+    of each nonzero class from the cells of candidate triangles around
+    each connected pair or from the 4-cycles (see _count_configurations).
+    The budget bounds the number of connected configurations: a graph
+    with more sets of up to four triangles at a common vertex is refused
+    before the intersection graph is built, and any other with more is
+    refused before a class is counted.
     """
     if budget < 0:
         raise BadParamsError(f"budget must be >= 0, got {budget}")

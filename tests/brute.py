@@ -249,6 +249,31 @@ def brute_discover_classes(triangles) -> tuple[dict, int]:
     return dict(classes), visited
 
 
+def brute_cycle_sets(triangles) -> dict:
+    """{class key: count} over the sets of four triangles whose
+    intersection graph is a 4-cycle: every two disjoint triangles a, b,
+    with every two disjoint triangles that each meet both a and b. Each
+    set is found from both of its disjoint pairs and counted once."""
+    vm = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triangles]
+    found = {}
+    for i, a in enumerate(vm):
+        for j in range(i + 1, len(vm)):
+            b = vm[j]
+            if a & b:
+                continue
+            meet = [p for p, t in enumerate(vm) if t & a and t & b]
+            for x, p in enumerate(meet):
+                for q in meet[x + 1:]:
+                    if not vm[p] & vm[q]:
+                        found.setdefault(frozenset((i, j, p, q)), (i, p, j, q))
+    counts: Counter = Counter(_subset_key0(vm, members) for members in found.values())
+    reps = {_subset_key0(vm, members): members for members in found.values()}
+    classes: Counter = Counter()
+    for key0, cnt in counts.items():
+        classes[brute_class_key([triangles[i] for i in reps[key0]])] += cnt
+    return dict(classes)
+
+
 # ---------------------------------------------------------------------------
 # exact laws and moments of T3 beyond exhaustive enumeration
 

@@ -1,10 +1,12 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from brute import brute_class_key, brute_discover_classes, brute_t3_third_central_moment, relabeled
+from brute import (brute_class_key, brute_cycle_sets, brute_discover_classes, brute_t3_third_central_moment,
+                   relabeled)
 from monoclt import fourthmoment
 from monoclt.census import PyramidCounts, pyramid_counts, triangle_census
 from monoclt.errors import BudgetExceededError, NoTrianglesError
@@ -193,11 +195,12 @@ def _realize_cells(tris, cells):
     raise AssertionError(f"no triangles realize the cells {set(cells) - set(found)}")
 
 
-# the chain keys no cell of three triangles: a triangle meeting a
-# connected pair's union in one vertex makes the three separable
-@pytest.mark.parametrize("g,sizes", [(complete(9), {2, 3, 4}), (bipyramid_chain(20), {2, 4})],
+# the chain keys no cell of three or four triangles: no triangle holds two
+# vertices of another pair's union, and its quadruples are counted per
+# 4-cycle instead
+@pytest.mark.parametrize("g,sizes,outside", [(complete(9), {2, 3, 4}, True), (bipyramid_chain(20), {2}, False)],
                          ids=["K9", "bipyramid_chain20"])
-def test_every_cell_keys_like_its_concrete_triangles(g, sizes, monkeypatch):
+def test_every_cell_keys_like_its_concrete_triangles(g, sizes, outside, monkeypatch):
     cells = set()
     cell_key = fourthmoment._cell_key
     monkeypatch.setattr(fourthmoment, "_cell_key",
@@ -206,7 +209,11 @@ def test_every_cell_keys_like_its_concrete_triangles(g, sizes, monkeypatch):
     discover_classes(tris)
     # cells of 2, 3 and 4 triangles, and c and w sharing a vertex outside the pair
     assert {2 + len(types) for _, types, _ in cells} == sizes
-    assert any(k for *_, k in cells)
+    assert any(k for *_, k in cells) == outside
+    # every further triangle holds two or more slots, so at most one
+    # vertex outside the pair
+    assert all(t.bit_count() >= 2 for _, types, _ in cells for t in types)
+    assert {k for *_, k in cells} <= {0, 1}
     for cell, members in _realize_cells(tris, cells).items():
         assert cell_key(*cell) == class_key(members) == brute_class_key(members), cell
 
@@ -334,13 +341,39 @@ def _discovery_corpus():
     return [pytest.param(g, id=name) for name, g in graphs + relabelled]
 
 
+# the walk over every connected set, once per triangle list for the tests below
+_walk = functools.lru_cache(maxsize=None)(brute_discover_classes)
+
+
 @pytest.mark.parametrize("g", _discovery_corpus())
 def test_discovery_matches_visiting_every_configuration(g):
     tris = triangle_census(g).triangles
     disc = discover_classes(tris)
-    class_counts, visited = brute_discover_classes(tris)
+    class_counts, visited = _walk(tris)
     assert [(rec.key, cnt) for rec, cnt in disc.entries] == _nonzero_classes(class_counts)
     assert disc.enumerated == visited
+
+
+@pytest.mark.parametrize("g", _discovery_corpus())
+def test_connected_sets_per_level_match_the_walk(g):
+    # the graphlet counts of the triangles' intersection graph give the
+    # connected sets of each size
+    tris = triangle_census(g).triangles
+    levels = [0] * 4
+    for (k, _), cnt in _walk(tris)[0].items():
+        levels[k - 1] += cnt
+    assert fourthmoment._connected_sets(fourthmoment._index(tris)) == tuple(levels)
+
+
+@pytest.mark.parametrize("g", [complete(7), complete(9), gnp(24, 0.4, 1)], ids=["K7", "K9", "gnp24"])
+def test_contact_cycles_match_brute(g):
+    # the two classes no pair reaches, per 4-cycle, against the sets of
+    # four triangles whose intersection graph is a 4-cycle
+    tris = triangle_census(g).triangles
+    cycles = brute_cycle_sets(tris)
+    got = fourthmoment._contact_cycles(fourthmoment._index(tris))
+    assert got == (cycles.get(CYCLE8, 0), cycles.get(CYCLE7, 0))
+    assert min(got) > 0 or g.n == 7  # K7 has too few vertices for eight
 
 
 def test_discovery_matches_visiting_every_configuration_on_k9(k9_brute):
@@ -396,44 +429,51 @@ def test_nonseparable_sets_meet_the_union_of_every_pair(k9_brute):
     assert len(_nonseparable(reps)) == 25 + 1  # K9's four-triangle classes, H16 again
 
 
-def test_fourth_level_reaches_a_set_twice_per_connected_pair(k9_brute):
-    # every connected pair of a non-separable set dominates it, so its
-    # cells sum to twice its connected pairs (both orders of c and w):
-    # counted on its own four triangles, the set is found exactly once
+def _qualifying(rep) -> int:
+    # connected pairs whose union holds two or more vertices of every other member
+    tris = [set(t) for t in rep]
+    return sum(
+        bool(tris[i] & tris[j])
+        and all(len(t & (tris[i] | tris[j])) >= 2 for n, t in enumerate(tris) if n not in (i, j))
+        for i, j in itertools.combinations(range(len(tris)), 2)
+    )
+
+
+CYCLE8, CYCLE7 = class_key(QUAD_REP), class_key([(0, 1, 4), (1, 2, 5), (2, 3, 6), (3, 0, 6)])
+
+
+def test_fourth_level_reaches_a_set_twice_per_qualifying_pair(k9_brute):
+    # the cells reach a non-separable set of four once per order of the
+    # other two from each qualifying pair; the two contact-cycle classes
+    # have none and are counted per 4-cycle: counted on its own four
+    # triangles, each set is found exactly once
     for rep in _nonseparable([key_representative(key) for key in k9_brute[0]] + [QUAD_REP]):
-        adj = [[bool(set(t) & set(u)) for u in rep] for t in rep]
-        assert fourthmoment._dominating(adj) == sum(adj[i][j] for i, j in itertools.combinations(range(4), 2))
+        key = class_key(rep)
+        if key in (CYCLE8, CYCLE7):
+            assert _qualifying(rep) == 0, rep
+        else:
+            assert fourthmoment._divisor(key) == 2 * _qualifying(rep) > 0, rep
         counts = fourthmoment._count_configurations(rep, 100)
-        assert counts[class_key(rep)] == 1, rep
+        assert counts[key] == 1, rep
         assert sum(cnt for (k, _), cnt in counts.items() if k == 4) == 1, rep
 
 
-# dominating pairs of each connected graph on 3 and 4 members, by its
-# sorted degrees: path and triangle; P4, star, C4, paw, diamond and K4
-DOMINATING = {(1, 1, 2): 2, (2, 2, 2): 3,
-              (1, 1, 2, 2): 1, (1, 1, 1, 3): 3, (2, 2, 2, 2): 4, (1, 2, 2, 3): 3, (2, 2, 3, 3): 5, (3, 3, 3, 3): 6}
-
-
-@pytest.mark.parametrize("m", [3, 4])
-def test_dominating_pairs_of_every_connected_graph(m):
-    # a connected set of m triangles is reached from each adjacent pair
-    # whose two members, between them, meet every other member
-    shapes = set()
-    pairs = list(itertools.combinations(range(m), 2))
-    for mask in range(1 << len(pairs)):
-        edges = {pairs[i] for i in range(len(pairs)) if mask >> i & 1}
-        adj = [[(min(i, j), max(i, j)) in edges for j in range(m)] for i in range(m)]
-        reach, grown = {0}, True
-        while grown:
-            new = {j for i in reach for j in range(m) if adj[i][j]} | reach
-            grown, reach = new != reach, new
-        if len(reach) < m:
-            continue
-        brute = sum(all(adj[i][o] or adj[j][o] for o in range(m) if o not in (i, j)) for i, j in edges)
-        shape = tuple(sorted(sum(row) for row in adj))
-        shapes.add(shape)
-        assert brute == fourthmoment._dominating(adj) == DOMINATING[shape], edges
-    assert shapes == {shape for shape in DOMINATING if len(shape) == m}
+def test_qualifying_pairs_of_every_nonzero_class(k9_brute):
+    # K9 realizes every nonzero class; each of three or four triangles has
+    # a pair whose union holds two vertices of every other member, but the
+    # two contact-cycle classes, and its divisor is that count (twice it
+    # for four triangles: both orders of the other two)
+    keys = [key for key, _ in _nonzero_classes(k9_brute[0]) if key[0] >= 3]
+    assert len(keys) == 30 and CYCLE8 in keys and CYCLE7 in keys
+    assert fourthmoment._CYCLE8 == CYCLE8 and fourthmoment._CYCLE7 == CYCLE7
+    for key in keys:
+        rep = key_representative(key)
+        if key in (CYCLE8, CYCLE7):
+            assert _qualifying(rep) == 0, key
+        else:
+            assert fourthmoment._divisor(key) == _qualifying(rep) * (key[0] - 2) > 0, key
+    # all five classes of three qualify at every one of their pairs
+    assert [fourthmoment._divisor(key) for key in keys if key[0] == 3] == [3] * 5
 
 
 def test_k9_configurations_per_level():
@@ -468,15 +508,16 @@ def test_budget_below_the_sets_at_a_vertex_runs_no_pass(monkeypatch):
             discover_classes(tris, budget=budget)
 
 
-def test_budget_stops_the_passes_early(monkeypatch):
-    passes = _count_passes(monkeypatch)
+def test_budget_refuses_one_below_the_count_before_any_pass(monkeypatch):
+    # K9 has 1,893,675 connected configurations: the exact count refuses
+    # one less before any cell or 4-cycle is counted
     tris = triangle_census(complete(9)).triangles
+    with monkeypatch.context() as m:
+        m.setattr(fourthmoment, "_count_chunk", lambda *a: pytest.fail("a pass ran"))
+        m.setattr(fourthmoment, "_contact_cycles", lambda *a: pytest.fail("a 4-cycle pass ran"))
+        with pytest.raises(BudgetExceededError):
+            discover_classes(tris, budget=1_893_674)
     assert discover_classes(tris, budget=1_893_675).enumerated == 1_893_675
-    every = len(passes)
-    passes.clear()
-    with pytest.raises(BudgetExceededError):
-        discover_classes(tris, budget=1_000_000)
-    assert 0 < len(passes) < every * 3 // 4
 
 
 def test_budget_refuses_k20_before_any_pass(monkeypatch):

@@ -12,7 +12,8 @@ with atoms before post-parse usage errors were reported on the command's
 own parser; the disjoint-union and gnp(18, 0.6) fourth-moment reports
 before the fourth level was counted per connected pair of triangles; the
 gnp(24, 0.4) report and the K20 and K30 budget errors before the levels
-below it were counted from the same per-pair cells. Any change of a
+below it were counted from the same per-pair cells; the gnp(60, 0.3)
+report before only the classes with a coefficient were counted. Any change of a
 single byte fails here; a report change on purpose must update the
 digest and say why in CHANGES.md."""
 
@@ -73,6 +74,10 @@ FOURTH_MOMENT = {
     # 3,759,715 configurations, twice K9's
     "gnp24_c3": (("--family", "gnp", "--n", "24", "--p", "0.4", "--graph-seed", "1", "--c", "3"),
                  "0de33ccd329c1cbf23db43c4eb69335114e7ab22b64437b3b261329b1affee77"),
+    # the paper's size: 653,317,235 configurations, past the default budget
+    "gnp60_c3": (("--family", "gnp", "--n", "60", "--p", "0.3", "--graph-seed", "1", "--c", "3",
+                  "--budget", "1000000000"),
+                 "c882a9f1192a2fe1e7074704dfc25fa0395365df30547eb0113bbfd00480c258"),
 }
 
 # generate writes the edge list; composite(8) at c = 2 is pyramid(8) plus
