@@ -43,7 +43,7 @@ class BudgetExceededError(MonocltError):
 
 
 class TooLargeError(MonocltError):
-    """Exhaustive coloring enumeration exceeded the configured cap."""
+    """A family graph or an exhaustive coloring enumeration exceeded its cap."""
 
 
 class UnsupportedFamilyError(MonocltError):

@@ -61,6 +61,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .census import _choose_sum, _edge_counts, _exact_sum, _expand, _runs
 from .errors import BadParamsError, BudgetExceededError, NoTrianglesError
 from .moments import _check_colors, t3_mean_var
 from .ratpoly import evaluate, fraction_json
@@ -304,7 +305,7 @@ class _Index(NamedTuple):
     """The triangles of a graph on n vertices as rows of ascending
     vertices, listed at each vertex and on each edge they cover (start,
     count and the triangles in order), with those edges as ascending keys
-    u * n + v, u < v."""
+    u * n + v, u < v, from the census's own edge counts."""
 
     tv: np.ndarray
     n: int
@@ -320,17 +321,10 @@ class _Index(NamedTuple):
 def _index(triangles: Sequence[Triangle]) -> _Index:
     tv = np.sort(np.array(triangles, dtype=np.int64), axis=1)
     n = int(tv.max()) + 1
-    edges, edge = np.unique(tv[:, [0, 0, 1]] * n + tv[:, [1, 2, 2]], return_inverse=True)
-    edge = edge.reshape(-1)
-    at, on = np.bincount(tv.ravel(), minlength=n), np.bincount(edge, minlength=len(edges))
+    edges, on, edge = _edge_counts(tv, n)
+    at = np.bincount(tv.ravel(), minlength=n)
     return _Index(tv, n, np.cumsum(at) - at, at, np.argsort(tv.ravel(), kind="stable") // 3,
-                  edges, np.cumsum(on) - on, on, np.argsort(edge, kind="stable") // 3)
-
-
-def _expand(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(i, position) for the count[i] positions from start[i], by i."""
-    i = np.repeat(np.arange(len(count)), count)
-    return i, np.arange(len(i)) - np.repeat(np.cumsum(count) - count - start, count)
+                  edges, np.cumsum(on) - on, on, np.argsort(edge.ravel(), kind="stable") // 3)
 
 
 def _edge_ids(index: _Index, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -338,28 +332,6 @@ def _edge_ids(index: _Index, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     key = np.minimum(u, v) * index.n + np.maximum(u, v)
     e = np.minimum(np.searchsorted(index.edges, key), len(index.edges) - 1)
     return np.where(index.edges[e] == key, e, -1)
-
-
-def _runs(weights: np.ndarray, bound: int):
-    """Consecutive ranges (lo, hi) of the items, each of weight at most
-    bound in all or of a single item."""
-    cut = np.r_[0, np.cumsum(weights)]
-    lo = 0
-    while lo < len(weights):
-        hi = max(lo + 1, int(np.searchsorted(cut, cut[lo] + bound, "right")) - 1)
-        yield lo, hi
-        lo = hi
-
-
-def _choose_sum(counts: np.ndarray, k: int) -> int:
-    mult = np.bincount(counts)
-    return sum(math.comb(v, k) * int(mult[v]) for v in np.flatnonzero(mult).tolist())
-
-
-def _exact_sum(values: np.ndarray) -> int:
-    """The sum of nonnegative int64 values, asserted free of overflow."""
-    assert values.max(initial=0) <= (2**63 - 1) // max(len(values), 1)
-    return int(values.sum())
 
 
 def _pairs(index: _Index):
@@ -745,7 +717,7 @@ def _count_configurations(triangles: Sequence[Triangle], budget: int) -> Counter
     no qualifying pair are counted per 4-cycle (_contact_cycles).
     """
     over = f"connected configuration count exceeded budget {budget}"
-    if not triangles:
+    if len(triangles) == 0:
         return Counter()
     index = _index(triangles)
     n1 = len(index.tv)

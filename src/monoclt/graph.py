@@ -24,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .errors import (
     CompositeUndefinedError,
     MalformedLineError,
     SelfLoopError,
+    TooLargeError,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -269,24 +270,26 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph.from_edges(offset, edges)
 
 
-# the families fixed by n alone: name -> (generator, least n)
+# the families fixed by n alone: name -> (generator, least n, edges at n)
 SIMPLE_FAMILIES = {
-    "complete": (complete, 1),
-    "star": (star, 1),
-    "cycle": (cycle, 3),
-    "pyramid": (pyramid, 1),
-    "bipyramid_chain": (bipyramid_chain, 1),
+    "complete": (complete, 1, lambda n: math.comb(n, 2)),
+    "star": (star, 1, lambda n: n),
+    "cycle": (cycle, 3, lambda n: n),
+    "pyramid": (pyramid, 1, lambda n: 2 * n + 1),
+    "bipyramid_chain": (bipyramid_chain, 1, lambda n: 6 * n),
 }
 # the FamilySpec fields each family reads, c aside (only composite reads it)
 FAMILY_FIELDS = {**dict.fromkeys((*SIMPLE_FAMILIES, "composite"), ("n",)),
                  "gnp": ("n", "p", "seed"), "disjoint_union": ("parts",)}
 FAMILIES = tuple(FAMILY_FIELDS)
+# the most edges a family may build, or vertex pairs gnp may draw
+MAX_EDGES = 10**7
 
 
-def generate(spec: FamilySpec) -> Graph:
-    """Build the graph described by spec. Deterministic for every family;
-    gnp is deterministic given its seed. A field the family does not read
-    is refused, so describe() records only what built the graph."""
+def _plan(spec: FamilySpec) -> tuple[int, Callable[[], Graph]]:
+    """Check spec and return, without building anything, the edges it
+    builds (for gnp, the vertex pairs it draws) in closed form and the
+    function that builds it."""
     fam = spec.family
     if fam not in FAMILY_FIELDS:
         raise BadParamsError(f"unknown family {fam!r}; expected one of {FAMILIES}")
@@ -294,21 +297,36 @@ def generate(spec: FamilySpec) -> Graph:
     if set(given) - set(FAMILY_FIELDS[fam]):
         raise BadParamsError(f"{fam} reads only {FAMILY_FIELDS[fam]}, got {tuple(given)}")
     if fam in SIMPLE_FAMILIES:
-        build, least = SIMPLE_FAMILIES[fam]
-        return build(_require_n(spec, least))
+        build, least, edges = SIMPLE_FAMILIES[fam]
+        n = _require_n(spec, least)
+        return edges(n), lambda: build(n)
     if fam == "composite":
         n = _require_n(spec, 4)
         if spec.c is None:
             raise BadParamsError("composite requires c")
         n_chain = composite_chain_length(n, spec.c)
-        return disjoint_union(pyramid(n), bipyramid_chain(n_chain))
+        return 2 * n + 1 + 6 * n_chain, lambda: disjoint_union(pyramid(n), bipyramid_chain(n_chain))
     if fam == "gnp":
         n = _require_n(spec, 1)
         if spec.p is None:
             raise BadParamsError("gnp requires p")
         if spec.seed is None:
             raise BadParamsError("gnp requires a seed")
-        return gnp(n, spec.p, spec.seed)
+        return math.comb(n, 2), lambda: gnp(n, spec.p, spec.seed)
     if not spec.parts:  # disjoint_union
         raise BadParamsError("disjoint_union requires at least one part")
-    return disjoint_union(*(generate(part) for part in spec.parts))
+    parts = [_plan(part) for part in spec.parts]
+    return sum(size for size, _ in parts), lambda: disjoint_union(*(build() for _, build in parts))
+
+
+def generate(spec: FamilySpec) -> Graph:
+    """Build the graph described by spec. Deterministic for every family;
+    gnp is deterministic given its seed. A field the family does not read
+    is refused, so describe() records only what built the graph, and so
+    is a graph of more than MAX_EDGES edges (gnp: vertex pairs), before
+    any of it is built."""
+    size, build = _plan(spec)
+    if size > MAX_EDGES:
+        what = "vertex pairs" if spec.family == "gnp" else "edges"
+        raise TooLargeError(f"{spec.family} would build {size} {what}, over the cap of {MAX_EDGES}")
+    return build()

@@ -187,7 +187,7 @@ def sample_statistics(
     if cfg.statistic in ("T3", "both"):
         if tc is None:
             tc = triangle_census(g)
-        cliques["T3"] = np.asarray(tc.triangles, dtype=np.int64).reshape(-1, 3)
+        cliques["T3"] = tc.triangles
     dtype = _color_dtype(cfg.c)
 
     def run_block(b: int) -> dict:
@@ -327,7 +327,7 @@ def exact_distribution(
     if tc is None:
         tc = triangle_census(g)
     edges = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
-    tris = np.asarray(tc.triangles, dtype=np.int64).reshape(-1, 3)
+    tris = tc.triangles
     stride = len(tris) + 1
     width = (len(edges) + 1) * stride
     s = max((k for k in range(g.n) if c**k <= SUFFIX), default=0)

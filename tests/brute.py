@@ -60,22 +60,38 @@ def brute_c4(g: Graph) -> int:
     return count
 
 
-def brute_b(g: Graph) -> int:
-    d = brute_d(g)
+def brute_weighted_c4(n: int, weight: dict) -> int:
+    """Sum over the 4-cycles on vertices 0..n-1 of the product of their
+    four edge weights, in Python integers; weight maps (u, v), u < v, to
+    a weight, and a missing pair weighs 0."""
 
     def dd(u, v):
-        return d.get((u, v) if u < v else (v, u), 0)
+        return weight.get((u, v) if u < v else (v, u), 0)
 
     total = 0
-    for s1, s2, s3, s4 in combinations(range(g.n), 4):
+    for s1, s2, s3, s4 in combinations(range(n), 4):
         total += dd(s1, s2) * dd(s2, s3) * dd(s3, s4) * dd(s4, s1)
         total += dd(s1, s2) * dd(s2, s4) * dd(s4, s3) * dd(s3, s1)
         total += dd(s1, s3) * dd(s3, s2) * dd(s2, s4) * dd(s4, s1)
     return total
 
 
+def brute_b(g: Graph) -> int:
+    return brute_weighted_c4(g.n, brute_d(g))
+
+
+def brute_pyramid_sums(ds) -> list[int]:
+    """[sum of C(d, s) for s = 1..4] over the d-values, in Python integers."""
+    return [sum(comb(d, s) for d in ds) for s in (1, 2, 3, 4)]
+
+
 def brute_s(g: Graph, order) -> int:
-    d = brute_d(g)
+    return brute_s_of(brute_d(g), order)
+
+
+def brute_s_of(d: dict, order) -> int:
+    """The s statistic of the d-values d, a map (u, v) -> d with u < v,
+    under the vertex order."""
 
     def dd(u, v):
         return d.get((u, v) if u < v else (v, u), 0)

@@ -1,11 +1,26 @@
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
-from brute import brute_b, brute_c4, brute_d, brute_pyramids, brute_s, brute_scores, brute_triangles, relabeled
+from brute import (
+    brute_b,
+    brute_c4,
+    brute_d,
+    brute_pyramid_sums,
+    brute_pyramids,
+    brute_s,
+    brute_s_of,
+    brute_scores,
+    brute_triangles,
+    brute_weighted_c4,
+    relabeled,
+)
 from helpers import has_edge
+from monoclt import census, cli, sim
 from monoclt.census import (
+    TriangleCensus,
     b_statistic,
     count_c4,
     pyramid_counts,
@@ -30,9 +45,14 @@ def _kernel_corpus(small_corpus):
     return out
 
 
+def _edge_tri(tc):
+    """{(u, v): d} over the edges some triangle covers."""
+    return {divmod(k, tc.n): d for k, d in zip(tc.edge_keys.tolist(), tc.edge_d.tolist())}
+
+
 def test_census_k3_k4():
     tc = triangle_census(complete(3))
-    assert tc.triangles == ((0, 1, 2),)
+    assert tc.triangles.tolist() == [[0, 1, 2]]
     assert all(tc.d(u, v) == 1 for u, v in complete(3).edges)
     tc4 = triangle_census(complete(4))
     assert len(tc4.triangles) == 4
@@ -49,16 +69,16 @@ def test_census_pyramid4():
 def test_census_matches_brute(small_corpus):
     for name, g in small_corpus:
         tc = triangle_census(g)
-        assert list(tc.triangles) == brute_triangles(g), name
+        assert [tuple(t) for t in tc.triangles.tolist()] == brute_triangles(g), name
         brute = {e: d for e, d in brute_d(g).items() if d > 0}
-        assert dict(tc.edge_tri) == brute, name
+        assert _edge_tri(tc) == brute, name
 
 
 def test_census_invariants(small_corpus):
     for name, g in small_corpus:
         tc = triangle_census(g)
-        assert sum(tc.edge_tri.values()) == 3 * len(tc.triangles), name
-        for (u, v), d in tc.edge_tri.items():
+        assert sum(_edge_tri(tc).values()) == 3 * len(tc.triangles), name
+        for (u, v), d in _edge_tri(tc).items():
             assert d <= min(g.degree(u), g.degree(v)) - 1, name
         for a, b, c in tc.triangles:
             assert has_edge(g, a, b) and has_edge(g, b, c) and has_edge(g, a, c)
@@ -207,3 +227,83 @@ def test_score_order_regression_bound():
         s_val = s_statistic(tc, score_ordering(g, tc))
         denom = (pc.n1 + pc.n2) ** 1.5 * (1 + pc.n4) ** 0.25
         assert s_val / denom < 10.0
+
+
+def _census_outputs(g):
+    tc = triangle_census(g)
+    order = score_ordering(g, tc)
+    return (tc.triangles.tolist(), tc.edge_keys.tolist(), tc.edge_d.tolist(), pyramid_counts(tc).as_tuple(),
+            count_c4(g), b_statistic(tc), order, s_statistic(tc, order))
+
+
+def test_census_outputs_do_not_depend_on_the_pass_bound(small_corpus, monkeypatch):
+    # one candidate or wedge per pass splits every top of the wedge kernel
+    # into runs of single edges, against the default bound's few passes
+    graphs = _kernel_corpus(small_corpus) + [("pyramid600", pyramid(600)), ("gnp120", gnp(120, 0.5, 1))]
+    default = [_census_outputs(g) for _, g in graphs]
+    monkeypatch.setattr(census, "_PASS", 1)
+    for (name, g), want in zip(graphs, default):
+        assert _census_outputs(g) == want, name
+
+
+def test_census_of_a_graph_without_edges():
+    for g in (Graph.from_edges(0, []), Graph.from_edges(3, [])):
+        tc = triangle_census(g)
+        assert tc.triangles.shape == (0, 3) and len(tc.edge_keys) == len(tc.edge_d) == 0
+        assert _census_outputs(g)[3:] == ((0, 0, 0, 0), 0, 0, list(range(g.n)), 0)
+
+
+def _keys(n, edges):
+    return np.array(sorted(u * n + v for u, v in edges), dtype=np.int64)
+
+
+@pytest.mark.parametrize("bound", [1, census._PASS])
+def test_wedge_kernel_is_exact_past_int64(monkeypatch, bound):
+    monkeypatch.setattr(census, "_PASS", bound)
+    square = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    assert census._wedge_c4(4, _keys(4, square), np.full(4, 2**40, np.int64)) == 2**160
+    # K4 with distinct weights near 2^40: three 4-cycles, each a product near 2^160
+    k4 = sorted(complete(4).edges)
+    weights = {e: 2**40 + 7919 * i for i, e in enumerate(k4)}
+    got = census._wedge_c4(4, _keys(4, k4), np.array([weights[e] for e in k4], np.int64))
+    assert got == brute_weighted_c4(4, weights)
+    assert type(got) is int and got > 2**160
+
+
+def test_pyramid_counts_and_s_are_exact_past_int64():
+    # a synthetic census: d near 10^5 on the edges of K5, whose d^4 and
+    # C(d, 4) sums pass 2^63
+    edges = sorted(complete(5).edges)
+    ds = [100_002 + 3 * i for i in range(len(edges))]  # their sum, three per triangle, divides by 3
+    tc = TriangleCensus(n=5, triangles=np.empty((0, 3), np.int64), edge_keys=_keys(5, edges),
+                        edge_d=np.array(ds, np.int64))
+    sums = brute_pyramid_sums(ds)
+    assert sums[3] > 2**63
+    assert pyramid_counts(tc).as_tuple() == (sums[0] // 3, *sums[1:])
+    d = dict(zip(edges, ds))
+    for order in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1]):
+        got = s_statistic(tc, order)
+        assert got == brute_s_of(d, order) and got > 2**63
+        assert type(got) is int
+
+
+def test_statistics_reach_json_as_python_ints():
+    g = gnp(30, 0.5, 2)
+    tc = triangle_census(g)
+    values = [*pyramid_counts(tc).as_tuple(), count_c4(g), b_statistic(tc), s_statistic(tc, list(range(g.n)))]
+    values += score_ordering(g, tc)
+    assert all(type(v) is int for v in values)
+
+
+# the census functions perfbench/tracer.py times, by the names it binds on
+# each module; a renamed or unbound one would leave its span empty
+TRACED_CENSUS = {
+    cli: ("triangle_census", "pyramid_counts", "count_c4", "b_statistic", "s_statistic", "score_ordering"),
+    sim: ("triangle_census", "pyramid_counts"),
+}
+
+
+@pytest.mark.parametrize("module", list(TRACED_CENSUS), ids=lambda m: m.__name__)
+def test_traced_census_names_resolve(module):
+    for name in TRACED_CENSUS[module]:
+        assert getattr(module, name) is getattr(census, name), (module.__name__, name)

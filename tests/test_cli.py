@@ -339,6 +339,20 @@ def test_bad_parameters_end_in_domain_error(capsys, argv):
     assert error["operation"] == argv[0]
 
 
+@pytest.mark.parametrize("command", ["census", "moments", "bounds", "fourth-moment", "generate"])
+def test_oversized_family_is_a_domain_error(capsys, command):
+    # K_{10^8} has about 5 * 10^15 edges; it used to be built until the
+    # process was killed for memory
+    argv = [command, "--family", "complete", "--n", "100000000"] + ([] if command == "generate" else ["--c", "3"])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "TooLargeError"
+    assert error["operation"] == command
+    assert error["detail"] == "complete would build 4999999950000000 edges, over the cap of 10000000"
+
+
 GNP20 = ("census", "--family", "gnp", "--n", "20", "--p", "0.5", "--graph-seed")
 
 

@@ -158,8 +158,13 @@ def test_class_key_distinguishes_shapes():
     assert len({shared_edge, shared_vertex, disjoint}) == 3
 
 
+def _tuples(triangles):
+    """The census's triangle rows as a tuple of tuples."""
+    return tuple(map(tuple, triangles.tolist()))
+
+
 def test_class_key_equals_the_brute_canonical_form_on_random_sets():
-    tris = triangle_census(complete(9)).triangles
+    tris = _tuples(triangle_census(complete(9)).triangles)
     rng = random.Random(17)
     for _ in range(3000):
         chosen = rng.sample(tris, rng.randint(1, 4))
@@ -347,7 +352,7 @@ _walk = functools.lru_cache(maxsize=None)(brute_discover_classes)
 
 @pytest.mark.parametrize("g", _discovery_corpus())
 def test_discovery_matches_visiting_every_configuration(g):
-    tris = triangle_census(g).triangles
+    tris = _tuples(triangle_census(g).triangles)
     disc = discover_classes(tris)
     class_counts, visited = _walk(tris)
     assert [(rec.key, cnt) for rec, cnt in disc.entries] == _nonzero_classes(class_counts)
@@ -358,7 +363,7 @@ def test_discovery_matches_visiting_every_configuration(g):
 def test_connected_sets_per_level_match_the_walk(g):
     # the graphlet counts of the triangles' intersection graph give the
     # connected sets of each size
-    tris = triangle_census(g).triangles
+    tris = _tuples(triangle_census(g).triangles)
     levels = [0] * 4
     for (k, _), cnt in _walk(tris)[0].items():
         levels[k - 1] += cnt

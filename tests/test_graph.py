@@ -9,8 +9,10 @@ from monoclt.errors import (
     CompositeUndefinedError,
     MalformedLineError,
     SelfLoopError,
+    TooLargeError,
 )
 from monoclt.graph import (
+    MAX_EDGES,
     FamilySpec,
     Graph,
     bipyramid_chain,
@@ -20,6 +22,7 @@ from monoclt.graph import (
     disjoint_union,
     generate,
     gnp,
+    _plan,
     parse_edge_list,
     pyramid,
     serialize_edge_list,
@@ -192,6 +195,46 @@ def test_generate_validates_params():
         generate(FamilySpec(family="star", n=3, p=0.9))
     with pytest.raises(BadParamsError):
         generate(FamilySpec(family="disjoint_union", n=9, parts=(FamilySpec("pyramid", n=3),)))
+
+
+@pytest.mark.parametrize(
+    "spec,size",
+    [
+        (FamilySpec("complete", n=4473), math.comb(4473, 2)),
+        (FamilySpec("complete", n=10**8), math.comb(10**8, 2)),
+        (FamilySpec("star", n=MAX_EDGES + 1), MAX_EDGES + 1),
+        (FamilySpec("cycle", n=MAX_EDGES + 1), MAX_EDGES + 1),
+        (FamilySpec("pyramid", n=MAX_EDGES // 2), MAX_EDGES + 1),
+        (FamilySpec("bipyramid_chain", n=MAX_EDGES // 6 + 1), 6 * (MAX_EDGES // 6 + 1)),
+        (FamilySpec("composite", n=3000, c=2), 2 * 3000 + 1 + 6 * composite_chain_length(3000, 2)),
+        (FamilySpec("gnp", n=4473, p=0.0, seed=1), math.comb(4473, 2)),
+        (FamilySpec("disjoint_union", parts=(FamilySpec("complete", n=4000), FamilySpec("star", n=3_000_000))),
+         math.comb(4000, 2) + 3_000_000),
+    ],
+    ids=["complete4473", "complete1e8", "star", "cycle", "pyramid", "chain", "composite3000", "gnp4473", "union"],
+)
+def test_oversized_families_are_refused_before_building(spec, size):
+    # each size is one past the cap or more; building any of them would
+    # take seconds to minutes and, for K_1e8, more memory than there is
+    assert _plan(spec)[0] == size > MAX_EDGES
+    with pytest.raises(TooLargeError, match=f"{size} "):
+        generate(spec)
+
+
+@pytest.mark.parametrize(
+    "spec,size",
+    [
+        (FamilySpec("complete", n=4472), math.comb(4472, 2)),
+        (FamilySpec("pyramid", n=MAX_EDGES // 2 - 1), MAX_EDGES - 1),
+        (FamilySpec("gnp", n=3000, p=0.5, seed=1), 4_498_500),
+        (FamilySpec("disjoint_union", parts=(FamilySpec("complete", n=4000), FamilySpec("star", n=2_000_000))),
+         math.comb(4000, 2) + 2_000_000),
+    ],
+    ids=["complete4472", "pyramid", "gnp3000", "union"],
+)
+def test_families_up_to_the_cap_are_accepted(spec, size):
+    # sized without building: these are the largest accepted inputs
+    assert _plan(spec)[0] == size <= MAX_EDGES
 
 
 def test_disjoint_union_layout():

@@ -13,7 +13,10 @@ own parser; the disjoint-union and gnp(18, 0.6) fourth-moment reports
 before the fourth level was counted per connected pair of triangles; the
 gnp(24, 0.4) report and the K20 and K30 budget errors before the levels
 below it were counted from the same per-pair cells; the gnp(60, 0.3)
-report before only the classes with a coefficient were counted. Any change of a
+report before only the classes with a coefficient were counted; the
+census, moments and bounds reports of star(2000), pyramid(600),
+bipyramid_chain(300) and gnp(120, 0.5) before the census layer was
+computed on numpy arrays. Any change of a
 single byte fails here; a report change on purpose must update the
 digest and say why in CHANGES.md."""
 
@@ -95,6 +98,12 @@ GRAPH_REPORTS = {
     "bipyramid_chain5_c3": ("--family", "bipyramid_chain", "--n", "5", "--c", "3"),
     "gnp20_c2": ("--family", "gnp", "--n", "20", "--p", "0.5", "--graph-seed", "4", "--c", "2"),
     "cycle4_c2": ("--family", "cycle", "--n", "4", "--c", "2"),
+    # the hub graphs of the benchmark's sizes, and a dense gnp graph whose
+    # s statistic and N(C4) pass 2^32
+    "star2000_c3": ("--family", "star", "--n", "2000", "--c", "3"),
+    "pyramid600_c3": ("--family", "pyramid", "--n", "600", "--c", "3"),
+    "bipyramid_chain300_c3": ("--family", "bipyramid_chain", "--n", "300", "--c", "3"),
+    "gnp120_c3": ("--family", "gnp", "--n", "120", "--p", "0.5", "--graph-seed", "1", "--c", "3"),
 }
 GRAPH_REPORT_DIGESTS = {
     ("census", "bipyramid_chain5_c3"): "8ef0ecfa4b0e7ba2b7c62e5ce3c2370a5a5803dc4a13ac740272af31ba3d3095",
@@ -106,6 +115,18 @@ GRAPH_REPORT_DIGESTS = {
     ("bounds", "bipyramid_chain5_c3"): "f11bee664428ec6ef553f2aa283c574a87c140ab58ec0f5697dba420abe1d1fb",
     ("bounds", "gnp20_c2"): "7ad1cd692ff3645e681e9e50954a261e1b26d7b290bb181ae60ce73188f559f6",
     ("bounds", "cycle4_c2"): "e018d661dd50d0c60c92e68fcc1340c3265af792b2848b2c5348ecaf4985a61a",
+    ("census", "star2000_c3"): "76b377ff6565934c8f9102fb56485500f479f89471f45eaf90034509c2feba8f",
+    ("census", "pyramid600_c3"): "ba116b6ff958dfa6c752e6866070a633ffc55398619bac19fc227b9ffae73c7d",
+    ("census", "bipyramid_chain300_c3"): "bda2db1e1a29246507c2216df288e5cbefb99b75a90ac77b684100957ff311e4",
+    ("census", "gnp120_c3"): "74ae2dd18b58241c8b640f9cf2dc8f7839f6bc319f75b8d24bece7cb96106509",
+    ("moments", "star2000_c3"): "f06025beacce1ec12c68466afd1c19573bf0226809baf610f090653b909c9e0e",
+    ("moments", "pyramid600_c3"): "a7d06a94c61b123e38976c2fc432b010b4457e317f721ef10d210463b0ff298a",
+    ("moments", "bipyramid_chain300_c3"): "a0ca2be776c3ccd1d9b50b276eabb8683ab9585501c9fb14588deeaf963b481c",
+    ("moments", "gnp120_c3"): "f949bce1693ce8ca141d417e4aa6ec318833ffa2bb0ecb9e992cf67e44c72f44",
+    ("bounds", "star2000_c3"): "6762cf85df79a39db30a88881c5182bde287abf5958c867720d8b42af79edf31",
+    ("bounds", "pyramid600_c3"): "b5da4b45ff35323f856964b4c32929e388d222e4ab95c96abd5c3fd191f59891",
+    ("bounds", "bipyramid_chain300_c3"): "e337a24919581d809ae7af0748b5f1d794b3b4989f01ffb3e73bdc0c97b52c86",
+    ("bounds", "gnp120_c3"): "9e35af8985f62cf9e4fcdcd0f5c595704b16cb24840d6adb83482816824f41b7",
 }
 
 # a T3 simulate report whose clustering finds two atoms
