@@ -18,10 +18,11 @@ are ranked by (degree, id) (Chiba & Nishizeki 1985). Triangles come from
 closing each edge, oriented up, against the forward neighbours of its
 upper end; N(C4) and b from one wedge kernel that charges each 4-cycle to
 its top vertex (unit weights for N(C4), d(e) on triangle-supported edges
-for b). Both take O(sum_e min-degree) time. A pass holds at most _PASS
-candidate triangles or wedges, or those of one edge when it alone has
-more, so working memory follows that bound and the maximum degree, not
-the number of wedges.
+for b), which class discovery's contact 4-cycles read too. Both take
+O(sum_e min-degree) time. A pass holds at most _PASS candidate triangles
+or wedges, or those of one edge or of one (top, bottom) pair when it
+alone has more, so working memory follows that bound and the maximum
+degree, not the number of wedges.
 
 Every sum is exact: int64 is used only where a bound checked beforehand
 keeps it below 2^63, and Python integers (object arrays) past it; n_4 =
@@ -185,21 +186,27 @@ def pyramid_counts(tc: TriangleCensus) -> PyramidCounts:
     return PyramidCounts(ends // 3, *(_choose_sum(tc.edge_d, s) for s in (2, 3, 4)))
 
 
-def _wedge_c4(n: int, edges: np.ndarray, weights: np.ndarray) -> int:
-    """Sum over 4-cycles (on distinct vertices, up to rotation/reflection)
-    of the product of the four edge weights, for the edges given as keys
-    u * n + v (u < v) with nonnegative int64 weights.
+def _grouped(ends: np.ndarray, tm: np.ndarray, mw: np.ndarray):
+    """The wedges with edge ids tm and mw sorted by their group keys ends,
+    and the start of each group."""
+    g = np.argsort(ends, kind="stable")
+    ends = ends[g]
+    return tm[g], mw[g], np.flatnonzero(np.r_[True, ends[1:] != ends[:-1]])
 
-    Degree-ordered wedge count (Chiba & Nishizeki 1985): rank vertices by
-    (degree, id) and charge each cycle to its top-ranked vertex t. Each
-    wedge t - m - w with m and w ranked below t has the weight product
-    p = w(tm) w(mw); per (t, w), P = sum p and Q = sum p^2, and P^2 - Q
-    counts the cycles through t and its opposite vertex w once per
-    ordering of the two midpoints. The midpoint m is ranked below t, so
-    its neighbours below t cost the smaller endpoint degree of the edge
-    tm. Wedges are grouped by (t, w) with a sort, a run of tops with at
-    most _PASS wedges at a time; a top with more tallies its wedges by w
-    a run of edges tm at a time.
+
+def _wedges(n: int, edges: np.ndarray):
+    """The wedges t - m - w with m and w ranked below t, by (degree, id),
+    of the edges given as keys u * n + v (u < v), a pass at a time: the
+    ids into edges of each wedge's edges t - m and m - w, sorted so that
+    each (t, w) group is contiguous, and the start of each group.
+
+    Chiba & Nishizeki (1985): the midpoint m is ranked below t, so its
+    neighbours below t cost the smaller endpoint degree of the edge tm,
+    and every 4-cycle is a pair of wedges of one group at its top-ranked
+    vertex. A pass holds a run of tops with at most _PASS wedges; for a
+    top with more, its wedges whose bottoms lie in a range of ranks
+    holding at most _PASS of them; or one (t, w) group when it alone has
+    more.
     """
     u, v = np.divmod(edges, n)
     # each edge both ways, as sorted keys x * n + y of the ranks
@@ -208,43 +215,55 @@ def _wedge_c4(n: int, edges: np.ndarray, weights: np.ndarray) -> int:
     key = rank[tails] * n + rank[np.concatenate((v, u))]
     s = np.argsort(key, kind="stable")
     key = key[s]
-    x, y = np.divmod(key, n)
+    eid = s % len(edges)
+    y = key % n
     start = np.searchsorted(key, np.arange(n) * n)
     # the edges down from each top, and how many neighbours of their lower
     # end lie below the top
-    down = np.flatnonzero(y < x)
-    top, mid = x[down], y[down]
+    down = np.flatnonzero(y < key // n)
+    top, mid = key[down] // n, y[down]
     below = np.searchsorted(key, mid * n + top) - start[mid]
     by_top = np.searchsorted(top, np.arange(n + 1))
     cum = np.concatenate(([0], np.cumsum(below)))
-    runs = list(_runs(cum[by_top[1:]] - cum[by_top[:-1]], _PASS))
-    # a run's P, and the sum of its P^2, are at most its wedges times the
-    # largest product, squared
-    most = max((int(cum[by_top[hi]] - cum[by_top[lo]]) for lo, hi in runs), default=0)
-    most *= int(weights.max(initial=0)) ** 2
-    w = _exact(np.tile(weights, 2)[s], most * most)
-    total = 0
-    for lo, hi in runs:
+    for lo, hi in _runs(cum[by_top[1:]] - cum[by_top[:-1]], _PASS):
         a, b = by_top[lo], by_top[hi]
-        single = hi - lo == 1
-        if single:
-            P, Q = np.zeros(n, w.dtype), np.zeros(n, w.dtype)
-        for p, q in _runs(below[a:b], _PASS) if single else [(0, b - a)]:
-            i, pos = _expand(start[mid[a + p:a + q]], below[a + p:a + q])
-            i += a + p
-            prod = w[down[i]] * w[pos]
-            if single:
-                np.add.at(P, y[pos], prod)
-                np.add.at(Q, y[pos], prod * prod)
-            elif len(prod):
-                ends = top[i] * n + y[pos]
-                g = np.argsort(ends, kind="stable")
-                ends, prod = ends[g], prod[g]
-                first = np.flatnonzero(np.r_[True, ends[1:] != ends[:-1]])
-                P, Q = np.add.reduceat(prod, first), np.add.reduceat(prod * prod, first)
-                total += int((P * P - Q).sum())
-        if single:
-            total += int((P * P - Q).sum())
+        if hi - lo > 1 or cum[b] - cum[a] <= _PASS:
+            i, pos = _expand(start[mid[a:b]], below[a:b])
+            i += a
+            if len(i):
+                yield _grouped(top[i] * n + y[pos], eid[down[i]], eid[pos])
+            continue
+        # one top (rank lo) with more: tally its bottoms a piece at a time,
+        # then take its wedges a range of bottom ranks at a time
+        tally = np.zeros(lo, np.int64)
+        for p, q in _runs(below[a:b], _PASS):
+            tally += np.bincount(y[_expand(start[mid[a + p:a + q]], below[a + p:a + q])[1]], minlength=lo)
+        for r, t in _runs(tally, _PASS):
+            first = np.searchsorted(key, mid[a:b] * n + r)
+            i, pos = _expand(first, np.searchsorted(key, mid[a:b] * n + t) - first)
+            i += a
+            if len(i):
+                yield _grouped(y[pos], eid[down[i]], eid[pos])
+
+
+def _wedge_c4(n: int, edges: np.ndarray, weights: np.ndarray) -> int:
+    """Sum over 4-cycles (on distinct vertices, up to rotation/reflection)
+    of the product of the four edge weights, for the edges given as keys
+    u * n + v (u < v) with nonnegative int64 weights.
+
+    Each wedge t - m - w of the kernel has the weight product
+    p = w(tm) w(mw); per (t, w), P = sum p and Q = sum p^2, and P^2 - Q
+    counts the cycles through t and its opposite vertex w once per
+    ordering of the two midpoints.
+    """
+    most = int(weights.max(initial=0)) ** 2
+    total = 0
+    for tm, mw, group in _wedges(n, edges):
+        # a pass's P, and the sum of its P^2, are at most its wedges times
+        # the largest product, squared
+        prod = _exact(weights[tm], (len(tm) * most) ** 2) * weights[mw]
+        P, Q = np.add.reduceat(prod, group), np.add.reduceat(prod * prod, group)
+        total += int((P * P - Q).sum())
     assert total % 2 == 0
     return total // 2
 
@@ -265,7 +284,7 @@ def b_statistic(tc: TriangleCensus) -> int:
     return _wedge_c4(tc.n, tc.edge_keys, tc.edge_d)
 
 
-def score_ordering(g: Graph, tc: TriangleCensus) -> list[int]:
+def score_ordering(tc: TriangleCensus) -> list[int]:
     """Vertices sorted by score descending, ties by ascending id.
 
     score(v) = (# triangles containing v)

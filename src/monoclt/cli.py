@@ -136,7 +136,7 @@ def _report(command: str, config: dict, graph: Graph, body) -> str:
 def _census(args, graph):
     tc = triangle_census(graph)
     pc = pyramid_counts(tc)
-    order = score_ordering(graph, tc)
+    order = score_ordering(tc)
     return {}, {
         "triangles": str(pc.n1),
         "pyramids": {str(s): str(v) for s, v in zip((1, 2, 3, 4), pc.as_tuple())},

@@ -61,7 +61,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .census import _choose_sum, _edge_counts, _exact_sum, _expand, _runs
+from .census import _choose_sum, _edge_counts, _exact_sum, _expand, _rank, _runs, _wedges
 from .errors import BadParamsError, BudgetExceededError, NoTrianglesError
 from .moments import _check_colors, t3_mean_var
 from .ratpoly import evaluate, fraction_json
@@ -373,10 +373,8 @@ def _connected_sets(index: _Index) -> tuple[int, int, int, int]:
     # a triangle meets the others at its vertices, twice those on its edges
     deg = index.at_count[tv].sum(1) - index.on_count[_edge_ids(index, tv[:, [0, 0, 1]], tv[:, [1, 2, 2]])].sum(1)
     m = int(deg.sum()) // 2
-    order = np.lexsort((np.arange(n1), deg))
-    rank = np.empty(n1, np.int64)
-    rank[order] = np.arange(n1)
-    deg = deg[order]
+    rank = _rank(deg)
+    deg = np.sort(deg)
     # each edge as lo * n1 + hi, up from its lower end, ascending
     key = np.empty(m, np.int64)
     filled = 0
@@ -600,21 +598,22 @@ def _injective(size: np.ndarray, masks: Sequence[int]) -> np.ndarray:
     return total
 
 
-def _cycle_counts(index: _Index, thirds: np.ndarray, cycle: np.ndarray) -> tuple[int, int]:
-    """Sets of _CYCLE8, and twice those of _CYCLE7, on the 4-cycles that
-    are the rows (a, s, b, t) of cycle, given the ascending keys e * n + x
-    of every edge e of a triangle and its third vertex x.
+def _cycle_counts(index: _Index, thirds: np.ndarray, e: np.ndarray) -> tuple[int, int]:
+    """Sets of _CYCLE8, and twice those of _CYCLE7, on the 4-cycles whose
+    edges as, sb, bt and ta are the rows of edge ids e, given the ascending
+    keys e * n + x of every edge e of a triangle and its third vertex x.
 
     X_1..X_4 are the third vertices of the triangles on as, sb, bt and ta,
     less a, s, b and t. Each vertex of their union is taken from the
     first X holding it, with the mask of the X's that hold it: |X_S| for a
     set S of the four edges counts the vertices whose mask holds S."""
-    c = len(cycle)
-    e = np.stack([_edge_ids(index, cycle[:, i], cycle[:, (i + 1) % 4]) for i in range(4)], 1)
+    c = len(e)
+    # the cycle's vertices are the ends of its edges as and bt
+    cycle = np.hstack(np.divmod(index.edges[e[:, [0, 2]]], index.n))
     tally = []
     for i in range(4):
         k, pos = _expand(index.on_start[e[:, i]], index.on_count[e[:, i]])
-        x = index.tv[index.on_tri[pos]].sum(1) - cycle[k, i] - cycle[k, (i + 1) % 4]
+        x = thirds[pos] % index.n
         mask = np.zeros(len(x), np.int64)
         for j in range(4):
             key = e[k, j] * index.n + x
@@ -643,49 +642,29 @@ def _contact_cycles(index: _Index) -> tuple[int, int]:
     the choices of distinct x_i in X_i, and _CYCLE7 sets the choices of
     distinct z in two adjacent X_i and x_j, x_k in the other two; each
     _CYCLE7 set hangs on two cycles, through z or through the vertex the
-    two adjacent edges share. Cycles are listed in degree order (Chiba &
-    Nishizeki 1985), each charged to its top vertex as a pair of wedges
-    down from it, in passes of about _CHUNK wedges, and of cycles whose
-    edges carry about _CHUNK triangles; every cycle adds at least one to
-    the census's b statistic.
+    two adjacent edges share. The census's wedge kernel lists each cycle
+    once, as a pair of wedges a - s - b and a - t - b of one (top, bottom)
+    group, and a pass counts cycles whose edges carry about _CHUNK
+    triangles; every cycle adds at least one to the census's b statistic.
     """
     n = index.n
-    u, v = np.divmod(index.edges, n)
-    deg = np.bincount(np.r_[u, v], minlength=n)
-    order = np.lexsort((np.arange(n), deg))
-    rank = np.empty(n, np.int64)
-    rank[order] = np.arange(n)
-    x, y = rank[np.r_[u, v]], rank[np.r_[v, u]]
-    s = np.lexsort((y, x))
-    x, y = x[s], y[s]
-    key = x * n + y
-    start = np.cumsum(deg[order]) - deg[order]
-    # the edges down from each top vertex, and how many neighbours of
-    # the lower end lie below the top
-    down = y < x
-    top, mid = x[down], y[down]
-    below = np.searchsorted(key, mid * n + top) - start[mid]
     on = np.repeat(np.arange(len(index.edges)), index.on_count)
+    # the triangles on each edge e as keys e * n + x of their third vertices
+    # x, ascending: those on e start at on_start[e]
     thirds = np.sort(on * n + index.tv[index.on_tri].sum(1) - index.edges[on] // n - index.edges[on] % n)
     eight = twice_seven = 0
-    for lo, hi in _runs(np.bincount(top, below, n).astype(np.int64), _CHUNK):
-        sel = slice(*np.searchsorted(top, [lo, hi]))
-        i, pos = _expand(start[mid[sel]], below[sel])
-        ends = top[sel][i] * n + y[pos]
-        g = np.argsort(ends, kind="stable")
-        ends, tops, mids, bottoms = ends[g], top[sel][i][g], mid[sel][i][g], y[pos][g]
-        # each wedge pairs with the later ones of its top and bottom, and a
-        # cycle costs the triangles on its four edges: a pass holds at
-        # most _CHUNK of them
-        end = np.searchsorted(ends, ends, "right")
-        later = end - np.arange(len(ends)) - 1
-        half = (index.on_count[_edge_ids(index, order[tops], order[mids])]
-                + index.on_count[_edge_ids(index, order[mids], order[bottoms])])
+    for tm, mw, group in _wedges(n, index.edges):
+        # each wedge pairs with the later ones of its group, and a cycle
+        # costs the triangles on its four edges
+        size = np.diff(np.r_[group, len(tm)])
+        end = np.repeat(group + size, size)
+        later = end - np.arange(len(tm)) - 1
+        half = index.on_count[tm] + index.on_count[mw]
         cum = np.r_[0, np.cumsum(half)]
         for p, q in _runs(later * half + cum[end] - cum[1:], _CHUNK):
             j, other = _expand(np.arange(p, q) + 1, later[p:q])
             j += p
-            got = _cycle_counts(index, thirds, order[np.stack([tops[j], mids[j], bottoms[j], mids[other]], 1)])
+            got = _cycle_counts(index, thirds, np.stack([tm[j], mw[j], mw[other], tm[other]], 1))
             eight += got[0]
             twice_seven += got[1]
     assert twice_seven % 2 == 0

@@ -43,13 +43,12 @@ _MASK64 = (1 << 64) - 1
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    edges are stored as (u, v) with u < v in ascending order; adjacency
-    lists are sorted. Instances are immutable and safe to share.
+    edges are stored as (u, v) with u < v in ascending order. Instances
+    are immutable and safe to share.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    adj: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -62,20 +61,11 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             norm.add((u, v) if u < v else (v, u))
-        edge_tuple = tuple(sorted(norm))
-        adj_lists = [[] for _ in range(n)]
-        for u, v in edge_tuple:
-            adj_lists[u].append(v)
-            adj_lists[v].append(u)
-        adj = tuple(tuple(sorted(a)) for a in adj_lists)
-        return cls(n=n, edges=edge_tuple, adj=adj)
+        return cls(n=n, edges=tuple(sorted(norm)))
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
     def digest(self) -> str:
         """sha256 of the canonical serialization; used in CLI reports."""

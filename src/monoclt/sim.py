@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .census import TriangleCensus, pyramid_counts, triangle_census
+from .census import TriangleCensus, _edge_array, pyramid_counts, triangle_census
 from .errors import BadParamsError, TooLargeError
 from .graph import Graph, _check_seed
 from .moments import _check_colors, standard_normal_cdf, t2_mean_var, t3_mean_var
@@ -183,7 +183,7 @@ def sample_statistics(
     raw_sinks = raw_sinks or {}
     cliques = {}
     if cfg.statistic in ("T2", "both"):
-        cliques["T2"] = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+        cliques["T2"] = _edge_array(g)
     if cfg.statistic in ("T3", "both"):
         if tc is None:
             tc = triangle_census(g)
@@ -326,7 +326,7 @@ def exact_distribution(
         raise TooLargeError(f"enumeration size {total} exceeds cap {cap}")
     if tc is None:
         tc = triangle_census(g)
-    edges = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+    edges = _edge_array(g)
     tris = tc.triangles
     stride = len(tris) + 1
     width = (len(edges) + 1) * stride

@@ -17,7 +17,7 @@ from brute import (
     brute_weighted_c4,
     relabeled,
 )
-from helpers import has_edge
+from helpers import degrees, has_edge
 from monoclt import census, cli, sim
 from monoclt.census import (
     TriangleCensus,
@@ -78,8 +78,9 @@ def test_census_invariants(small_corpus):
     for name, g in small_corpus:
         tc = triangle_census(g)
         assert sum(_edge_tri(tc).values()) == 3 * len(tc.triangles), name
+        degree = degrees(g)
         for (u, v), d in _edge_tri(tc).items():
-            assert d <= min(g.degree(u), g.degree(v)) - 1, name
+            assert d <= min(degree[u], degree[v]) - 1, name
         for a, b, c in tc.triangles:
             assert has_edge(g, a, b) and has_edge(g, b, c) and has_edge(g, a, c)
 
@@ -152,7 +153,7 @@ def test_hub_closed_forms():
 def test_score_ordering_pyramid():
     g = pyramid(4)
     tc = triangle_census(g)
-    order = score_ordering(g, tc)
+    order = score_ordering(tc)
     assert order == [0, 1, 2, 3, 4, 5]
     scores = brute_scores(g)
     assert scores[0] == scores[1] == 4 + comb(4, 2)
@@ -161,9 +162,9 @@ def test_score_ordering_pyramid():
 
 def test_score_ordering_ties_and_triangle_free():
     g = complete(4)
-    assert score_ordering(g, triangle_census(g)) == [0, 1, 2, 3]
+    assert score_ordering(triangle_census(g)) == [0, 1, 2, 3]
     p5 = Graph.from_edges(5, [(i, i + 1) for i in range(4)])
-    assert score_ordering(p5, triangle_census(p5)) == [0, 1, 2, 3, 4]
+    assert score_ordering(triangle_census(p5)) == [0, 1, 2, 3, 4]
 
 
 def test_score_ordering_matches_brute(small_corpus):
@@ -171,13 +172,13 @@ def test_score_ordering_matches_brute(small_corpus):
         tc = triangle_census(g)
         scores = brute_scores(g)
         expected = sorted(range(g.n), key=lambda v: (-scores[v], v))
-        assert score_ordering(g, tc) == expected, name
+        assert score_ordering(tc) == expected, name
 
 
 def test_s_statistic_pyramid4():
     g = pyramid(4)
     tc = triangle_census(g)
-    order = score_ordering(g, tc)
+    order = score_ordering(tc)
     assert s_statistic(tc, order) == 4
     assert s_statistic(tc, list(reversed(order))) == 76
 
@@ -209,7 +210,7 @@ def test_s_statistic_requires_permutation():
 def test_s_equals_n_on_pyramids_under_score_order(n):
     g = pyramid(n)
     tc = triangle_census(g)
-    assert s_statistic(tc, score_ordering(g, tc)) == n
+    assert s_statistic(tc, score_ordering(tc)) == n
 
 
 def test_score_order_regression_bound():
@@ -224,14 +225,14 @@ def test_score_order_regression_bound():
         pc = pyramid_counts(tc)
         if pc.n1 == 0:
             continue
-        s_val = s_statistic(tc, score_ordering(g, tc))
+        s_val = s_statistic(tc, score_ordering(tc))
         denom = (pc.n1 + pc.n2) ** 1.5 * (1 + pc.n4) ** 0.25
         assert s_val / denom < 10.0
 
 
 def _census_outputs(g):
     tc = triangle_census(g)
-    order = score_ordering(g, tc)
+    order = score_ordering(tc)
     return (tc.triangles.tolist(), tc.edge_keys.tolist(), tc.edge_d.tolist(), pyramid_counts(tc).as_tuple(),
             count_c4(g), b_statistic(tc), order, s_statistic(tc, order))
 
@@ -244,6 +245,41 @@ def test_census_outputs_do_not_depend_on_the_pass_bound(small_corpus, monkeypatc
     monkeypatch.setattr(census, "_PASS", 1)
     for (name, g), want in zip(graphs, default):
         assert _census_outputs(g) == want, name
+
+
+def _wedge_passes(g):
+    """The passes of the wedge kernel on g: per pass, the (top, bottom) key
+    of each wedge, its edge ids tm and mw, and the group starts."""
+    e = census._edge_array(g)
+    rank = census._rank(np.bincount(e.ravel(), minlength=g.n))
+    passes = []
+    for tm, mw, group in census._wedges(g.n, e[:, 0] * g.n + e[:, 1]):
+        (a, b), (c, d) = e[tm].T, e[mw].T
+        mid = np.where((a == c) | (a == d), a, b)
+        top, bottom = a + b - mid, c + d - mid
+        assert (rank[mid] < rank[top]).all() and (rank[bottom] < rank[top]).all()
+        passes.append((top * g.n + bottom, tm, mw, group))
+    return passes
+
+
+@pytest.mark.parametrize("bound", [1, 64])
+@pytest.mark.parametrize("g", [pyramid(600), gnp(120, 0.5, 1)], ids=["pyramid600", "gnp120"])
+def test_wedge_passes_follow_the_pass_bound(g, bound, monkeypatch):
+    # pyramid(600) has one (top, bottom) group of 600 wedges, past both bounds
+    want = sorted(w for _, tm, mw, _ in _wedge_passes(g) for w in zip(tm.tolist(), mw.tolist()))
+    monkeypatch.setattr(census, "_PASS", bound)
+    passes = _wedge_passes(g)
+    seen = set()
+    for key, tm, mw, group in passes:
+        sizes = np.diff(np.r_[group, len(key)])
+        assert len(key) <= max(bound, sizes.max())
+        # each group is contiguous, and lies in this pass alone
+        assert group.tolist() == np.flatnonzero(np.r_[True, key[1:] != key[:-1]]).tolist()
+        groups = set(key[group].tolist())
+        assert len(groups) == len(group) and not groups & seen
+        seen |= groups
+    assert sorted(w for _, tm, mw, _ in passes for w in zip(tm.tolist(), mw.tolist())) == want
+    assert len(passes) > 1
 
 
 def test_census_of_a_graph_without_edges():
@@ -291,7 +327,7 @@ def test_statistics_reach_json_as_python_ints():
     g = gnp(30, 0.5, 2)
     tc = triangle_census(g)
     values = [*pyramid_counts(tc).as_tuple(), count_c4(g), b_statistic(tc), s_statistic(tc, list(range(g.n)))]
-    values += score_ordering(g, tc)
+    values += score_ordering(tc)
     assert all(type(v) is int for v in values)
 
 

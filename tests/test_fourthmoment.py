@@ -7,7 +7,7 @@ import pytest
 
 from brute import (brute_class_key, brute_cycle_sets, brute_discover_classes, brute_t3_third_central_moment,
                    relabeled)
-from monoclt import fourthmoment
+from monoclt import census, fourthmoment
 from monoclt.census import PyramidCounts, pyramid_counts, triangle_census
 from monoclt.errors import BudgetExceededError, NoTrianglesError
 from monoclt.fourthmoment import (
@@ -370,11 +370,17 @@ def test_connected_sets_per_level_match_the_walk(g):
     assert fourthmoment._connected_sets(fourthmoment._index(tris)) == tuple(levels)
 
 
-@pytest.mark.parametrize("g", [complete(7), complete(9), gnp(24, 0.4, 1)], ids=["K7", "K9", "gnp24"])
-def test_contact_cycles_match_brute(g):
+@pytest.mark.parametrize("g,bound", [
+    pytest.param(g, bound, id=name + suffix)
+    for bound, suffix in ((census._PASS, ""), (1, "-pass1"))
+    for g, name in ((complete(7), "K7"), (complete(9), "K9"), (gnp(24, 0.4, 1), "gnp24"))
+])
+def test_contact_cycles_match_brute(g, bound, monkeypatch):
     # the two classes no pair reaches, per 4-cycle, against the sets of
-    # four triangles whose intersection graph is a 4-cycle
+    # four triangles whose intersection graph is a 4-cycle; at bound 1 the
+    # census's wedge kernel takes one (top, bottom) group per pass
     tris = triangle_census(g).triangles
+    monkeypatch.setattr(census, "_PASS", bound)
     cycles = brute_cycle_sets(tris)
     got = fourthmoment._contact_cycles(fourthmoment._index(tris))
     assert got == (cycles.get(CYCLE8, 0), cycles.get(CYCLE7, 0))
@@ -537,18 +543,20 @@ def test_budget_refuses_k20_before_any_pass(monkeypatch):
     assert passes == []
 
 
-@pytest.mark.parametrize("chunk,block", [(1, 5), (1 << 20, 1 << 20)], ids=["one_pair", "2^20"])
+@pytest.mark.parametrize("chunk,block,wedges", [(1, 5, 1), (1 << 20, 1 << 20, 1 << 20)], ids=["one_pair", "2^20"])
 @pytest.mark.parametrize(
     "g", [complete(9), generate(FamilySpec("composite", n=12, c=2)), UNION],
     ids=["K9", "composite12", "union"],
 )
-def test_discovery_does_not_depend_on_the_chunk_bound(g, chunk, block, monkeypatch):
-    # one connected pair per pass and five rows per Gram block, or
-    # everything at once
+def test_discovery_does_not_depend_on_the_chunk_bound(g, chunk, block, wedges, monkeypatch):
+    # one connected pair per pass, five rows per Gram block and one
+    # (top, bottom) group of contact-cycle wedges per pass, or everything
+    # at once
     tris = triangle_census(g).triangles
     want = discover_classes(tris)
     monkeypatch.setattr(fourthmoment, "_CHUNK", chunk)
     monkeypatch.setattr(fourthmoment, "_BLOCK", block)
+    monkeypatch.setattr(census, "_PASS", wedges)
     assert discover_classes(tris) == want
 
 
