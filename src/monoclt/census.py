@@ -21,8 +21,10 @@ its top vertex (unit weights for N(C4), d(e) on triangle-supported edges
 for b), which class discovery's contact 4-cycles read too. Both take
 O(sum_e min-degree) time. A pass holds at most _PASS candidate triangles
 or wedges, or those of one edge or of one (top, bottom) pair when it
-alone has more, so working memory follows that bound and the maximum
-degree, not the number of wedges.
+alone has more; a top with more wedges takes passes of up to as many as
+it has edges down, so that its cost stays linear. Working memory follows
+that bound, the number of vertices and the maximum degree, not the
+number of wedges.
 
 Every sum is exact: int64 is used only where a bound checked beforehand
 keeps it below 2^63, and Python integers (object arrays) past it; n_4 =
@@ -205,8 +207,8 @@ def _wedges(n: int, edges: np.ndarray):
     and every 4-cycle is a pair of wedges of one group at its top-ranked
     vertex. A pass holds a run of tops with at most _PASS wedges; for a
     top with more, its wedges whose bottoms lie in a range of ranks
-    holding at most _PASS of them; or one (t, w) group when it alone has
-    more.
+    holding at most _PASS of them, or as many as the top has edges down
+    if that is more; or one (t, w) group when it alone has more.
     """
     u, v = np.divmod(edges, n)
     # each edge both ways, as sorted keys x * n + y of the ranks
@@ -227,20 +229,24 @@ def _wedges(n: int, edges: np.ndarray):
     cum = np.concatenate(([0], np.cumsum(below)))
     for lo, hi in _runs(cum[by_top[1:]] - cum[by_top[:-1]], _PASS):
         a, b = by_top[lo], by_top[hi]
-        if hi - lo > 1 or cum[b] - cum[a] <= _PASS:
+        if cum[b] - cum[a] <= _PASS:
             i, pos = _expand(start[mid[a:b]], below[a:b])
             i += a
             if len(i):
                 yield _grouped(top[i] * n + y[pos], eid[down[i]], eid[pos])
             continue
         # one top (rank lo) with more: tally its bottoms a piece at a time,
-        # then take its wedges a range of bottom ranks at a time
+        # then take its wedges a range of bottom ranks at a time. A piece
+        # costs a length-lo tally and a range a search of the b - a edges
+        # down, so each grows with those, and the top's cost stays linear.
         tally = np.zeros(lo, np.int64)
-        for p, q in _runs(below[a:b], _PASS):
+        for p, q in _runs(below[a:b], max(_PASS, lo)):
             tally += np.bincount(y[_expand(start[mid[a + p:a + q]], below[a + p:a + q])[1]], minlength=lo)
-        for r, t in _runs(tally, _PASS):
-            first = np.searchsorted(key, mid[a:b] * n + r)
-            i, pos = _expand(first, np.searchsorted(key, mid[a:b] * n + t) - first)
+        first = start[mid[a:b]]
+        for _, t in _runs(tally, max(_PASS, b - a)):
+            end = np.searchsorted(key, mid[a:b] * n + t) if t < lo else start[mid[a:b]] + below[a:b]
+            i, pos = _expand(first, end - first)
+            first = end
             i += a
             if len(i):
                 yield _grouped(y[pos], eid[down[i]], eid[pos])

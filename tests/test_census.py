@@ -248,8 +248,9 @@ def test_census_outputs_do_not_depend_on_the_pass_bound(small_corpus, monkeypatc
 
 
 def _wedge_passes(g):
-    """The passes of the wedge kernel on g: per pass, the (top, bottom) key
-    of each wedge, its edge ids tm and mw, and the group starts."""
+    """The passes of the wedge kernel on g, each as the (top, bottom) key of
+    each wedge, its edge ids tm and mw, and the group starts; and each
+    vertex's number of edges down to vertices ranked below it."""
     e = census._edge_array(g)
     rank = census._rank(np.bincount(e.ravel(), minlength=g.n))
     passes = []
@@ -259,27 +260,39 @@ def _wedge_passes(g):
         top, bottom = a + b - mid, c + d - mid
         assert (rank[mid] < rank[top]).all() and (rank[bottom] < rank[top]).all()
         passes.append((top * g.n + bottom, tm, mw, group))
-    return passes
+    upper = np.where(rank[e[:, 0]] > rank[e[:, 1]], e[:, 0], e[:, 1])
+    return passes, np.bincount(upper, minlength=g.n)
 
 
 @pytest.mark.parametrize("bound", [1, 64])
 @pytest.mark.parametrize("g", [pyramid(600), gnp(120, 0.5, 1)], ids=["pyramid600", "gnp120"])
 def test_wedge_passes_follow_the_pass_bound(g, bound, monkeypatch):
     # pyramid(600) has one (top, bottom) group of 600 wedges, past both bounds
-    want = sorted(w for _, tm, mw, _ in _wedge_passes(g) for w in zip(tm.tolist(), mw.tolist()))
+    want = sorted(w for _, tm, mw, _ in _wedge_passes(g)[0] for w in zip(tm.tolist(), mw.tolist()))
     monkeypatch.setattr(census, "_PASS", bound)
-    passes = _wedge_passes(g)
+    passes, down = _wedge_passes(g)
     seen = set()
+    wedges, cuts = np.zeros(g.n, np.int64), np.zeros(g.n, np.int64)
     for key, tm, mw, group in passes:
         sizes = np.diff(np.r_[group, len(key)])
-        assert len(key) <= max(bound, sizes.max())
+        tops = np.unique(key // g.n)
+        # a top with more wedges than the bound takes ranges of bottoms with
+        # up to as many wedges as it has edges down
+        assert len(key) <= max(bound, down[tops].max(), sizes.max())
         # each group is contiguous, and lies in this pass alone
         assert group.tolist() == np.flatnonzero(np.r_[True, key[1:] != key[:-1]]).tolist()
         groups = set(key[group].tolist())
         assert len(groups) == len(group) and not groups & seen
         seen |= groups
+        wedges += np.bincount(key // g.n, minlength=g.n)
+        cuts[tops] += 1
     assert sorted(w for _, tm, mw, _ in passes for w in zip(tm.tolist(), mw.tolist())) == want
     assert len(passes) > 1
+    # so the ranges of a top grow with its degree: two consecutive ranges
+    # hold more than max(bound, edges down), and the top's searches over its
+    # edges down stay linear in its wedges
+    heavy = wedges > bound
+    assert (cuts[heavy] <= 2 * wedges[heavy] // np.maximum(bound, down[heavy]) + 1).all()
 
 
 def test_census_of_a_graph_without_edges():
