@@ -1,8 +1,10 @@
 """Exact subgraph statistics built on a triangle census.
 
 The census records every triangle once plus, for each edge e, the number
-d(e) of triangles containing e. Everything downstream is a function of
-the graph and these d-values:
+d(e) of triangles containing e; on first use it also lists the triangles
+at each vertex and on each edge, which class discovery and the fourth
+moment read. Everything downstream is a function of the graph and these
+d-values:
 
     pyramid counts   n_s = sum_e C(d(e), s); s triangles on a common edge
     N(C4)            number of 4-cycles
@@ -36,6 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -87,19 +90,24 @@ def _exact(values: np.ndarray, bound: int) -> np.ndarray:
     return values if bound < _INT64 else values.astype(object)
 
 
-def _edge_counts(tv: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _find(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each query sits in the ascending keys (clipped to the last
+    place), and whether it is there."""
+    if not len(keys):
+        return np.zeros(np.shape(query), np.int64), np.zeros(np.shape(query), bool)
+    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return at, keys[at] == query
+
+
+def _edge_counts(tv: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The edges of the triangles (rows of ascending vertices below n) as
-    ascending keys u * n + v, the number d of triangles on each, and the
-    ids of each triangle's edges uv, uw and vw."""
+    ascending keys u * n + v, and the number d of triangles on each."""
     # column by column: the first column is already in order
     keys = (tv[:, [0, 0, 1]] * n + tv[:, [1, 2, 2]]).T.ravel()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    keys = keys[np.argsort(keys, kind="stable")]
     new = np.ones(len(keys), bool)
     new[1:] = keys[1:] != keys[:-1]
-    edge = np.empty(len(keys), np.int64)
-    edge[order] = np.cumsum(new) - 1
-    return keys[new], np.bincount(edge, minlength=int(new.sum())), edge.reshape(3, -1).T
+    return keys[new], np.diff(np.flatnonzero(np.r_[new, True]))
 
 
 def _rank(deg: np.ndarray) -> np.ndarray:
@@ -114,17 +122,33 @@ class TriangleCensus:
     """The triangles of a graph on n vertices, as an (m, 3) int64 array of
     ascending rows in lexicographic order, and the edges they cover, as
     ascending keys u * n + v (u < v) with the number edge_d of triangles
-    on each; d(u, v) looks one edge up, 0 if no triangle covers it."""
+    on each. The triangles at each vertex and on each edge are built on
+    first use."""
 
     n: int
     triangles: np.ndarray
     edge_keys: np.ndarray
     edge_d: np.ndarray
 
-    def d(self, u: int, v: int) -> int:
-        key = min(u, v) * self.n + max(u, v)
-        i = int(np.searchsorted(self.edge_keys, key))
-        return int(self.edge_d[i]) if i < len(self.edge_keys) and self.edge_keys[i] == key else 0
+    def edge_ids(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The ids into edge_keys of the edges uv, or -1 where no triangle covers uv."""
+        at, hit = _find(self.edge_keys, np.minimum(u, v) * self.n + np.maximum(u, v))
+        return np.where(hit, at, -1)
+
+    @cached_property
+    def at(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The triangles at each vertex: its start and count in the ids of
+        the triangles listed vertex by vertex, and those ids."""
+        count = np.bincount(self.triangles.ravel(), minlength=self.n)
+        return np.cumsum(count) - count, count, np.argsort(self.triangles.ravel(), kind="stable") // 3
+
+    @cached_property
+    def on(self) -> tuple[np.ndarray, np.ndarray]:
+        """The triangles on each edge: its start in the ids of the triangles
+        listed edge by edge, and those ids; edge_d counts them."""
+        tv = self.triangles
+        edge = self.edge_ids(tv[:, [0, 0, 1]], tv[:, [1, 2, 2]])
+        return np.cumsum(self.edge_d) - self.edge_d, np.argsort(edge.ravel(), kind="stable") // 3
 
 
 @dataclass(frozen=True)
@@ -168,18 +192,23 @@ def triangle_census(g: Graph) -> TriangleCensus:
         i += lo
         w = fwd[pos] % n
         key = a[i] * n + w
-        at = np.minimum(np.searchsorted(fwd, key), len(fwd) - 1)
-        hit = fwd[at] == key
+        hit = _find(fwd, key)[1]
         found.append(np.array([a[i[hit]], b[i[hit]], w[hit]]))
-    found = np.concatenate(found, 1)
-    low, high = found.min(0), found.max(0)
-    mid = found.sum(0) - low - high
+    return index_triangles(np.concatenate(found, 1).T, n)
+
+
+def index_triangles(rows, n: int | None = None) -> TriangleCensus:
+    """The census of the triangles given as rows of three distinct
+    vertices below n (by default, one more than the largest)."""
+    rows = np.asarray(rows, np.int64).reshape(-1, 3)
+    n = int(rows.max(initial=-1)) + 1 if n is None else n
+    low, high = rows.min(1), rows.max(1)
+    mid = rows.sum(1) - low - high
     # lexicographic order: by the last vertex, then stably by the first two
     order = high.argsort(kind="stable")
     order = order[(low[order] * n + mid[order]).argsort(kind="stable")]
     tv = np.stack([low, mid, high], 1)[order]
-    edge_keys, edge_d, _ = _edge_counts(tv, n)
-    return TriangleCensus(n=n, triangles=tv, edge_keys=edge_keys, edge_d=edge_d)
+    return TriangleCensus(n, tv, *_edge_counts(tv, n))
 
 
 def pyramid_counts(tc: TriangleCensus) -> PyramidCounts:

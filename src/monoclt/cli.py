@@ -9,8 +9,9 @@ graph, is added beside it.
 Every JSON report embeds the tool version, the resolved configuration,
 and the input graph digest; rerunning an embedded configuration
 reproduces the report byte-for-byte. Exit codes: 0 success, 1 domain
-error, 2 usage error. The --threads flag never changes results; class
-discovery in fourth-moment runs on one thread whatever it is set to.
+error or an allocation the system refused, 2 usage error. The --threads
+flag never changes results; class discovery in fourth-moment runs on
+one thread whatever it is set to.
 """
 
 from __future__ import annotations
@@ -200,8 +201,7 @@ FOURTH_MOMENT_OPTIONS = {
 
 
 def _fourth_moment(args, graph):
-    tc = triangle_census(graph)
-    dec = fourth_moment_exact(tc, pyramid_counts(tc), args.c, budget=args.budget)
+    dec = fourth_moment_exact(triangle_census(graph), args.c, budget=args.budget)
     return {"c": args.c, "budget": args.budget}, dec.to_json_dict()
 
 
@@ -285,12 +285,12 @@ def run(argv=None) -> int:
         return _dispatch(args)
     except argparse.ArgumentTypeError as exc:  # a usage error found after parsing
         parser.subparsers.choices[args.command].error(str(exc))
-    except MonocltError as exc:
+    except (MonocltError, MemoryError) as exc:
         error = {
             "tool": "monoclt",
             "version": __version__,
             "operation": args.command,
-            "error": type(exc).__name__,
+            "error": type(exc).__name__ if isinstance(exc, MonocltError) else "MemoryError",
             "detail": str(exc),
             "inputs": {  # a non-finite float goes in as text, which strict JSON allows
                 k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
@@ -374,12 +374,12 @@ def _verify(threads: Optional[int]) -> int:
                 mu3, v3, _ = dist.moments("T3")
                 if (mu3, v3) != (rep3.mean, rep3.variance):
                     ok, detail = False, f"T3 mismatch on {name}, c={c}"
-                dec = fourth_moment_exact(tc, pc, c)
+                dec = fourth_moment_exact(tc, c)
                 if dec.excess4 != dist.excess4("T3"):
                     ok, detail = False, f"fourth-moment mismatch on {name}, c={c}"
     check("oracle equality (closed forms vs full enumeration)", ok, detail)
 
-    disc = discover_classes(triangle_census(complete(9)).triangles)
+    disc = discover_classes(triangle_census(complete(9)))
     check(
         "class discovery on K9 finds exactly 32 classes",
         len(disc.entries) == 32,

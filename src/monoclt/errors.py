@@ -43,7 +43,8 @@ class BudgetExceededError(MonocltError):
 
 
 class TooLargeError(MonocltError):
-    """A family graph or an exhaustive coloring enumeration exceeded its cap."""
+    """A family graph, an edge-list header or an exhaustive coloring
+    enumeration exceeded its cap."""
 
 
 class UnsupportedFamilyError(MonocltError):

@@ -22,9 +22,10 @@ Moebius inversion over the set partitions of the four positions
 cliques equal to x^(|V(union)| - components(union)); see
 cumulant_coefficient.
 
-Class discovery counts the connected sets without visiting them, and
-keys only those whose class has a nonzero coefficient (see
-_count_configurations):
+Class discovery reads the graph's triangle census alone: its triangles,
+and the triangles at each vertex and on each edge. It counts the
+connected sets without visiting them, and keys only those whose class
+has a nonzero coefficient (see _count_configurations):
 
 - the connected sets of each size, which the budget caps, are the
   connected induced subgraphs of the triangles' intersection graph, got
@@ -57,11 +58,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .census import _choose_sum, _edge_counts, _exact_sum, _expand, _rank, _runs, _wedges
+from .census import TriangleCensus, _choose_sum, _exact_sum, _expand, _find, _rank, _runs, _wedges, pyramid_counts
 from .errors import BadParamsError, BudgetExceededError, NoTrianglesError
 from .moments import _check_colors, t3_mean_var
 from .ratpoly import evaluate, fraction_json
@@ -301,54 +302,22 @@ _CYCLE8 = class_key([(0, 1, 4), (1, 2, 5), (2, 3, 6), (3, 0, 7)])
 _CYCLE7 = class_key([(0, 1, 4), (1, 2, 5), (2, 3, 6), (3, 0, 6)])
 
 
-class _Index(NamedTuple):
-    """The triangles of a graph on n vertices as rows of ascending
-    vertices, listed at each vertex and on each edge they cover (start,
-    count and the triangles in order), with those edges as ascending keys
-    u * n + v, u < v, from the census's own edge counts."""
-
-    tv: np.ndarray
-    n: int
-    at_start: np.ndarray
-    at_count: np.ndarray
-    at_tri: np.ndarray
-    edges: np.ndarray
-    on_start: np.ndarray
-    on_count: np.ndarray
-    on_tri: np.ndarray
-
-
-def _index(triangles: Sequence[Triangle]) -> _Index:
-    tv = np.sort(np.array(triangles, dtype=np.int64), axis=1)
-    n = int(tv.max()) + 1
-    edges, on, edge = _edge_counts(tv, n)
-    at = np.bincount(tv.ravel(), minlength=n)
-    return _Index(tv, n, np.cumsum(at) - at, at, np.argsort(tv.ravel(), kind="stable") // 3,
-                  edges, np.cumsum(on) - on, on, np.argsort(edge.ravel(), kind="stable") // 3)
-
-
-def _edge_ids(index: _Index, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The ids of the edges uv, or -1 where no triangle covers uv."""
-    key = np.minimum(u, v) * index.n + np.maximum(u, v)
-    e = np.minimum(np.searchsorted(index.edges, key), len(index.edges) - 1)
-    return np.where(index.edges[e] == key, e, -1)
-
-
-def _pairs(index: _Index):
+def _pairs(tc: TriangleCensus):
     """The connected pairs a < b of triangles, as arrays a and b, a run of
     triangles a at a time."""
-    tv = index.tv
-    for lo, hi in _runs(index.at_count[tv].sum(1), _CHUNK):
+    tv = tc.triangles
+    start, count, tri = tc.at
+    for lo, hi in _runs(count[tv].sum(1), _CHUNK):
         verts = tv[lo:hi].ravel()
-        i, pos = _expand(index.at_start[verts], index.at_count[verts])
-        a, b = lo + i // 3, index.at_tri[pos]
+        i, pos = _expand(start[verts], count[verts])
+        a, b = lo + i // 3, tri[pos]
         a_in_b = (tv[a][:, :, None] == tv[b][:, None, :]).any(2)
         # each pair once, at the first vertex of a that b contains
         keep = (b > a) & (a_in_b.argmax(1) == i % 3)
         yield a[keep], b[keep]
 
 
-def _connected_sets(index: _Index) -> tuple[int, int, int, int]:
+def _connected_sets(tc: TriangleCensus) -> tuple[int, int, int, int]:
     """The connected sets of 1, 2, 3 and 4 triangles.
 
     They are the connected induced subgraphs of H, the graph with a node
@@ -368,17 +337,17 @@ def _connected_sets(index: _Index) -> tuple[int, int, int, int]:
     holds about _CHUNK entries, or those of one node, and the sums are
     exact integers.
     """
-    tv = index.tv
+    tv = tc.triangles
     n1 = len(tv)
     # a triangle meets the others at its vertices, twice those on its edges
-    deg = index.at_count[tv].sum(1) - index.on_count[_edge_ids(index, tv[:, [0, 0, 1]], tv[:, [1, 2, 2]])].sum(1)
+    deg = tc.at[1][tv].sum(1) - tc.edge_d[tc.edge_ids(tv[:, [0, 0, 1]], tv[:, [1, 2, 2]])].sum(1)
     m = int(deg.sum()) // 2
     rank = _rank(deg)
     deg = np.sort(deg)
     # each edge as lo * n1 + hi, up from its lower end, ascending
     key = np.empty(m, np.int64)
     filled = 0
-    for a, b in _pairs(index):
+    for a, b in _pairs(tc):
         a, b = rank[a], rank[b]
         key[filled:filled + len(a)] = np.minimum(a, b) * n1 + np.maximum(a, b)
         filled += len(a)
@@ -441,9 +410,7 @@ def _connected_sets(index: _Index) -> tuple[int, int, int, int]:
             r, uv = _expand(up_start[u], ups[u])
             v = key[uv] % n1
             f, vw = _expand(up_start[v], ups[v])
-            w_key = u[r[f]] * n1 + key[vw] % n1
-            uw = np.minimum(np.searchsorted(key, w_key), m - 1)
-            hit = key[uw] == w_key
+            uw, hit = _find(key, u[r[f]] * n1 + key[vw] % n1)
             f, vw, uw = f[hit], vw[hit], uw[hit]
             start = up_start[u][r]
             B = np.zeros((len(u), k, k))
@@ -506,30 +473,30 @@ def _slots(tv: np.ndarray, own: np.ndarray, sh: int) -> np.ndarray:
                       va[a_in_b].reshape(-1, sh)])
 
 
-def _cells(index: _Index) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def _cells(tc: TriangleCensus) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """The cells of the connected pairs, summed over them by the number of
     vertices they share: third triangles by type, and ordered pairs of
     them by (k, t1, t2). A run of pairs at a time finds the edges between
     their slots, then passes of at most _CHUNK triangles on those edges
     are counted."""
-    tv = index.tv
+    tv = tc.triangles
     cells = {sh: (np.zeros(1 << 6 - sh, np.int64), np.zeros((2, 1 << 6 - sh, 1 << 6 - sh), np.int64))
              for sh in (1, 2)}
-    for a, b in _pairs(index):
+    for a, b in _pairs(tc):
         share = (tv[a][:, :, None] == tv[b][:, None, :]).any(2).sum(1)
         for sh, (third, fourth) in cells.items():
             own = np.stack([a[share == sh], b[share == sh]], 1)
             slots = _slots(tv, own, sh)
             first, second = np.triu_indices(6 - sh, 1)
-            eid = _edge_ids(index, slots[:, first], slots[:, second])
-            for p, q in _runs(np.where(eid < 0, 0, index.on_count[eid]).sum(1), _CHUNK):
-                total, counted = _count_chunk(index, slots[p:q], own[p:q], eid[p:q])
+            eid = tc.edge_ids(slots[:, first], slots[:, second])
+            for p, q in _runs(np.where(eid < 0, 0, tc.edge_d[eid]).sum(1), _CHUNK):
+                total, counted = _count_chunk(tc, slots[p:q], own[p:q], eid[p:q])
                 third += total
                 fourth += counted
     return cells
 
 
-def _count_chunk(index: _Index, slots: np.ndarray, own: np.ndarray,
+def _count_chunk(tc: TriangleCensus, slots: np.ndarray, own: np.ndarray,
                  eid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cells of one run of pairs with the same overlap, given the ids
     of the edges between their slots (eid, one column per two slots, -1
@@ -541,10 +508,11 @@ def _count_chunk(index: _Index, slots: np.ndarray, own: np.ndarray,
     # every triangle on an edge between two slots but a and b, typed by
     # its slots; one inside U(P) is on three such edges, and is kept at
     # the one between its lowest two slots
+    start, tri = tc.on
     p, col = np.nonzero(eid >= 0)
-    i, pos = _expand(index.on_start[eid[p, col]], index.on_count[eid[p, col]])
-    p, col, c = p[i], col[i], index.on_tri[pos]
-    x = index.tv[c].sum(1) - slots[p, first[col]] - slots[p, second[col]]
+    i, pos = _expand(start[eid[p, col]], tc.edge_d[eid[p, col]])
+    p, col, c = p[i], col[i], tri[pos]
+    x = tc.triangles[c].sum(1) - slots[p, first[col]] - slots[p, second[col]]
     slot = np.argmax(slots[p] == x[:, None], 1)
     inside = slots[p, slot] == x
     keep = (c != own[p, 0]) & (c != own[p, 1]) & (~inside | (slot > second[col]))
@@ -598,7 +566,7 @@ def _injective(size: np.ndarray, masks: Sequence[int]) -> np.ndarray:
     return total
 
 
-def _cycle_counts(index: _Index, thirds: np.ndarray, e: np.ndarray) -> tuple[int, int]:
+def _cycle_counts(tc: TriangleCensus, thirds: np.ndarray, e: np.ndarray) -> tuple[int, int]:
     """Sets of _CYCLE8, and twice those of _CYCLE7, on the 4-cycles whose
     edges as, sb, bt and ta are the rows of edge ids e, given the ascending
     keys e * n + x of every edge e of a triangle and its third vertex x.
@@ -609,16 +577,15 @@ def _cycle_counts(index: _Index, thirds: np.ndarray, e: np.ndarray) -> tuple[int
     set S of the four edges counts the vertices whose mask holds S."""
     c = len(e)
     # the cycle's vertices are the ends of its edges as and bt
-    cycle = np.hstack(np.divmod(index.edges[e[:, [0, 2]]], index.n))
+    cycle = np.hstack(np.divmod(tc.edge_keys[e[:, [0, 2]]], tc.n))
+    start = tc.on[0]
     tally = []
     for i in range(4):
-        k, pos = _expand(index.on_start[e[:, i]], index.on_count[e[:, i]])
-        x = thirds[pos] % index.n
+        k, pos = _expand(start[e[:, i]], tc.edge_d[e[:, i]])
+        x = thirds[pos] % tc.n
         mask = np.zeros(len(x), np.int64)
         for j in range(4):
-            key = e[k, j] * index.n + x
-            at = np.minimum(np.searchsorted(thirds, key), len(thirds) - 1)
-            mask |= (thirds[at] == key).astype(np.int64) << j
+            mask |= _find(thirds, e[k, j] * tc.n + x)[1].astype(np.int64) << j
         keep = (cycle[k] != x[:, None]).all(1) & (mask & (1 << i) - 1 == 0)
         tally.append(k[keep] * 16 + mask[keep])
     size = np.bincount(np.concatenate(tally), minlength=16 * c).reshape(c, 16).T.copy()
@@ -634,7 +601,7 @@ def _cycle_counts(index: _Index, thirds: np.ndarray, e: np.ndarray) -> tuple[int
     return sum(eight.tolist()), sum(seven.tolist())
 
 
-def _contact_cycles(index: _Index) -> tuple[int, int]:
+def _contact_cycles(tc: TriangleCensus) -> tuple[int, int]:
     """The sets of the classes _CYCLE8 and _CYCLE7, which no pair reaches.
 
     Both hang on a 4-cycle a - s - b - t of edges that triangles cover,
@@ -647,31 +614,31 @@ def _contact_cycles(index: _Index) -> tuple[int, int]:
     group, and a pass counts cycles whose edges carry about _CHUNK
     triangles; every cycle adds at least one to the census's b statistic.
     """
-    n = index.n
-    on = np.repeat(np.arange(len(index.edges)), index.on_count)
+    n, edges = tc.n, tc.edge_keys
+    on = np.repeat(np.arange(len(edges)), tc.edge_d)
     # the triangles on each edge e as keys e * n + x of their third vertices
-    # x, ascending: those on e start at on_start[e]
-    thirds = np.sort(on * n + index.tv[index.on_tri].sum(1) - index.edges[on] // n - index.edges[on] % n)
+    # x, ascending: those on e start at tc.on[0][e]
+    thirds = np.sort(on * n + tc.triangles[tc.on[1]].sum(1) - edges[on] // n - edges[on] % n)
     eight = twice_seven = 0
-    for tm, mw, group in _wedges(n, index.edges):
+    for tm, mw, group in _wedges(n, edges):
         # each wedge pairs with the later ones of its group, and a cycle
         # costs the triangles on its four edges
         size = np.diff(np.r_[group, len(tm)])
         end = np.repeat(group + size, size)
         later = end - np.arange(len(tm)) - 1
-        half = index.on_count[tm] + index.on_count[mw]
+        half = tc.edge_d[tm] + tc.edge_d[mw]
         cum = np.r_[0, np.cumsum(half)]
         for p, q in _runs(later * half + cum[end] - cum[1:], _CHUNK):
             j, other = _expand(np.arange(p, q) + 1, later[p:q])
             j += p
-            got = _cycle_counts(index, thirds, np.stack([tm[j], mw[j], mw[other], tm[other]], 1))
+            got = _cycle_counts(tc, thirds, np.stack([tm[j], mw[j], mw[other], tm[other]], 1))
             eight += got[0]
             twice_seven += got[1]
     assert twice_seven % 2 == 0
     return eight, twice_seven // 2
 
 
-def _count_configurations(triangles: Sequence[Triangle], budget: int) -> Counter:
+def _count_configurations(tc: TriangleCensus, budget: int) -> Counter:
     """The connected sets of 1 to 4 triangles, counted by class key for
     the classes of nonzero coefficient; the other sets of 3 or 4
     triangles are counted together under (3, ()) and (4, ()).
@@ -696,27 +663,26 @@ def _count_configurations(triangles: Sequence[Triangle], budget: int) -> Counter
     no qualifying pair are counted per 4-cycle (_contact_cycles).
     """
     over = f"connected configuration count exceeded budget {budget}"
-    if len(triangles) == 0:
+    n1 = len(tc.triangles)
+    if n1 == 0:
         return Counter()
-    index = _index(triangles)
-    n1 = len(index.tv)
 
     def stars(k):  # sets of k >= 2 triangles with a common vertex
-        return _choose_sum(index.at_count, k) - _choose_sum(index.on_count, k)
+        return _choose_sum(tc.at[1], k) - _choose_sum(tc.edge_d, k)
 
     if n1 + stars(2) + stars(3) + stars(4) > budget:
         raise BudgetExceededError(over)
-    levels = _connected_sets(index)
+    levels = _connected_sets(tc)
     if sum(levels) > budget:
         raise BudgetExceededError(over)
 
-    edge_pairs = _choose_sum(index.on_count, 2)
+    edge_pairs = _choose_sum(tc.edge_d, 2)
     counts = Counter({_ONE: n1})
     for sh, cnt in ((1, levels[1] - edge_pairs), (2, edge_pairs)):
         if cnt:
             counts[_cell_key(sh)] = cnt
     sums: Counter = Counter()
-    for sh, (third, fourth) in _cells(index).items():
+    for sh, (third, fourth) in _cells(tc).items():
         for t in np.flatnonzero(third).tolist():
             sums[_cell_key(sh, (t,))] += int(third[t])
         for k, t1, t2 in np.argwhere(fourth).tolist():
@@ -725,7 +691,7 @@ def _count_configurations(triangles: Sequence[Triangle], budget: int) -> Counter
         if _record_for_key(key).coefficient:
             counts[key], rest = divmod(total, _divisor(key))
             assert not rest, f"uneven cell sum for {key}"
-    counts[_CYCLE8], counts[_CYCLE7] = _contact_cycles(index)
+    counts[_CYCLE8], counts[_CYCLE7] = _contact_cycles(tc)
     for level in (3, 4):
         rest = levels[level - 1] - sum(cnt for (k, _), cnt in counts.items() if k == level)
         assert rest >= 0, f"more keyed sets of {level} triangles than connected ones"
@@ -743,9 +709,9 @@ class Discovery:
     enumerated: int
 
 
-def discover_classes(triangles: Sequence[Triangle], *, budget: int = DEFAULT_BUDGET) -> Discovery:
-    """Count all connected 1..4-triangle configurations, grouped into
-    canonical classes with exact counts.
+def discover_classes(tc: TriangleCensus, *, budget: int = DEFAULT_BUDGET) -> Discovery:
+    """Count all connected 1..4-triangle configurations of the census tc,
+    grouped into canonical classes with exact counts.
 
     No set is visited: the number of connected configurations comes from
     graphlet counts of the triangles' intersection graph, and the count
@@ -758,7 +724,7 @@ def discover_classes(triangles: Sequence[Triangle], *, budget: int = DEFAULT_BUD
     """
     if budget < 0:
         raise BadParamsError(f"budget must be >= 0, got {budget}")
-    counts = _count_configurations(triangles, budget)
+    counts = _count_configurations(tc, budget)
     entries = []
     for key in sorted(counts):
         if key[1]:  # not the zero-coefficient sets counted together
@@ -811,20 +777,14 @@ class Decomposition:
         }
 
 
-def fourth_moment_exact(
-    tc,
-    pc,
-    c: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> Decomposition:
+def fourth_moment_exact(tc: TriangleCensus, c: int, *, budget: int = DEFAULT_BUDGET) -> Decomposition:
     """Exact E(Z^4) - 3 for the monochromatic triangle count of the graph
-    behind the census tc (pyramid counts pc feed the variance)."""
+    behind the census tc."""
     x = _check_colors(c)
-    if pc.n1 < 1:
+    if len(tc.triangles) < 1:
         raise NoTrianglesError("fourth moment needs at least one triangle")
-    disc = discover_classes(tc.triangles, budget=budget)
-    sigma2 = t3_mean_var(pc, c).variance
+    disc = discover_classes(tc, budget=budget)
+    sigma2 = t3_mean_var(pyramid_counts(tc), c).variance
     total = Fraction(0)
     for rec, cnt in disc.entries:
         total += evaluate(rec.coefficient, x) * cnt

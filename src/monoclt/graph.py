@@ -91,7 +91,10 @@ def parse_edge_list(text: str) -> ParseResult:
     vertex count (allowing isolated vertices), and an edge past it is a
     malformed line, named by its number; otherwise the distinct ids
     seen are compacted to 0..k-1 and the original ids preserved in id_map.
-    Duplicate edges are collapsed and tallied; self-loops are rejected.
+    Duplicate edges are collapsed and tallied; self-loops are rejected, and
+    so is a header of more than 2 * MAX_EDGES vertices, before any array is
+    sized by it. Each edge is checked and oriented here once, so the Graph
+    is built from the sorted edges as they are.
     """
     header_n: Optional[int] = None
     lines = text.splitlines()
@@ -124,15 +127,16 @@ def parse_edge_list(text: str) -> ParseResult:
             edges[edge] = line_no
 
     if header_n is not None:
+        if header_n > 2 * MAX_EDGES:
+            raise TooLargeError(f"vertices={header_n} in the header is over the cap of {2 * MAX_EDGES}")
         for (_, v), line_no in edges.items():
             if v >= header_n:
                 raise MalformedLineError(line_no, lines[line_no - 1])
-        graph = Graph.from_edges(header_n, edges)
-        return ParseResult(graph, duplicates, tuple(range(header_n)))
+        return ParseResult(Graph(header_n, tuple(sorted(edges))), duplicates, tuple(range(header_n)))
 
     ids = sorted({x for e in edges for x in e})
-    compact = {orig: i for i, orig in enumerate(ids)}
-    graph = Graph.from_edges(len(ids), [(compact[u], compact[v]) for u, v in edges])
+    compact = {orig: i for i, orig in enumerate(ids)}  # ascending, so each edge stays oriented
+    graph = Graph(len(ids), tuple(sorted((compact[u], compact[v]) for u, v in edges)))
     return ParseResult(graph, duplicates, tuple(ids))
 
 

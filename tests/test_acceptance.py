@@ -61,7 +61,7 @@ def _line(num: int, ok: bool, detail: str):
 def k9_discovery():
     start = time.time()
     tc = triangle_census(complete(9))
-    disc = discover_classes(tc.triangles)
+    disc = discover_classes(tc)
     return disc, time.time() - start
 
 
@@ -101,7 +101,7 @@ def test_criterion_2_fourth_moment_oracle_equality(small_corpus):
         for c in (2, 3, 5):
             if c**g.n > cap:
                 continue
-            dec = fourth_moment_exact(tc, pc, c)
+            dec = fourth_moment_exact(tc, c)
             dist = exact_distribution(g, c, tc=tc, threads=THREADS)
             assert dec.excess4 == dist.excess4("T3"), (name, c)
             checked += 1
@@ -112,7 +112,7 @@ def test_criterion_2_fourth_moment_oracle_equality(small_corpus):
     }
     for (g, c), want in spots.items():
         tc = triangle_census(g)
-        assert fourth_moment_exact(tc, pyramid_counts(tc), c).excess4 == want
+        assert fourth_moment_exact(tc, c).excess4 == want
     elapsed = time.time() - start
     _line(2, True, f"exact fourth-moment equality on {checked} pairs plus 3 spot values "
                    f"({elapsed:.1f}s < 300s)")
@@ -166,8 +166,7 @@ def composite_runs():
         n_chain = composite_chain_length(n, 2)
         g = disjoint_union(pyramid(n), bipyramid_chain(n_chain))
         tc = triangle_census(g)
-        pc = pyramid_counts(tc)
-        dec = fourth_moment_exact(tc, pc, 2)
+        dec = fourth_moment_exact(tc, 2)
         rep = sample_statistics(
             g, SimConfig(c=2, replications=100_000, seed=11, statistic="T3"), tc=tc,
             threads=THREADS,

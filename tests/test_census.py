@@ -50,20 +50,35 @@ def _edge_tri(tc):
     return {divmod(k, tc.n): d for k, d in zip(tc.edge_keys.tolist(), tc.edge_d.tolist())}
 
 
+def _d(tc, u, v):
+    """d(u, v) through edge_ids: 0 where no triangle covers uv."""
+    e = tc.edge_ids(np.asarray(u), np.asarray(v))
+    return np.where(e >= 0, tc.edge_d[e], 0)
+
+
 def test_census_k3_k4():
     tc = triangle_census(complete(3))
     assert tc.triangles.tolist() == [[0, 1, 2]]
-    assert all(tc.d(u, v) == 1 for u, v in complete(3).edges)
+    assert (_d(tc, *np.array(complete(3).edges).T) == 1).all()
     tc4 = triangle_census(complete(4))
     assert len(tc4.triangles) == 4
-    assert all(tc4.d(u, v) == 2 for u, v in complete(4).edges)
+    assert (_d(tc4, *np.array(complete(4).edges).T) == 2).all()
 
 
 def test_census_pyramid4():
     tc = triangle_census(pyramid(4))
-    assert tc.d(0, 1) == 4
+    assert _d(tc, 0, 1) == 4 and _d(tc, 1, 0) == 4
     for s in range(2, 6):
-        assert tc.d(0, s) == 1 and tc.d(1, s) == 1
+        assert _d(tc, 0, s) == 1 and _d(tc, s, 1) == 1
+
+
+def test_edge_ids_of_uncovered_pairs():
+    # pyramid(4): 2 - 3 is no edge, and 0 - 1 is covered four times
+    tc = triangle_census(pyramid(4))
+    assert tc.edge_ids(np.array([2, 0, 5]), np.array([3, 1, 4])).tolist() == [-1, 0, -1]
+    # no triangle covers any pair of a triangle-free census
+    for empty in (triangle_census(cycle(5)), triangle_census(Graph.from_edges(3, []))):
+        assert empty.edge_ids(np.array([0, 1, 3]), np.array([1, 2, 4])).tolist() == [-1, -1, -1]
 
 
 def test_census_matches_brute(small_corpus):

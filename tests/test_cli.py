@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from monoclt import census, cli, fourthmoment, moments, sim
+from monoclt import census, cli, fourthmoment, graph, moments, sim
 from monoclt.cli import run
 
 
@@ -351,6 +351,35 @@ def test_oversized_family_is_a_domain_error(capsys, command):
     assert error["error"] == "TooLargeError"
     assert error["operation"] == command
     assert error["detail"] == "complete would build 4999999950000000 edges, over the cap of 10000000"
+
+
+def test_oversized_vertex_header_is_a_domain_error(capsys, tmp_path):
+    # every array was sized by the header: 2 * 10^7 vertices took 27 s and
+    # 2.6 GB for three edges
+    cap = 2 * graph.MAX_EDGES
+    path = tmp_path / "g.txt"
+    path.write_text(f"# vertices={cap + 1}\n0 1\n1 2\n0 2\n")
+    code, out, err = run_cli(capsys, "census", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    error = json.loads(err, parse_constant=_strict_json)
+    assert error["error"] == "TooLargeError"
+    assert error["detail"] == f"vertices={cap + 1} in the header is over the cap of {cap}"
+
+
+def test_refused_allocation_is_a_domain_error(capsys, monkeypatch):
+    def sampler(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.58 GiB for an array with shape (1024, 9000000)")
+
+    monkeypatch.setattr(cli, "sample_statistics", sampler)
+    code, out, err = run_cli(capsys, "simulate", "--family", "pyramid", "--n", "3", "--c", "3",
+                             "--reps", "1024", "--seed", "1", "--statistic", "T2")
+    assert code == 1
+    assert out == ""
+    error = json.loads(err, parse_constant=_strict_json)
+    assert error["error"] == "MemoryError"
+    assert error["operation"] == "simulate"
+    assert error["detail"].startswith("Unable to allocate")
 
 
 GNP20 = ("census", "--family", "gnp", "--n", "20", "--p", "0.5", "--graph-seed")

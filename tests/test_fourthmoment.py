@@ -8,7 +8,7 @@ import pytest
 from brute import (brute_class_key, brute_cycle_sets, brute_discover_classes, brute_t3_third_central_moment,
                    relabeled)
 from monoclt import census, fourthmoment
-from monoclt.census import PyramidCounts, pyramid_counts, triangle_census
+from monoclt.census import PyramidCounts, index_triangles, pyramid_counts, triangle_census
 from monoclt.errors import BudgetExceededError, NoTrianglesError
 from monoclt.fourthmoment import (
     bipyramid_quad_coefficient,
@@ -210,8 +210,9 @@ def test_every_cell_keys_like_its_concrete_triangles(g, sizes, outside, monkeypa
     cell_key = fourthmoment._cell_key
     monkeypatch.setattr(fourthmoment, "_cell_key",
                         lambda share, types=(), k=0: cells.add((share, types, k)) or cell_key(share, types, k))
-    tris = triangle_census(g).triangles
-    discover_classes(tris)
+    tc = triangle_census(g)
+    tris = tc.triangles
+    discover_classes(tc)
     # cells of 2, 3 and 4 triangles, and c and w sharing a vertex outside the pair
     assert {2 + len(types) for _, types, _ in cells} == sizes
     assert any(k for *_, k in cells) == outside
@@ -224,10 +225,10 @@ def test_every_cell_keys_like_its_concrete_triangles(g, sizes, outside, monkeypa
 
 
 def test_discovery_canonicalises_each_pattern_multiset_once():
-    tris = triangle_census(complete(9)).triangles
+    tc = triangle_census(complete(9))
     for f in (fourthmoment._cell_key, fourthmoment._canonical):
         f.cache_clear()
-    first = discover_classes(tris)
+    first = discover_classes(tc)
     info = fourthmoment._cell_key.cache_info()
     canon = fourthmoment._canonical.cache_info()
     # every cell of 2, 3 or 4 triangles is keyed once, and each distinct
@@ -236,7 +237,7 @@ def test_discovery_canonicalises_each_pattern_multiset_once():
     assert canon.hits + canon.misses == info.misses
     assert canon.misses == canon.currsize < canon.hits
     # a second discovery costs no canonicalisation at all
-    assert discover_classes(tris) == first
+    assert discover_classes(tc) == first
     assert fourthmoment._canonical.cache_info() == canon
     assert fourthmoment._cell_key.cache_info().misses == info.misses
 
@@ -256,7 +257,7 @@ def test_fourth_moment_spot_values():
     ]
     for g, c, want in cases:
         tc = triangle_census(g)
-        dec = fourth_moment_exact(tc, pyramid_counts(tc), c)
+        dec = fourth_moment_exact(tc, c)
         assert dec.excess4 == want
 
 
@@ -269,7 +270,7 @@ def test_fourth_moment_matches_enumeration(small_corpus):
         for c in (2, 3, 4, 5, 7):
             if c**g.n > 10**7:
                 continue
-            dec = fourth_moment_exact(tc, pc, c)
+            dec = fourth_moment_exact(tc, c)
             dist = exact_distribution(g, c, tc=tc)
             assert dec.excess4 == dist.excess4("T3"), (name, c)
 
@@ -278,12 +279,12 @@ def test_fourth_moment_relabeling_invariant():
     rng = random.Random(2)
     g = gnp(9, 0.5, 4)
     tc = triangle_census(g)
-    base = fourth_moment_exact(tc, pyramid_counts(tc), 3).excess4
+    base = fourth_moment_exact(tc, 3).excess4
     perm = list(range(g.n))
     rng.shuffle(perm)
     h = relabeled(g, perm)
     tch = triangle_census(h)
-    assert fourth_moment_exact(tch, pyramid_counts(tch), 3).excess4 == base
+    assert fourth_moment_exact(tch, 3).excess4 == base
 
 
 def test_fourth_moment_requires_triangles():
@@ -291,13 +292,13 @@ def test_fourth_moment_requires_triangles():
 
     tc = triangle_census(cycle(5))
     with pytest.raises(NoTrianglesError):
-        fourth_moment_exact(tc, pyramid_counts(tc), 2)
+        fourth_moment_exact(tc, 2)
 
 
 def test_budget_enforced():
     tc = triangle_census(complete(6))
     with pytest.raises(BudgetExceededError):
-        fourth_moment_exact(tc, pyramid_counts(tc), 2, budget=10)
+        fourth_moment_exact(tc, 2, budget=10)
 
 
 def _separable(tris) -> bool:
@@ -352,9 +353,9 @@ _walk = functools.lru_cache(maxsize=None)(brute_discover_classes)
 
 @pytest.mark.parametrize("g", _discovery_corpus())
 def test_discovery_matches_visiting_every_configuration(g):
-    tris = _tuples(triangle_census(g).triangles)
-    disc = discover_classes(tris)
-    class_counts, visited = _walk(tris)
+    tc = triangle_census(g)
+    disc = discover_classes(tc)
+    class_counts, visited = _walk(_tuples(tc.triangles))
     assert [(rec.key, cnt) for rec, cnt in disc.entries] == _nonzero_classes(class_counts)
     assert disc.enumerated == visited
 
@@ -363,11 +364,11 @@ def test_discovery_matches_visiting_every_configuration(g):
 def test_connected_sets_per_level_match_the_walk(g):
     # the graphlet counts of the triangles' intersection graph give the
     # connected sets of each size
-    tris = _tuples(triangle_census(g).triangles)
+    tc = triangle_census(g)
     levels = [0] * 4
-    for (k, _), cnt in _walk(tris)[0].items():
+    for (k, _), cnt in _walk(_tuples(tc.triangles))[0].items():
         levels[k - 1] += cnt
-    assert fourthmoment._connected_sets(fourthmoment._index(tris)) == tuple(levels)
+    assert fourthmoment._connected_sets(tc) == tuple(levels)
 
 
 @pytest.mark.parametrize("g,bound", [
@@ -379,10 +380,10 @@ def test_contact_cycles_match_brute(g, bound, monkeypatch):
     # the two classes no pair reaches, per 4-cycle, against the sets of
     # four triangles whose intersection graph is a 4-cycle; at bound 1 the
     # census's wedge kernel takes one (top, bottom) group per pass
-    tris = triangle_census(g).triangles
+    tc = triangle_census(g)
     monkeypatch.setattr(census, "_PASS", bound)
-    cycles = brute_cycle_sets(tris)
-    got = fourthmoment._contact_cycles(fourthmoment._index(tris))
+    cycles = brute_cycle_sets(tc.triangles)
+    got = fourthmoment._contact_cycles(tc)
     assert got == (cycles.get(CYCLE8, 0), cycles.get(CYCLE7, 0))
     assert min(got) > 0 or g.n == 7  # K7 has too few vertices for eight
 
@@ -390,7 +391,7 @@ def test_contact_cycles_match_brute(g, bound, monkeypatch):
 def test_discovery_matches_visiting_every_configuration_on_k9(k9_brute):
     # every relabelling of K9 has the same triangle list, so one copy covers them
     class_counts, visited = k9_brute
-    disc = discover_classes(triangle_census(complete(9)).triangles)
+    disc = discover_classes(triangle_census(complete(9)))
     assert [(rec.key, cnt) for rec, cnt in disc.entries] == _nonzero_classes(class_counts)
     assert disc.enumerated == visited == 1_893_675
 
@@ -464,7 +465,7 @@ def test_fourth_level_reaches_a_set_twice_per_qualifying_pair(k9_brute):
             assert _qualifying(rep) == 0, rep
         else:
             assert fourthmoment._divisor(key) == 2 * _qualifying(rep) > 0, rep
-        counts = fourthmoment._count_configurations(rep, 100)
+        counts = fourthmoment._count_configurations(index_triangles(rep), 100)
         assert counts[key] == 1, rep
         assert sum(cnt for (k, _), cnt in counts.items() if k == 4) == 1, rep
 
@@ -491,7 +492,7 @@ def test_qualifying_pairs_of_every_nonzero_class(k9_brute, m):
 
 
 def test_k9_configurations_per_level():
-    counts = fourthmoment._count_configurations(triangle_census(complete(9)).triangles, 10**7)
+    counts = fourthmoment._count_configurations(triangle_census(complete(9)), 10**7)
     levels = {k: 0 for k in (1, 2, 3, 4)}
     for (k, _), cnt in counts.items():
         levels[k] += cnt
@@ -506,32 +507,32 @@ def _count_passes(monkeypatch):
 
 
 def test_budget_is_the_exact_configuration_count():
-    tris = triangle_census(generate(FamilySpec("composite", n=12, c=2))).triangles
+    tc = triangle_census(generate(FamilySpec("composite", n=12, c=2)))
     with pytest.raises(BudgetExceededError):
-        discover_classes(tris, budget=504_507)
-    assert discover_classes(tris, budget=504_508).enumerated == 504_508
+        discover_classes(tc, budget=504_507)
+    assert discover_classes(tc, budget=504_508).enumerated == 504_508
 
 
 def test_budget_below_the_sets_at_a_vertex_runs_no_pass(monkeypatch):
     # K9: 84 triangles and 2,646 connected pairs; with the sets of three
     # and four triangles at a common vertex, 213,969 configurations
     monkeypatch.setattr(fourthmoment, "_count_chunk", lambda *a: pytest.fail("a pass ran"))
-    tris = triangle_census(complete(9)).triangles
+    tc = triangle_census(complete(9))
     for budget in (2_729, 2_730, 213_968):
         with pytest.raises(BudgetExceededError):
-            discover_classes(tris, budget=budget)
+            discover_classes(tc, budget=budget)
 
 
 def test_budget_refuses_one_below_the_count_before_any_pass(monkeypatch):
     # K9 has 1,893,675 connected configurations: the exact count refuses
     # one less before any cell or 4-cycle is counted
-    tris = triangle_census(complete(9)).triangles
+    tc = triangle_census(complete(9))
     with monkeypatch.context() as m:
         m.setattr(fourthmoment, "_count_chunk", lambda *a: pytest.fail("a pass ran"))
         m.setattr(fourthmoment, "_contact_cycles", lambda *a: pytest.fail("a 4-cycle pass ran"))
         with pytest.raises(BudgetExceededError):
-            discover_classes(tris, budget=1_893_674)
-    assert discover_classes(tris, budget=1_893_675).enumerated == 1_893_675
+            discover_classes(tc, budget=1_893_674)
+    assert discover_classes(tc, budget=1_893_675).enumerated == 1_893_675
 
 
 def test_budget_refuses_k20_before_any_pass(monkeypatch):
@@ -539,7 +540,7 @@ def test_budget_refuses_k20_before_any_pass(monkeypatch):
     # default budget three times over
     passes = _count_passes(monkeypatch)
     with pytest.raises(BudgetExceededError):
-        discover_classes(triangle_census(complete(20)).triangles)
+        discover_classes(triangle_census(complete(20)))
     assert passes == []
 
 
@@ -552,18 +553,37 @@ def test_discovery_does_not_depend_on_the_chunk_bound(g, chunk, block, wedges, m
     # one connected pair per pass, five rows per Gram block and one
     # (top, bottom) group of contact-cycle wedges per pass, or everything
     # at once
-    tris = triangle_census(g).triangles
-    want = discover_classes(tris)
+    tc = triangle_census(g)
+    want = discover_classes(tc)
     monkeypatch.setattr(fourthmoment, "_CHUNK", chunk)
     monkeypatch.setattr(fourthmoment, "_BLOCK", block)
     monkeypatch.setattr(census, "_PASS", wedges)
-    assert discover_classes(tris) == want
+    assert discover_classes(tc) == want
+
+
+@pytest.mark.parametrize(
+    "g", [complete(9), generate(FamilySpec("composite", n=12, c=2)), gnp(16, 0.45, 3)],
+    ids=["K9", "composite12", "gnp16"],
+)
+def test_index_of_bare_rows_matches_the_census(g):
+    # the census's rows, in another order and each row shuffled, index to
+    # the same census: every triangle's largest vertex is g.n - 1 here
+    tc = triangle_census(g)
+    rng = random.Random(3)
+    rows = [rng.sample(t, 3) for t in tc.triangles.tolist()]
+    rng.shuffle(rows)
+    got = index_triangles(rows)
+    assert got.n == tc.n
+    for a, b in [(got.triangles, tc.triangles), (got.edge_keys, tc.edge_keys), (got.edge_d, tc.edge_d),
+                 *zip(got.at, tc.at), *zip(got.on, tc.on)]:
+        assert a.tolist() == b.tolist()
+    assert discover_classes(got) == discover_classes(tc)
 
 
 def test_discovery_counts_on_k4():
     # K4: 4 single triangles, 6 shared-edge pairs, 4 one-face-missing
     # triples, 1 full tetrahedron quadruple; every class connected
-    disc = discover_classes(triangle_census(complete(4)).triangles)
+    disc = discover_classes(triangle_census(complete(4)))
     by_size = {}
     for rec, cnt in disc.entries:
         assert rec.is_connected()
@@ -575,7 +595,7 @@ def test_decomposition_counts_on_pyramid():
     # the n-pyramid realizes exactly the four shared-edge classes
     g = pyramid(6)
     tc = triangle_census(g)
-    dec = fourth_moment_exact(tc, pyramid_counts(tc), 2)
+    dec = fourth_moment_exact(tc, 2)
     got = {rec.key: cnt for rec, cnt in dec.entries}
     expected = {
         class_key([(0, 1, 2 + i) for i in range(s)]): n
@@ -588,7 +608,7 @@ def test_decomposition_counts_on_bipyramid_chain():
     # 2n single triangles plus C(n,2) hub-alternation quadruples
     g = bipyramid_chain(3)
     tc = triangle_census(g)
-    dec = fourth_moment_exact(tc, pyramid_counts(tc), 2)
+    dec = fourth_moment_exact(tc, 2)
     got = {rec.key: cnt for rec, cnt in dec.entries}
     assert got == {class_key([(0, 1, 2)]): 6, class_key(QUAD_REP): 3}
 
@@ -598,7 +618,7 @@ def test_k9_all_classes_against_enumeration():
     # validates all coefficient polynomials at once (1.95M colorings)
     g = complete(9)
     tc = triangle_census(g)
-    dec = fourth_moment_exact(tc, pyramid_counts(tc), 5)
+    dec = fourth_moment_exact(tc, 5)
     assert len(dec.entries) == 32
     assert dec.excess4 == Fraction(4673, 252)
     assert dec.excess4 == exact_distribution(g, 5, threads=4).excess4("T3")
@@ -612,7 +632,7 @@ def test_composite_decomposition_frozen_value():
 
     g = disjoint_union(pyramid(8), bipyramid_chain(17))
     tc = triangle_census(g)
-    dec = fourth_moment_exact(tc, pyramid_counts(tc), 2)
+    dec = fourth_moment_exact(tc, 2)
     assert dec.excess4 == Fraction(-1123, 8281)
     got = {rec.key: cnt for rec, cnt in dec.entries}
     expected = {
@@ -625,7 +645,7 @@ def test_composite_decomposition_frozen_value():
 
 def test_decomposition_json_schema():
     tc = triangle_census(complete(4))
-    dec = fourth_moment_exact(tc, pyramid_counts(tc), 2)
+    dec = fourth_moment_exact(tc, 2)
     blob = dec.to_json_dict()
     assert blob["excess4"] == {"num": "5", "den": "3", "float": pytest.approx(5 / 3)}
     assert len(blob["classes"]) == 4
