@@ -4,13 +4,16 @@ Both oracles count monochromatic edges and triangles with one kernel,
 _mono_counts, over vertex-major colour blocks (a row per vertex, a
 column per coloring) in slabs of SLAB = 255 cliques tallied in uint8,
 so working memory is bounded by slab and block, not by the triangle
-count. Blocks of either oracle run on one pool, _map_blocks. Sampling
-keys a counter-based generator by (seed, block index) over fixed-size
-replication blocks, so a (seed, replications) pair gives bit-identical
-results on any number of threads. The exhaustive oracle returns the
-exact joint law of (edge count, triangle count) over all colorings with
-rational masses, evaluating them up to colour permutation: weighted
-prefix strings over one shared block of suffix colourings.
+count. Blocks of either oracle run on one pool, _map_blocks, and are
+folded in order as they finish. Sampling keys a Philox generator by
+(seed, block index) over fixed-size replication blocks, so a (seed,
+replications) pair gives bit-identical results on any number of threads.
+_draw_block writes a block vertex-major in pieces, reducing the raw
+Philox words to colours by Lemire's rejection, the rule and stream of
+Generator.integers. The exhaustive oracle returns the exact joint law
+of (edge count, triangle count) over all colorings with rational
+masses, evaluating them up to colour permutation: weighted prefix
+strings over one shared block of suffix colourings.
 
 Moments are exact: statistics are small nonnegative integers, so each
 run is reduced to a value-count table and moments come from big-integer
@@ -22,10 +25,11 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +40,8 @@ from .moments import _check_colors, standard_normal_cdf, t2_mean_var, t3_mean_va
 from .ratpoly import fraction_json
 
 BLOCK = 1024  # replications per RNG block; fixed so reports never depend on threading
+_PIECE = 1 << 18  # bytes of colours a block transposes at once; the piece size moves no byte
+_WORDS = 1 << 13  # most Philox words one draw reduces (64 KB), so its temporaries stay small
 DEFAULT_ENUM_CAP = 10**7
 SLAB = 255  # cliques _mono_counts gathers at once: the most hits a uint8 tally holds
 SUFFIX = 1 << 12  # most suffix colourings exact_distribution shares across prefixes
@@ -58,7 +64,7 @@ class SimConfig:
         if self.atom_gap is not None and not 0 <= self.atom_gap < math.inf:
             raise BadParamsError(f"atom gap must be finite and >= 0, got {self.atom_gap}")
         if self.statistic not in ("T2", "T3", "both"):
-            raise ValueError(f"unknown statistic {self.statistic!r}")
+            raise BadParamsError(f"unknown statistic {self.statistic!r}")
 
 
 @dataclass(frozen=True)
@@ -141,14 +147,21 @@ def _mono_counts(ct: np.ndarray, cliques: np.ndarray) -> np.ndarray:
     return out
 
 
-def _map_blocks(fn: Callable, items: Sequence, threads: Optional[int]) -> list:
-    """[fn(x) for x in items], on at most threads workers and never more
-    than the machine has CPUs; the result does not depend on either."""
+def _map_blocks(fn: Callable, items: Sequence, threads: Optional[int]) -> Iterator:
+    """fn(x) for x in items, yielded in order, on at most threads workers
+    and never more than the machine has CPUs, with at most two blocks per
+    worker submitted ahead; the results do not depend on either."""
     workers = min(threads or 1, len(items), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(x) for x in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        ahead: deque = deque()
+        for x in items:
+            ahead.append(pool.submit(fn, x))
+            if len(ahead) > 2 * workers:
+                yield ahead.popleft().result()
+        yield from (future.result() for future in ahead)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +171,52 @@ def _map_blocks(fn: Callable, items: Sequence, threads: Optional[int]) -> list:
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _high64(x: np.ndarray, c: int) -> np.ndarray:
+    """(x * c) >> 64 for uint64 x and c < 2^64, from 32-bit limbs
+    (Hacker's Delight, 8-2)."""
+    s, mask = np.uint64(32), np.uint64(0xFFFFFFFF)
+    cl, ch = np.uint64(c & 0xFFFFFFFF), np.uint64(c >> 32)
+    xl, xh = x & mask, x >> s
+    t = xh * cl + (xl * cl >> s)
+    return xh * ch + (t >> s) + ((xl * ch + (t & mask)) >> s)
+
+
+def _draw_block(seed: int, block: int, c: int, n: int, size: int) -> np.ndarray:
+    """The vertex-major colours (n x size) of block `block`: bit for bit
+    _block_rng(seed, block).integers(0, c, size=(size, n),
+    dtype=_color_dtype(c)).T. That draw is Lemire's rejection (ACM TOMACS
+    29:1, 2019) over the Philox words read as little-endian K-bit words x,
+    K the dtype's width: x is rejected when (x * c) mod 2^K < 2^K mod c and
+    gives (x * c) >> K otherwise, and c = 2^K keeps x. Here the rule runs on
+    up to _WORDS raw words at once, filling _PIECE bytes of whole
+    replications at a time; colours left over carry into the next piece,
+    so neither bound moves a byte."""
+    dtype = np.dtype(_color_dtype(c))
+    k = 8 * dtype.itemsize
+    reject = (1 << k) % c
+    raw = _block_rng(seed, block).bit_generator.random_raw
+    ct = np.empty((n, size), dtype=dtype)
+    step = max(1, _PIECE // dtype.itemsize // max(n, 1))
+    kept = np.empty(0, dtype=dtype)
+    for r in range(0, size if n else 0, step):
+        want = min(step, size - r) * n
+        parts, have = [kept], len(kept)
+        while have < want:
+            words = ((want - have) << k) * k // (64 * ((1 << k) - reject))  # expected to fill it
+            x = raw(min(words + words // 64 + 2, _WORDS)).astype("<u8", copy=False)
+            x = x.view(dtype.newbyteorder("<"))
+            if reject:
+                x = x[np.multiply(x, dtype.type(c), dtype=dtype) >= dtype.type(reject)]
+            if c < 1 << k:
+                x = _high64(x, c) if k == 64 else (np.multiply(x, c, dtype=f"u{k // 4}") >> k).astype(dtype)
+            parts.append(x)
+            have += len(x)
+        kept = np.concatenate(parts)
+        ct[:, r : r + want // n] = kept[:want].reshape(-1, n).T
+        kept = kept[want:]
+    return ct
 
 
 def sample_statistics(
@@ -171,14 +230,15 @@ def sample_statistics(
 
     Identical (seed, replications) give identical reports regardless of
     thread count: block b of 1024 replications always draws from the
-    stream keyed (seed, b), and value counts are summed. A block is drawn
-    replication-major, the shape that fixes the Philox stream, then
-    transposed to vertex-major for _mono_counts, so working memory is
-    bounded by the block and a 255-clique slab, not by the triangle count.
+    stream keyed (seed, b), and value counts are summed in block order.
+    _draw_block writes each block vertex-major (a row per vertex) from
+    that stream, piece by piece, so working memory is bounded by the
+    block, a piece and a 255-clique slab, not by the triangle count, and
+    no finished block is kept.
 
     raw_sinks optionally maps a statistic name ("T2"/"T3") to a writable
     binary stream; per-replication values are then written to it as
-    little-endian 64-bit integers in replication order.
+    little-endian 64-bit integers in replication order, a block at a time.
     """
     raw_sinks = raw_sinks or {}
     cliques = {}
@@ -188,33 +248,30 @@ def sample_statistics(
         if tc is None:
             tc = triangle_census(g)
         cliques["T3"] = tc.triangles
-    dtype = _color_dtype(cfg.c)
 
     def run_block(b: int) -> dict:
-        size = min(BLOCK, cfg.replications - b * BLOCK)
-        colors = _block_rng(cfg.seed, b).integers(0, cfg.c, size=(size, g.n), dtype=dtype)
-        ct = colors.T.copy()
+        ct = _draw_block(cfg.seed, b, cfg.c, g.n, min(BLOCK, cfg.replications - b * BLOCK))
         out = {}
         for name, k in cliques.items():
             values = _mono_counts(ct, k)
-            out[name] = (np.bincount(values, minlength=len(k) + 1), values if raw_sinks else None)
+            out[name] = (np.bincount(values, minlength=len(k) + 1), values)
         return out
 
-    results = _map_blocks(run_block, range((cfg.replications + BLOCK - 1) // BLOCK), threads)
+    counts = {name: np.zeros(len(k) + 1, dtype=np.int64) for name, k in cliques.items()}
+    for out in _map_blocks(run_block, range(-(-cfg.replications // BLOCK)), threads):
+        for name, (tally, values) in out.items():  # block order == replication order
+            counts[name] += tally
+            if raw_sinks.get(name) is not None:
+                raw_sinks[name].write(values.astype("<i8").tobytes())
 
     summaries = []
     for name, k in cliques.items():
-        sink = raw_sinks.get(name)
-        if sink is not None:
-            for r in results:  # block order == replication order
-                sink.write(r[name][1].astype("<i8").tobytes())
-        counts = np.sum([r[name][0] for r in results], axis=0, dtype=np.int64)
         model = None
         if len(k) and name == "T2":
             model = t2_mean_var(g.edge_count, cfg.c)
         elif len(k):
             model = t3_mean_var(pyramid_counts(tc), cfg.c)
-        summaries.append(_summarize(name, counts, cfg, model))
+        summaries.append(_summarize(name, counts[name], cfg, model))
     return SimReport(config=cfg, summaries=tuple(summaries))
 
 
@@ -350,7 +407,7 @@ def exact_distribution(
         return tally
 
     groups = [prefixes[i::GROUPS] for i in range(min(GROUPS, len(prefixes)))]
-    combined = np.sum(_map_blocks(run_group, groups, threads), axis=0)
+    combined = sum(_map_blocks(run_group, groups, threads))
     joint = {}
     for flat in np.nonzero(combined)[0]:
         t2, t3 = divmod(int(flat), stride)

@@ -1,5 +1,7 @@
 import io
 import math
+import tracemalloc
+from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ from brute import brute_joint_law, relabeled
 from helpers import t2_inputs
 from monoclt import sim
 from monoclt.census import pyramid_counts, triangle_census
-from monoclt.errors import TooLargeError
+from monoclt.errors import BadParamsError, TooLargeError
 from monoclt.graph import Graph, complete, cycle, gnp, pyramid
 from monoclt.moments import t2_moments, t3_mean_var
 from monoclt.sim import (
@@ -334,7 +336,7 @@ def test_block_pool_is_bounded_by_the_machine(monkeypatch):
 
     class SerialPool:
         """Stands in for ThreadPoolExecutor: records max_workers, starts
-        no thread and maps in order."""
+        no thread and runs each call as it is submitted."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -345,8 +347,10 @@ def test_block_pool_is_bounded_by_the_machine(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(sim, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
@@ -380,3 +384,67 @@ def test_block_streams_pinned_below_2_63():
     }
     for (seed, block), want in pinned.items():
         assert _block_rng(seed, block).integers(0, 1000, size=6).tolist() == want
+
+
+# c = 2 rejects nothing; 129 rejects 127 of every 256 bytes; the rest
+# cross each width's edges, c = 2^32 and 2^64 being full-range words
+DRAW_COLORS = [2, 3, 129, 256, 257, 300, 32769, 65536, 70000, 2**31 + 1, 2**32,
+               2**32 + 1, 2**40, 2**63 + 1, 2**64 - 1, 2**64]
+
+
+@pytest.mark.parametrize("c", DRAW_COLORS)
+def test_draw_block_is_the_generators_bounded_integers(c):
+    dtype = sim._color_dtype(c)
+    for seed, block, n, size in ((5, 0, 13, 1), (5, 2, 13, 476), (7, 1, 1, 1024),
+                                 (3, 6, 300, 1024), (9, 3, 0, 4), (2**64 - 1, 0, 257, 3)):
+        want = _block_rng(seed, block).integers(0, c, size=(size, n), dtype=dtype).T
+        got = sim._draw_block(seed, block, c, n, size)
+        assert got.dtype == want.dtype and got.shape == (n, size)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("c", DRAW_COLORS)
+def test_draw_block_does_not_depend_on_its_bounds(monkeypatch, c):
+    # a 1-byte piece is one replication and a 1-word draw at most eight
+    # colours, so colours carry across every cut; a 2^40-byte piece is a
+    # whole block
+    def blocks(piece, words, shapes):
+        monkeypatch.setattr(sim, "_PIECE", piece)
+        monkeypatch.setattr(sim, "_WORDS", words)
+        return [sim._draw_block(11, 4, c, n, size).tobytes() for n, size in shapes]
+
+    shapes = [(1, sim.BLOCK), (37, sim.BLOCK), (300, sim.BLOCK), (37, 40)]
+    want = blocks(sim._PIECE, sim._WORDS, shapes)
+    assert blocks(1, sim._WORDS, shapes) == want
+    assert blocks(2**40, sim._WORDS, shapes) == want
+    assert blocks(2**40, 1, shapes[3:]) == want[3:]
+    assert blocks(1, 1, shapes[3:]) == want[3:]
+
+
+class _NullSink:
+    def write(self, data):
+        return len(data)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sampler_memory_does_not_grow_with_replications(threads):
+    # each block's value tables (436 + 4061 entries on K30) and raw values
+    # are folded in as the block finishes, so 64 blocks hold no more than 4
+    g = complete(30)
+    tc = triangle_census(g)
+    peaks = []
+    for blocks in (4, 64):
+        cfg = SimConfig(c=3, replications=blocks * sim.BLOCK, seed=6)
+        tracemalloc.start()
+        try:
+            sinks = {"T2": _NullSink(), "T3": _NullSink()}
+            sample_statistics(g, cfg, tc=tc, threads=threads, raw_sinks=sinks)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 256 * 1024
+
+
+def test_unknown_statistic_is_a_domain_error():
+    with pytest.raises(BadParamsError):
+        SimConfig(c=3, replications=10, seed=0, statistic="T4")
