@@ -78,12 +78,6 @@ def _choose_sum(counts: np.ndarray, k: int) -> int:
     return sum(math.comb(v, k) * int(mult[v]) for v in np.flatnonzero(mult).tolist())
 
 
-def _exact_sum(values: np.ndarray) -> int:
-    """The sum of nonnegative int64 values, asserted free of overflow."""
-    assert values.max(initial=0) <= (_INT64 - 1) // max(len(values), 1)
-    return int(values.sum())
-
-
 def _exact(values: np.ndarray, bound: int) -> np.ndarray:
     """values as they are while bound, a bound on every sum and product
     the caller forms of them, stays below 2^63; as Python integers past it."""

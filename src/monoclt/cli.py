@@ -116,16 +116,30 @@ def _check_out(path: Optional[str]):
         raise argparse.ArgumentTypeError(f"cannot write {path}: not a file in a writable directory")
 
 
+# stands in for the score ordering while the report is encoded: no other
+# string holds a NUL
+_ORDER = "\0score_ordering"
+
+
 def _report(command: str, config: dict, graph: Graph, body) -> str:
+    """The report as sorted, 2-space indented JSON. json's indented encoder
+    is pure Python, value by value, so a census's score ordering (one
+    entry per vertex) is encoded apart, by the C encoder, and spliced into
+    the same layout: its entries sit at depth 3."""
+    order = body.get("score_ordering") if isinstance(body, dict) else None
     report = {
         "tool": "monoclt",
         "version": __version__,
         "command": command,
         "config": config,
-        "report": body,
+        "report": body if order is None else {**body, "score_ordering": _ORDER},
         "input": {"digest": graph.digest(), "vertices": graph.n, "edges": graph.edge_count},
     }
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if order is None:
+        return text
+    entries = json.dumps(order, separators=(",\n      ", ""))[1:-1]
+    return text.replace(json.dumps(_ORDER), f"[\n      {entries}\n    ]" if order else "[]", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +209,7 @@ def _bounds(args, graph):
 
 FOURTH_MOMENT_OPTIONS = {
     "--budget": {"type": int, "default": DEFAULT_BUDGET,
-                 "help": "cap on connected configurations (>= 0)"},
+                 "help": "cap on W, a bound on the triangle rows class discovery reads (>= 0)"},
     "--threads": {**THREADS, "help": "accepted and ignored: class discovery runs on one thread"},
 }
 

@@ -24,12 +24,10 @@ cumulant_coefficient.
 
 Class discovery reads the graph's triangle census alone: its triangles,
 and the triangles at each vertex and on each edge. It counts the
-connected sets without visiting them, and keys only those whose class
-has a nonzero coefficient (see _count_configurations):
+connected sets whose class has a nonzero coefficient without visiting
+them (see _count_configurations), and the budget caps W, a closed-form
+bound on the rows its passes read (see _work):
 
-- the connected sets of each size, which the budget caps, are the
-  connected induced subgraphs of the triangles' intersection graph, got
-  from its graphlet counts as in ESCAPE (Pinar, Seshadhri & Vishal 2017);
 - a nonzero class of three or four triangles but two has a connected
   pair whose union holds two or more vertices of every other member.
   Per connected pair, the triangles holding two vertices of its union,
@@ -62,12 +60,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .census import TriangleCensus, _choose_sum, _exact_sum, _expand, _find, _rank, _runs, _wedges, pyramid_counts
+from .census import TriangleCensus, _choose_sum, _exact, _expand, _find, _runs, _wedges, pyramid_counts
 from .errors import BadParamsError, BudgetExceededError, NoTrianglesError
 from .moments import _check_colors, t3_mean_var
 from .ratpoly import evaluate, fraction_json
 
-DEFAULT_BUDGET = 10**8
+DEFAULT_BUDGET = 10**7
 
 Triangle = tuple[int, int, int]
 
@@ -317,125 +315,6 @@ def _pairs(tc: TriangleCensus):
         yield a[keep], b[keep]
 
 
-def _connected_sets(tc: TriangleCensus) -> tuple[int, int, int, int]:
-    """The connected sets of 1, 2, 3 and 4 triangles.
-
-    They are the connected induced subgraphs of H, the graph with a node
-    per triangle and an edge per connected pair, so they follow from
-    graphlet counts of H (ESCAPE: Pinar, Seshadhri & Vishal 2017). Three
-    nodes: the wedges, less twice the triangles T. Four: the induced
-    counts of the six connected graphlets, got from the non-induced
-    counts of 3-stars, 3-paths, tailed triangles, 4-cycles, diamonds and
-    K4s by inverting the table of copies of each in the others.
-
-    H is relabelled by (degree, id) and each edge runs up from its lower
-    end (Chiba & Nishizeki 1985). A node u with k upper neighbours holds
-    the triangles and K4s of H whose lowest node it is, as the edges and
-    triangles of the k x k adjacency B among those neighbours; nodes of
-    equal k are stacked a run at a time. A 4-cycle is charged to its top
-    node u, as a pair of wedges u - v - w with v and w below u. A pass
-    holds about _CHUNK entries, or those of one node, and the sums are
-    exact integers.
-    """
-    tv = tc.triangles
-    n1 = len(tv)
-    # a triangle meets the others at its vertices, twice those on its edges
-    deg = tc.at[1][tv].sum(1) - tc.edge_d[tc.edge_ids(tv[:, [0, 0, 1]], tv[:, [1, 2, 2]])].sum(1)
-    m = int(deg.sum()) // 2
-    rank = _rank(deg)
-    deg = np.sort(deg)
-    # each edge as lo * n1 + hi, up from its lower end, ascending
-    key = np.empty(m, np.int64)
-    filled = 0
-    for a, b in _pairs(tc):
-        a, b = rank[a], rank[b]
-        key[filled:filled + len(a)] = np.minimum(a, b) * n1 + np.maximum(a, b)
-        filled += len(a)
-    assert filled == m
-    key.sort()
-    up_start = np.searchsorted(key, np.arange(n1 + 1) * n1)
-    ups = np.diff(up_start)
-    downs = deg - ups
-    down_start = np.cumsum(downs) - downs
-    # the lower end of each edge, by upper end
-    mid = key % n1
-    mid *= n1
-    mid += key // n1
-    mid.sort()
-    mid %= n1
-
-    # a 4-cycle is charged to its top node u, as two wedges u - v - w with
-    # v and w below u: w is any neighbour of v below v, or one above v and
-    # below u (up_to of them); deg[v] bounds both together. The same pass
-    # sums (d_u - 1)(d_v - 1) over the edges for the 3-paths.
-    c4 = path = 0
-    bound = np.zeros(n1, np.int64)
-    bound[downs > 0] = np.add.reduceat(deg[mid], down_start[downs > 0])
-    for a, b in _runs(bound, _CHUNK):
-        lo, hi = down_start[a], down_start[b - 1] + downs[b - 1]
-        # a pass of one top takes its edges a piece at a time, tallying
-        # the wedges by bottom node
-        single = b - a == 1
-        tally = np.zeros(a if single else 0, np.int64)
-        for p, q in _runs(deg[mid[lo:hi]], _CHUNK) if single else [(0, hi - lo)]:
-            v = mid[lo + p:lo + q]
-            u = np.repeat(np.arange(a, b), downs[a:b])[p:q]
-            path += _exact_sum((deg[u] - 1) * (deg[v] - 1))
-            up_to = np.searchsorted(key, v * n1 + u) - up_start[v]
-            i, below = _expand(down_start[v], downs[v])
-            j, above = _expand(up_start[v], up_to)
-            ends = np.r_[u[i] * n1 + mid[below], u[j] * n1 + key[above] % n1]
-            if single:
-                np.add.at(tally, ends % n1, 1)
-            else:
-                ends.sort()
-                wedges = np.diff(np.flatnonzero(np.r_[True, ends[1:] != ends[:-1], True]))
-                c4 += _exact_sum(wedges * (wedges - 1) // 2)
-        c4 += _exact_sum(tally * (tally - 1) // 2)
-    del mid, bound
-
-    te = np.zeros(m, np.int64)  # the triangles of H on each edge
-    at = np.zeros(n1, np.int64)  # and at each node
-    tri = k4 = 0
-    by_ups = np.argsort(ups, kind="stable")
-    cut = np.searchsorted(ups[by_ups], np.arange(ups.max(initial=0) + 2))
-    for k in range(2, len(cut) - 1):
-        nodes = by_ups[cut[k]:cut[k + 1]]
-        r, uv = _expand(up_start[nodes], ups[nodes])
-        gather = np.bincount(r, ups[key[uv] % n1], len(nodes)).astype(np.int64)
-        for a, b in _runs(k * k + gather, _CHUNK):
-            u = nodes[a:b]
-            # the edges (u, v) up from these nodes, then the edges (v, w)
-            # up from those, kept where (u, w) is an edge too
-            r, uv = _expand(up_start[u], ups[u])
-            v = key[uv] % n1
-            f, vw = _expand(up_start[v], ups[v])
-            uw, hit = _find(key, u[r[f]] * n1 + key[vw] % n1)
-            f, vw, uw = f[hit], vw[hit], uw[hit]
-            start = up_start[u][r]
-            B = np.zeros((len(u), k, k))
-            B[r[f], uv[f] - start[f], uw - start[f]] = 1
-            tri += len(f)
-            np.add.at(te, vw, 1)
-            te[uv] += (B.sum(1) + B.sum(2))[r, uv - start].astype(np.int64)
-            for ends in (u[r[f]], v[f], key[vw] % n1):
-                np.add.at(at, ends, 1)
-            cliques = (B @ B * B).sum()
-            # at most k^3 per node and a few thousand nodes: float64 was exact
-            assert cliques < 2**52
-            k4 += int(cliques)
-
-    three = _choose_sum(deg, 2) - 2 * tri
-    diamond = _choose_sum(te, 2) - 6 * k4
-    cycle = c4 - diamond - 3 * k4
-    paw = _exact_sum(at * (deg - 2)) - 4 * diamond - 12 * k4
-    path -= 3 * tri + 2 * paw + 4 * cycle + 6 * diamond + 12 * k4
-    star = _choose_sum(deg, 3) - paw - 2 * diamond - 4 * k4
-    induced = (star, path, paw, cycle, diamond, k4)
-    assert min(induced) >= 0, induced
-    return n1, m, three, sum(induced)
-
-
 def _gram(rows: np.ndarray, types: np.ndarray, width: int) -> np.ndarray:
     """M^T M in float64 for the row-by-type count matrix M holding one
     count per entry (rows[i], types[i]), rows ascending; M is built a
@@ -638,49 +517,65 @@ def _contact_cycles(tc: TriangleCensus) -> tuple[int, int]:
     return eight, twice_seven // 2
 
 
-def _count_configurations(tc: TriangleCensus, budget: int) -> Counter:
-    """The connected sets of 1 to 4 triangles, counted by class key for
-    the classes of nonzero coefficient; the other sets of 3 or 4
-    triangles are counted together under (3, ()) and (4, ()).
+def _work(tc: TriangleCensus) -> int:
+    """W, a bound on the rows the passes of _cells and _contact_cycles
+    read, from O(triangles + edges) work before any of them.
 
-    Single triangles are counted as given, and connected pairs by
-    overlap. The sets of each size are counted in all as connected
-    subgraphs of the triangles' intersection graph (_connected_sets),
-    which is what the budget caps: it is checked first against the sets
-    at a common vertex, before that graph is built, then exactly.
-
-    A class of 3 or 4 triangles with a nonzero coefficient is counted per
-    connected pair P = {a, b} (a < b) whose union U(P) holds two or more
-    vertices of every other member (a qualifying pair). P's candidates
-    are the triangles other than a and b holding two or more vertices of
-    U(P), gathered from the edges between them; each is typed by the
-    bitmask of the slots of U(P) it contains (see _cell_key) and has at
-    most one vertex outside U(P). A candidate c falls in the cell (share,
-    t) of its type, and an ordered pair (c, w) of distinct candidates in
-    the cell (share, t1, t2, k), k = 1 if c and w share their outside
-    vertex and 0 if not. Each cell fixes the class of {a, b, c(, w)}, so
-    a class's count is its cell sum over _divisor. The two classes with
-    no qualifying pair are counted per 4-cycle (_contact_cycles).
+    Per connected pair {a, b}, _cells reads the triangles on each edge
+    between its slots. Over the pairs, the edges of a and b carry each
+    triangle's connected partners times the triangles on its own three
+    edges, less those on the edge that a pair sharing one counts twice.
+    Any other such edge xy, x in a and y in b, closes a triangle vxy with
+    a vertex v that a and b share; per triangle vxy and apex v, at most
+    (d(vx) - 1)(d(vy) - 1) pairs reach it, with d(xy) rows each.
+    _contact_cycles reads the triangles on the four edges of each 4-cycle
+    of covered edges. A cycle u - v - w - z through an edge uv is fixed by
+    w and z, so at most (deg(u) - 1)(deg(v) - 1) of them pass through uv,
+    and at most the sum of deg(w) - 1 over the neighbours w of v but u
+    (or of u but v), deg counting the covered edges at a vertex.
     """
-    over = f"connected configuration count exceeded budget {budget}"
-    n1 = len(tc.triangles)
-    if n1 == 0:
-        return Counter()
+    tv, n = tc.triangles, tc.n
+    most = int(tc.at[1].max(initial=0))
+    u, v = np.divmod(tc.edge_keys, n)
+    ends = np.r_[u, v]
+    deg = np.bincount(ends, minlength=n)
+    # the degrees of each vertex's neighbours, summed: at most twice the
+    # edges, so float64 was exact
+    around = np.bincount(ends, deg[np.r_[v, u]], n).astype(np.int64)
+    # a triangle's terms come to at most 12 most^3, an edge's to d n^2
+    d = _exact(tc.edge_d, 12 * len(tv) * most**3 + len(u) * most * n**2)
+    # the edges 01, 02 and 12 of each triangle, opposite its vertices 2, 1 and 0
+    te = d[tc.edge_ids(tv[:, [0, 0, 1]], tv[:, [1, 2, 2]])]
+    own = (tc.at[1][tv].sum(1) - te.sum(1)) * te.sum(1)
+    p = te - 1
+    cross = p[:, 0] * p[:, 1] * te[:, 2] + p[:, 0] * p[:, 2] * te[:, 1] + p[:, 1] * p[:, 2] * te[:, 0]
+    shared = d * (d - 1) // 2 * d
+    cycles = d * np.minimum((deg[u] - 1) * (deg[v] - 1), np.minimum(around[u], around[v]) - deg[u] - deg[v] + 1)
+    return int(own.sum() + cross.sum() - shared.sum() + cycles.sum())
 
-    def stars(k):  # sets of k >= 2 triangles with a common vertex
-        return _choose_sum(tc.at[1], k) - _choose_sum(tc.edge_d, k)
 
-    if n1 + stars(2) + stars(3) + stars(4) > budget:
-        raise BudgetExceededError(over)
-    levels = _connected_sets(tc)
-    if sum(levels) > budget:
-        raise BudgetExceededError(over)
+def _count_configurations(tc: TriangleCensus) -> Counter:
+    """The connected sets of 1 to 4 triangles whose class has a nonzero
+    coefficient, counted by class key.
 
-    edge_pairs = _choose_sum(tc.edge_d, 2)
-    counts = Counter({_ONE: n1})
-    for sh, cnt in ((1, levels[1] - edge_pairs), (2, edge_pairs)):
-        if cnt:
-            counts[_cell_key(sh)] = cnt
+    Single triangles are counted as given, and pairs on an edge as
+    sum_e C(d(e), 2); pairs sharing one vertex are separable. A class of 3
+    or 4 triangles with a nonzero coefficient is counted per connected
+    pair P = {a, b} (a < b) whose union U(P) holds two or more vertices of
+    every other member (a qualifying pair). P's candidates are the
+    triangles other than a and b holding two or more vertices of U(P),
+    gathered from the edges between them; each is typed by the bitmask of
+    the slots of U(P) it contains (see _cell_key) and has at most one
+    vertex outside U(P). A candidate c falls in the cell (share, t) of its
+    type, and an ordered pair (c, w) of distinct candidates in the cell
+    (share, t1, t2, k), k = 1 if c and w share their outside vertex and 0
+    if not. Each cell fixes the class of {a, b, c(, w)}, so a class's
+    count is its cell sum over _divisor. The two classes with no
+    qualifying pair are counted per 4-cycle (_contact_cycles).
+    """
+    counts = Counter({_ONE: len(tc.triangles)})
+    if pairs := _choose_sum(tc.edge_d, 2):
+        counts[_cell_key(2)] = pairs
     sums: Counter = Counter()
     for sh, (third, fourth) in _cells(tc).items():
         for t in np.flatnonzero(third).tolist():
@@ -692,49 +587,44 @@ def _count_configurations(tc: TriangleCensus, budget: int) -> Counter:
             counts[key], rest = divmod(total, _divisor(key))
             assert not rest, f"uneven cell sum for {key}"
     counts[_CYCLE8], counts[_CYCLE7] = _contact_cycles(tc)
-    for level in (3, 4):
-        rest = levels[level - 1] - sum(cnt for (k, _), cnt in counts.items() if k == level)
-        assert rest >= 0, f"more keyed sets of {level} triangles than connected ones"
-        counts[level, ()] = rest
     return +counts  # without the classes found no time
 
 
 @dataclass(frozen=True)
 class Discovery:
     """Classes found in one graph: entries pair each nonzero-coefficient
-    class with its embedded-copy count, in key order; enumerated is the
-    number of connected configurations of 1 to 4 triangles."""
+    class with its embedded-copy count, in key order; enumerated is W, the
+    bound on the rows discovery reads that the budget caps (see _work)."""
 
     entries: tuple[tuple[ClassRecord, int], ...]
     enumerated: int
 
 
 def discover_classes(tc: TriangleCensus, *, budget: int = DEFAULT_BUDGET) -> Discovery:
-    """Count all connected 1..4-triangle configurations of the census tc,
-    grouped into canonical classes with exact counts.
+    """Count the connected 1..4-triangle configurations of the census tc
+    whose class has a nonzero coefficient, grouped into canonical classes
+    with exact counts.
 
-    No set is visited: the number of connected configurations comes from
-    graphlet counts of the triangles' intersection graph, and the count
-    of each nonzero class from the cells of candidate triangles around
-    each connected pair or from the 4-cycles (see _count_configurations).
-    The budget bounds the number of connected configurations: a graph
-    with more sets of up to four triangles at a common vertex is refused
-    before the intersection graph is built, and any other with more is
-    refused before a class is counted.
+    No set is visited: the count of each class comes from the cells of
+    candidate triangles around each connected pair or from the 4-cycles
+    (see _count_configurations). The budget caps W, a bound on the rows
+    those passes read (see _work), and a graph past it is refused before
+    any pass.
     """
     if budget < 0:
         raise BadParamsError(f"budget must be >= 0, got {budget}")
-    counts = _count_configurations(tc, budget)
+    work = _work(tc)
+    if work > budget:
+        raise BudgetExceededError(f"class discovery reads up to {work} rows, past budget {budget}")
+    counts = _count_configurations(tc)
     entries = []
     for key in sorted(counts):
-        if key[1]:  # not the zero-coefficient sets counted together
-            rec = _record_for_key(key)
-            # only connected sets are counted; anything else slipping
-            # through would signal broken counting
-            assert rec.is_connected(), f"disconnected class emitted: {key}"
-            if rec.coefficient:
-                entries.append((rec, counts[key]))
-    return Discovery(entries=tuple(entries), enumerated=sum(counts.values()))
+        rec = _record_for_key(key)
+        # only connected sets are counted; anything else slipping through
+        # would signal broken counting
+        assert rec.is_connected(), f"disconnected class emitted: {key}"
+        entries.append((rec, counts[key]))
+    return Discovery(entries=tuple(entries), enumerated=work)
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +639,6 @@ class Decomposition:
     sigma2: Fraction
     entries: tuple[tuple[ClassRecord, int], ...]
     excess4: Fraction
-    enumerated: int
 
     def to_json_dict(self) -> dict:
         classes = []
@@ -773,7 +662,6 @@ class Decomposition:
             "classes": classes,
             "sigma2": fraction_json(self.sigma2),
             "excess4": fraction_json(self.excess4),
-            "enumerated_configurations": self.enumerated,
         }
 
 
@@ -793,5 +681,4 @@ def fourth_moment_exact(tc: TriangleCensus, c: int, *, budget: int = DEFAULT_BUD
         sigma2=sigma2,
         entries=disc.entries,
         excess4=total / sigma2**2,
-        enumerated=disc.enumerated,
     )

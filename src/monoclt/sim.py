@@ -189,7 +189,8 @@ def _draw_block(seed: int, block: int, c: int, n: int, size: int) -> np.ndarray:
     dtype=_color_dtype(c)).T. That draw is Lemire's rejection (ACM TOMACS
     29:1, 2019) over the Philox words read as little-endian K-bit words x,
     K the dtype's width: x is rejected when (x * c) mod 2^K < 2^K mod c and
-    gives (x * c) >> K otherwise, and c = 2^K keeps x. Here the rule runs on
+    gives (x * c) >> K otherwise, which for c = 2^j is x >> (K - j), one
+    shift with no product and no rejection. Here the rule runs on
     up to _WORDS raw words at once, filling _PIECE bytes of whole
     replications at a time; colours left over carry into the next piece,
     so neither bound moves a byte."""
@@ -209,7 +210,9 @@ def _draw_block(seed: int, block: int, c: int, n: int, size: int) -> np.ndarray:
             x = x.view(dtype.newbyteorder("<"))
             if reject:
                 x = x[np.multiply(x, dtype.type(c), dtype=dtype) >= dtype.type(reject)]
-            if c < 1 << k:
+            if c & (c - 1) == 0:
+                x = x >> dtype.type(k + 1 - c.bit_length())
+            else:
                 x = _high64(x, c) if k == 64 else (np.multiply(x, c, dtype=f"u{k // 4}") >> k).astype(dtype)
             parts.append(x)
             have += len(x)

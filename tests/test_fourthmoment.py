@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from brute import (brute_class_key, brute_cycle_sets, brute_discover_classes, brute_t3_third_central_moment,
@@ -200,10 +201,10 @@ def _realize_cells(tris, cells):
     raise AssertionError(f"no triangles realize the cells {set(cells) - set(found)}")
 
 
-# the chain keys no cell of three or four triangles: no triangle holds two
-# vertices of another pair's union, and its quadruples are counted per
-# 4-cycle instead
-@pytest.mark.parametrize("g,sizes,outside", [(complete(9), {2, 3, 4}, True), (bipyramid_chain(20), {2}, False)],
+# the chain keys no cell: no two of its triangles share an edge, no
+# triangle holds two vertices of another pair's union, and its quadruples
+# are counted per 4-cycle instead
+@pytest.mark.parametrize("g,sizes,outside", [(complete(9), {2, 3, 4}, True), (bipyramid_chain(20), set(), False)],
                          ids=["K9", "bipyramid_chain20"])
 def test_every_cell_keys_like_its_concrete_triangles(g, sizes, outside, monkeypatch):
     cells = set()
@@ -355,20 +356,54 @@ _walk = functools.lru_cache(maxsize=None)(brute_discover_classes)
 def test_discovery_matches_visiting_every_configuration(g):
     tc = triangle_census(g)
     disc = discover_classes(tc)
-    class_counts, visited = _walk(_tuples(tc.triangles))
+    class_counts, _ = _walk(_tuples(tc.triangles))
     assert [(rec.key, cnt) for rec, cnt in disc.entries] == _nonzero_classes(class_counts)
-    assert disc.enumerated == visited
+
+
+def _levels(counts) -> list[int]:
+    # the sets of 1, 2, 3 and 4 triangles among class counts
+    levels = [0] * 4
+    for key, cnt in counts:
+        levels[key[0] - 1] += cnt
+    return levels
 
 
 @pytest.mark.parametrize("g", _discovery_corpus())
 def test_connected_sets_per_level_match_the_walk(g):
-    # the graphlet counts of the triangles' intersection graph give the
-    # connected sets of each size
+    # discovery keys every single triangle and every pair on an edge, and
+    # of each larger size no more sets than the walk finds connected
     tc = triangle_census(g)
-    levels = [0] * 4
-    for (k, _), cnt in _walk(_tuples(tc.triangles))[0].items():
-        levels[k - 1] += cnt
-    assert fourthmoment._connected_sets(tc) == tuple(levels)
+    keyed = _levels((rec.key, cnt) for rec, cnt in discover_classes(tc).entries)
+    connected = _levels(_walk(_tuples(tc.triangles))[0].items())
+    assert keyed[:2] == [len(tc.triangles), sum(d * (d - 1) // 2 for d in tc.edge_d.tolist())]
+    assert keyed[1] <= connected[1] and keyed[2] <= connected[2] and keyed[3] <= connected[3]
+
+
+def _rows_read(monkeypatch) -> list[int]:
+    # the triangle rows the cell and contact-cycle passes receive
+    rows = [0]
+    count_chunk, cycle_counts = fourthmoment._count_chunk, fourthmoment._cycle_counts
+
+    def chunk(tc, slots, own, eid):
+        rows[0] += int(np.where(eid < 0, 0, tc.edge_d[eid]).sum())
+        return count_chunk(tc, slots, own, eid)
+
+    def cycles(tc, thirds, e):
+        rows[0] += int(tc.edge_d[e].sum())
+        return cycle_counts(tc, thirds, e)
+
+    monkeypatch.setattr(fourthmoment, "_count_chunk", chunk)
+    monkeypatch.setattr(fourthmoment, "_cycle_counts", cycles)
+    return rows
+
+
+@pytest.mark.parametrize("g", _discovery_corpus() + [pytest.param(complete(9), id="K9"),
+                                                     pytest.param(gnp(60, 0.3, 1), id="gnp60")])
+def test_budget_bounds_the_rows_the_passes_read(g, monkeypatch):
+    tc = triangle_census(g)
+    rows = _rows_read(monkeypatch)
+    disc = discover_classes(tc, budget=fourthmoment._work(tc))
+    assert disc.enumerated == fourthmoment._work(tc) >= rows[0] > 0
 
 
 @pytest.mark.parametrize("g,bound", [
@@ -393,7 +428,7 @@ def test_discovery_matches_visiting_every_configuration_on_k9(k9_brute):
     class_counts, visited = k9_brute
     disc = discover_classes(triangle_census(complete(9)))
     assert [(rec.key, cnt) for rec, cnt in disc.entries] == _nonzero_classes(class_counts)
-    assert disc.enumerated == visited == 1_893_675
+    assert visited == 1_893_675
 
 
 def test_k9_zero_classes_are_exactly_the_separable_ones(k9_brute):
@@ -465,7 +500,7 @@ def test_fourth_level_reaches_a_set_twice_per_qualifying_pair(k9_brute):
             assert _qualifying(rep) == 0, rep
         else:
             assert fourthmoment._divisor(key) == 2 * _qualifying(rep) > 0, rep
-        counts = fourthmoment._count_configurations(index_triangles(rep), 100)
+        counts = fourthmoment._count_configurations(index_triangles(rep))
         assert counts[key] == 1, rep
         assert sum(cnt for (k, _), cnt in counts.items() if k == 4) == 1, rep
 
@@ -491,57 +526,47 @@ def test_qualifying_pairs_of_every_nonzero_class(k9_brute, m):
         assert [fourthmoment._divisor(key) for key in keys] == [3] * 5
 
 
+def test_budget_bound_is_exact_through_python_integers(monkeypatch):
+    # past 2^63 the bound's terms are summed as Python integers
+    for g in (complete(9), gnp(16, 0.45, 3)):
+        tc = triangle_census(g)
+        want = fourthmoment._work(tc)
+        monkeypatch.setattr(census, "_INT64", 1)
+        got = fourthmoment._work(tc)
+        monkeypatch.undo()
+        assert got == want and type(got) is int
+
+
 def test_k9_configurations_per_level():
-    counts = fourthmoment._count_configurations(triangle_census(complete(9)), 10**7)
-    levels = {k: 0 for k in (1, 2, 3, 4)}
-    for (k, _), cnt in counts.items():
-        levels[k] += cnt
-    assert levels == {1: 84, 2: 2_646, 3: 79_884, 4: 1_811_061}
+    # of K9's 84, 2,646, 79,884 and 1,811,061 connected sets of one to four
+    # triangles, those of a nonzero class
+    counts = fourthmoment._count_configurations(triangle_census(complete(9)))
+    assert _levels(counts.items()) == [84, 756, 23_184, 701_316]
 
 
-def _count_passes(monkeypatch):
-    passes = []
-    count_chunk = fourthmoment._count_chunk
-    monkeypatch.setattr(fourthmoment, "_count_chunk", lambda *a: passes.append(1) or count_chunk(*a))
-    return passes
-
-
-def test_budget_is_the_exact_configuration_count():
-    tc = triangle_census(generate(FamilySpec("composite", n=12, c=2)))
-    with pytest.raises(BudgetExceededError):
-        discover_classes(tc, budget=504_507)
-    assert discover_classes(tc, budget=504_508).enumerated == 504_508
-
-
-def test_budget_below_the_sets_at_a_vertex_runs_no_pass(monkeypatch):
-    # K9: 84 triangles and 2,646 connected pairs; with the sets of three
-    # and four triangles at a common vertex, 213,969 configurations
-    monkeypatch.setattr(fourthmoment, "_count_chunk", lambda *a: pytest.fail("a pass ran"))
-    tc = triangle_census(complete(9))
-    for budget in (2_729, 2_730, 213_968):
-        with pytest.raises(BudgetExceededError):
-            discover_classes(tc, budget=budget)
+def _forbid_passes(m):
+    m.setattr(fourthmoment, "_count_chunk", lambda *a: pytest.fail("a pass ran"))
+    m.setattr(fourthmoment, "_contact_cycles", lambda *a: pytest.fail("a 4-cycle pass ran"))
 
 
 def test_budget_refuses_one_below_the_count_before_any_pass(monkeypatch):
-    # K9 has 1,893,675 connected configurations: the exact count refuses
-    # one less before any cell or 4-cycle is counted
-    tc = triangle_census(complete(9))
-    with monkeypatch.context() as m:
-        m.setattr(fourthmoment, "_count_chunk", lambda *a: pytest.fail("a pass ran"))
-        m.setattr(fourthmoment, "_contact_cycles", lambda *a: pytest.fail("a 4-cycle pass ran"))
-        with pytest.raises(BudgetExceededError):
-            discover_classes(tc, budget=1_893_674)
-    assert discover_classes(tc, budget=1_893_675).enumerated == 1_893_675
+    # W is 181,692 on K9 and 22,368 on composite(12): one less refuses
+    # before any cell or 4-cycle is counted, and W itself runs
+    for g, work in ((complete(9), 181_692), (generate(FamilySpec("composite", n=12, c=2)), 22_368)):
+        tc = triangle_census(g)
+        with monkeypatch.context() as m:
+            _forbid_passes(m)
+            with pytest.raises(BudgetExceededError, match=f"up to {work} rows"):
+                discover_classes(tc, budget=work - 1)
+        assert discover_classes(tc, budget=work).enumerated == work
 
 
 def test_budget_refuses_k20_before_any_pass(monkeypatch):
-    # K20's sets of four triangles at a common vertex alone pass the
-    # default budget three times over
-    passes = _count_passes(monkeypatch)
-    with pytest.raises(BudgetExceededError):
-        discover_classes(triangle_census(complete(20)))
-    assert passes == []
+    # K20's bound passes the default budget 4.7 times over, K30's 64 times
+    _forbid_passes(monkeypatch)
+    for n in (20, 30):
+        with pytest.raises(BudgetExceededError):
+            discover_classes(triangle_census(complete(n)))
 
 
 @pytest.mark.parametrize("chunk,block,wedges", [(1, 5, 1), (1 << 20, 1 << 20, 1 << 20)], ids=["one_pair", "2^20"])

@@ -2,23 +2,16 @@
 reports and the gnp(10) law were recorded before the colouring kernel was
 shared by the sampler and the exhaustive oracle; the other laws before
 the exhaustive oracle enumerated colourings up to colour permutation;
-the K9, composite and gnp fourth-moment reports before the class
-coefficients came from the joint-cumulant engine, and the pyramid and
-bipyramid chain ones before classes were keyed from the walk's
-fingerprints instead of concrete triangles; the generate, census, moments
-and bounds reports and the fourth-moment budget error before each graph
+the generate, census, moments and bounds reports before each graph
 command was declared once in the CLI's command table; the simulate report
 with atoms before post-parse usage errors were reported on the command's
-own parser; the disjoint-union and gnp(18, 0.6) fourth-moment reports
-before the fourth level was counted per connected pair of triangles; the
-gnp(24, 0.4) report and the K20 and K30 budget errors before the levels
-below it were counted from the same per-pair cells; the gnp(60, 0.3)
-report before only the classes with a coefficient were counted; the
-census, moments and bounds reports of star(2000), pyramid(600),
-bipyramid_chain(300) and gnp(120, 0.5) before the census layer was
-computed on numpy arrays. Any change of a
-single byte fails here; a report change on purpose must update the
-digest and say why in CHANGES.md."""
+own parser; the census, moments and bounds reports of star(2000),
+pyramid(600), bipyramid_chain(300) and gnp(120, 0.5) before the census
+layer was computed on numpy arrays; every fourth-moment report and
+budget error when the budget came to cap W, a bound on the rows class
+discovery reads, in place of the count of connected configurations. Any
+change of a single byte fails here; a report change on purpose must
+update the digest and say why in CHANGES.md."""
 
 import hashlib
 
@@ -53,34 +46,33 @@ LAWS = {
 }
 
 # fourth-moment reports; K9 realizes all 32 nonzero classes, so these pin
-# every coefficient polynomial with its counts and enumerated_configurations.
+# every coefficient polynomial with its counts.
 # The bipyramid chain adds fourth triangles that bring a new vertex and the
 # chain quadruple, whose 3-subsets are all separable
 FOURTH_MOMENT = {
     "K9_c2": (("--family", "complete", "--n", "9", "--c", "2"),
-              "90f24ad137b7a0796dda271fe2bec838dced8df67e2a38bb391f95ab01e8fa60"),
+              "2b1e7ebfcb7ba0a821d6535fbb27463e1dc9bacb83e509702de905fe7c5a684f"),
     "K9_c5": (("--family", "complete", "--n", "9", "--c", "5"),
-              "b72da0586b5d0891acbe69ecd4faf22d0d7f81a1fc171311e2dfbf54149b1504"),
+              "3fbe44c2fb8be676647c8bd30f7a66d4f8875e09ee85c214afb63d4d7c159920"),
     "composite12_c2": (("--family", "composite", "--n", "12", "--c", "2"),
-                       "7690558eee20a0f4e6317698f83fc1cd6d4785643c7bd6b35190211e8378b325"),
+                       "e4a157d5b7d831bb1c27297c4cee5c6dbdc3120f8379746faec55da476a2a619"),
     "gnp16_c3": (("--family", "gnp", "--n", "16", "--p", "0.45", "--graph-seed", "0", "--c", "3"),
-                 "ef554c933f1b9f8a9f794521efbf9516414a1781fef6601784ac97656303650d"),
+                 "4a3450c6f97cfaf03acdd48d95d197d6199dbf86ef08e3b0459887bbdce42cbf"),
     "bipyramid_chain20_c3": (("--family", "bipyramid_chain", "--n", "20", "--c", "3"),
-                             "a8010915f5573c223cb8b0f592c852fbf2b33b0509c9b3613542224c118dd18e"),
+                             "f74fdc79a9512934f640c7bd5c4b4028ca2d877af5bbdd2c70d7dba2ebb3a9fa"),
     "pyramid30_c2": (("--family", "pyramid", "--n", "30", "--c", "2"),
-                     "74f6cd45d89f62d9cb19b7f54c3f4f9d50413808fe1b57231eeb058134d960c9"),
+                     "27523241a7a0ca3325e23a165f061c0bcad7db15f366d4f1908f1ef6e19083f5"),
     "union_K6_pyramid5_chain6_c3": (("--family", "disjoint_union", "--parts", "complete:6", "pyramid:5",
                                      "bipyramid_chain:6", "--c", "3"),
-                                    "1bf88eb2b3a37c89766511ac2cf9cf26bbb4fd00361aa281f6368b0ca4c15055"),
+                                    "e4e4fc200124b186b590fef7eabc375ee076476e543cb08704d7091b31a95d14"),
     "gnp18_c5": (("--family", "gnp", "--n", "18", "--p", "0.6", "--graph-seed", "1", "--c", "5"),
-                 "7dd258f1f8540bb30a785e96adbd4a1a64ec08a48b1edc4fd40ed76c4aa9b5de"),
-    # 3,759,715 configurations, twice K9's
+                 "905307c09dc5c04dfcf53ef518c0452bec74cf1a7e96a7de8a70d0ec4587f218"),
+    # 3,759,715 connected configurations, twice K9's
     "gnp24_c3": (("--family", "gnp", "--n", "24", "--p", "0.4", "--graph-seed", "1", "--c", "3"),
-                 "0de33ccd329c1cbf23db43c4eb69335114e7ab22b64437b3b261329b1affee77"),
-    # the paper's size: 653,317,235 configurations, past the default budget
-    "gnp60_c3": (("--family", "gnp", "--n", "60", "--p", "0.3", "--graph-seed", "1", "--c", "3",
-                  "--budget", "1000000000"),
-                 "c882a9f1192a2fe1e7074704dfc25fa0395365df30547eb0113bbfd00480c258"),
+                 "7f11b914efee8127f2db472628077b73c3a6ebd2ff21b8ec60c6bd5d63640f97"),
+    # the paper's size, within the default budget
+    "gnp60_c3": (("--family", "gnp", "--n", "60", "--p", "0.3", "--graph-seed", "1", "--c", "3"),
+                 "fab5120af2b52372f0159fa9acdb0fffa1204a626dc4405a2ef8d66d97148ef4"),
 }
 
 # generate writes the edge list; composite(8) at c = 2 is pyramid(8) plus
@@ -136,17 +128,17 @@ ATOMS = (
     "c30a955e9b591446fd176b3169c81f93a17ec70e921db1d1b5781cb6fdeff50b",
 )
 
-# the JSON domain error on stderr, with every input echoed; K20 and K30
-# pass the default budget many times over
+# the JSON domain error on stderr, with every input echoed; W on K20 and
+# K30 passes the default budget 4.7 and 64 times over
 BUDGET_ERROR = (
     ("fourth-moment", "--family", "complete", "--n", "9", "--c", "5", "--budget", "0", "--threads", "2"),
-    "9e7dd1e858c08fa240629cfeb6d07ffb3bba74de7e0e5a9c20de353a09db21c2",
+    "9c3f417d41f7ef040f8d58016fe4b6333b368e215689f5c596aeba2aebd77693",
 )
 BUDGET_ERRORS = {
     "K20": (("fourth-moment", "--family", "complete", "--n", "20", "--c", "3", "--threads", "2"),
-            "ff1a5932edd74d5b5f3d82deb742d41bed704ec32979bcac146a45ba2b42357a"),
+            "5a66365a2692c5e64297f5a53259e2e5178088543fb10609afde2095f74b9a95"),
     "K30": (("fourth-moment", "--family", "complete", "--n", "30", "--c", "3", "--threads", "2"),
-            "14519c71171d99ae5f8ab6c45881ecf951f08ebc26a70b09dbd7a00bba52c55f"),
+            "2a1d954570168eaf9b56a691fc528a5532ccd9f488f67bb0c599d32d39000325"),
 }
 
 

@@ -387,9 +387,11 @@ def test_block_streams_pinned_below_2_63():
 
 
 # c = 2 rejects nothing; 129 rejects 127 of every 256 bytes; the rest
-# cross each width's edges, c = 2^32 and 2^64 being full-range words
-DRAW_COLORS = [2, 3, 129, 256, 257, 300, 32769, 65536, 70000, 2**31 + 1, 2**32,
-               2**32 + 1, 2**40, 2**63 + 1, 2**64 - 1, 2**64]
+# cross each width's edges, c = 2^32 and 2^64 being full-range words. Each
+# power of two (2, 4, 256, 2^16, 2^32, 2^33, 2^63, 2^64) keeps the top bits
+# of a word by one shift
+DRAW_COLORS = [2, 3, 4, 129, 256, 257, 300, 32769, 65536, 70000, 2**31 + 1, 2**32,
+               2**32 + 1, 2**33, 2**40, 2**63, 2**63 + 1, 2**64 - 1, 2**64]
 
 
 @pytest.mark.parametrize("c", DRAW_COLORS)
