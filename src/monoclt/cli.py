@@ -263,7 +263,8 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """Every subcommand, with options only for command unless it is None."""
     parser = argparse.ArgumentParser(
         prog="monoclt",
         description="exact statistics and simulation oracles for monochromatic "
@@ -273,6 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, c_required, options, _) in COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
+        if command not in (None, name):
+            continue
         sub.add_argument("--input", help="edge-list file (one 'u v' pair per line)")
         sub.add_argument("--family", choices=FAMILIES, help="generated family")
         for flag, (_, keywords) in SPEC_OPTIONS.items():
@@ -284,13 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, keywords in options.items():
             sub.add_argument(flag, **keywords)
         sub.add_argument("--out", help="output path (default stdout)")
-    sub = subs.add_parser("verify", help="run the built-in acceptance checks")
-    sub.add_argument("--threads", **THREADS)
+    subs.add_parser("verify", help="run the built-in acceptance checks")
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser has only -h and --version: the first other token is the command
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), ""))
     args, unknown = parser.parse_known_args(argv)
     if unknown:  # the command's parser reports them, with its own usage line
         parser.subparsers.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
@@ -318,7 +322,7 @@ def run(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "verify":
-        return _verify(args.threads)
+        return _verify()
     graph, source = _resolve_graph(args)
     body = COMMANDS[args.command][3]
     if body is None:
@@ -338,7 +342,7 @@ def _dispatch(args) -> int:
 # verify: condensed acceptance checks
 
 
-def _verify(threads: Optional[int]) -> int:
+def _verify() -> int:
     from .fourthmoment import (
         bipyramid_quad_coefficient,
         class_key,
@@ -378,7 +382,7 @@ def _verify(threads: Optional[int]) -> int:
         pc = pyramid_counts(tc)
         c4 = count_c4(g)
         for c in (2, 3):
-            dist = exact_distribution(g, c, tc=tc, threads=threads)
+            dist = exact_distribution(g, c, tc=tc)
             mu2, v2, _ = dist.moments("T2")
             rep2 = t2_moments(g.edge_count, pc.n1, c4, c)
             if (mu2, v2) != (rep2.mean, rep2.variance) or dist.excess4("T2") != rep2.excess4:

@@ -4,8 +4,8 @@ Both oracles count monochromatic edges and triangles with one kernel,
 _mono_counts, over vertex-major colour blocks (a row per vertex, a
 column per coloring) in slabs of SLAB = 255 cliques tallied in uint8,
 so working memory is bounded by slab and block, not by the triangle
-count. Blocks of either oracle run on one pool, _map_blocks, and are
-folded in order as they finish. Sampling keys a Philox generator by
+count. Sampling blocks run on one pool, _map_blocks, and are folded in
+order as they finish. Sampling keys a Philox generator by
 (seed, block index) over fixed-size replication blocks, so a (seed,
 replications) pair gives bit-identical results on any number of threads.
 _draw_block writes a block vertex-major in pieces, reducing the raw
@@ -13,7 +13,7 @@ Philox words to colours by Lemire's rejection, the rule and stream of
 Generator.integers. The exhaustive oracle returns the exact joint law
 of (edge count, triangle count) over all colorings with rational
 masses, evaluating them up to colour permutation: weighted prefix
-strings over one shared block of suffix colourings.
+strings over one shared block of suffix colourings, on one thread.
 
 Moments are exact: statistics are small nonnegative integers, so each
 run is reduced to a value-count table and moments come from big-integer
@@ -45,7 +45,6 @@ _WORDS = 1 << 13  # most Philox words one draw reduces (64 KB), so its temporari
 DEFAULT_ENUM_CAP = 10**7
 SLAB = 255  # cliques _mono_counts gathers at once: the most hits a uint8 tally holds
 SUFFIX = 1 << 12  # most suffix colourings exact_distribution shares across prefixes
-GROUPS = 16  # most prefix groups exact_distribution hands to _map_blocks
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ class SimReport:
 
 
 # ---------------------------------------------------------------------------
-# the coloring kernel and its block pool
+# the coloring kernel and the sampler's block pool
 
 
 def _color_dtype(c: int):
@@ -131,14 +130,14 @@ def _color_dtype(c: int):
     return np.uint32 if c <= 1 << 32 else np.uint64
 
 
-def _mono_counts(ct: np.ndarray, cliques: np.ndarray) -> np.ndarray:
+def _mono_counts(ct: np.ndarray, cliques: np.ndarray, slab: int) -> np.ndarray:
     """For each column of the vertex-major colour block ct (n x rows), the
     number of rows of cliques (m x k vertex ids) whose k vertices all
-    share one colour. Gathers SLAB cliques per step and tallies each
-    slab's hits per column in uint8, which holds up to 255 hits exactly."""
+    share one colour. Gathers slab <= SLAB cliques per step and tallies
+    each slab's hits per column in uint8, which holds 255 hits exactly."""
     out = np.zeros(ct.shape[1], dtype=np.int64)
-    for s in range(0, len(cliques), SLAB):
-        part = cliques[s : s + SLAB]
+    for s in range(0, len(cliques), slab):
+        part = cliques[s : s + slab]
         first = ct[part[:, 0]]
         hit = first == ct[part[:, 1]]
         for j in range(2, part.shape[1]):
@@ -256,7 +255,7 @@ def sample_statistics(
         ct = _draw_block(cfg.seed, b, cfg.c, g.n, min(BLOCK, cfg.replications - b * BLOCK))
         out = {}
         for name, k in cliques.items():
-            values = _mono_counts(ct, k)
+            values = _mono_counts(ct, k, SLAB)
             out[name] = (np.bincount(values, minlength=len(k) + 1), values)
         return out
 
@@ -375,10 +374,12 @@ def exact_distribution(
     A prefix of j vertices runs over the restricted-growth strings (Knuth,
     TAOCP 4A, 7.2.1.5); a string using m colours stands for perm(c, m)
     colourings, as the law is invariant under colour permutations. Each is
-    broadcast over a copy of one block of all c^s colourings of the other
-    s = n - j vertices (c^s <= SUFFIX, j >= 1 when n >= 1), tallied by
-    _mono_counts and weighted. Groups of strings run on _map_blocks; the
-    integer tallies make the masses exact and independent of thread count.
+    written into one block of all c^s colourings of the other s = n - j
+    vertices (c^s <= SUFFIX, j >= 1 when n >= 1), tallied by _mono_counts
+    and weighted into one integer tally, so the masses are exact. Slabs
+    hold at most 2^16 cells, so no temporary passes the allocator's mmap
+    threshold to be faulted in afresh per string; on slabs that small one
+    thread beats a pool, and threads is accepted and unused.
     """
     _check_colors(c)
     total = c**g.n
@@ -392,29 +393,23 @@ def exact_distribution(
     width = (len(edges) + 1) * stride
     s = max((k for k in range(g.n) if c**k <= SUFFIX), default=0)
     j = g.n - s
+    slab = max(1, min(SLAB, 2**16 // c**s))
     dtype = _color_dtype(c)
-    block = np.empty((g.n, c**s), dtype=dtype)  # prefix rows are set per string
+    ct = np.empty((g.n, c**s), dtype=dtype)  # prefix rows are set per string
     for k in range(s):  # the base-c digits of the column index
-        block[j + k] = np.arange(c**s) // c**k % c
+        ct[j + k] = np.arange(c**s) // c**k % c
     prefixes = [((), 0)]  # restricted-growth strings, each with its colour count
     for _ in range(j):
         prefixes = [(p + (x,), max(m, x + 1)) for p, m in prefixes for x in range(min(m + 1, c))]
-
-    def run_group(group: list) -> np.ndarray:
-        ct = block.copy()
-        tally = np.zeros(width, dtype=np.int64 if total < 1 << 63 else object)
-        for prefix, m in group:
-            ct[:j] = np.array(prefix, dtype=dtype)[:, None]
-            flat = _mono_counts(ct, edges) * stride + _mono_counts(ct, tris)
-            tally += math.perm(c, m) * np.bincount(flat, minlength=width).astype(tally.dtype)
-        return tally
-
-    groups = [prefixes[i::GROUPS] for i in range(min(GROUPS, len(prefixes)))]
-    combined = sum(_map_blocks(run_group, groups, threads))
+    tally = np.zeros(width, dtype=np.int64 if total < 1 << 63 else object)
+    for prefix, m in prefixes:
+        ct[:j] = np.array(prefix, dtype=dtype)[:, None]
+        flat = _mono_counts(ct, edges, slab) * stride + _mono_counts(ct, tris, slab)
+        tally += math.perm(c, m) * np.bincount(flat, minlength=width).astype(tally.dtype)
     joint = {}
-    for flat in np.nonzero(combined)[0]:
+    for flat in np.nonzero(tally)[0]:
         t2, t3 = divmod(int(flat), stride)
-        joint[(t2, t3)] = Fraction(int(combined[flat]), total)
+        joint[(t2, t3)] = Fraction(int(tally[flat]), total)
     return ExactDistribution(c=c, n=g.n, joint=joint)
 
 

@@ -220,10 +220,9 @@ def test_unknown_arguments_print_the_command_usage(capsys, argv, unknown):
     "argv",
     [
         ("simulate", "--family", "pyramid", "--n", "3", "--c", "2", "--reps", "10", "--seed", "1"),
-        ("verify",),
         ("fourth-moment", "--family", "pyramid", "--n", "3", "--c", "2"),
     ],
-    ids=["simulate", "verify", "fourth-moment"],
+    ids=["simulate", "fourth-moment"],
 )
 def test_threads_below_one_is_a_usage_error(capsys, argv, threads):
     with pytest.raises(SystemExit) as exc:
@@ -233,7 +232,7 @@ def test_threads_below_one_is_a_usage_error(capsys, argv, threads):
 
 
 def test_verify_passes_its_four_checks(capsys):
-    code, out, err = run_cli(capsys, "verify", "--threads", "1")
+    code, out, err = run_cli(capsys, "verify")
     assert code == 0
     assert out.splitlines() == [
         "PASS  oracle equality (closed forms vs full enumeration)",
@@ -572,9 +571,7 @@ SUBCOMMAND_OPTIONS = {
         (("--threads",), "threads", CPUS, False, None, None),
         OUT,
     ]),
-    "verify": ("run the built-in acceptance checks", [
-        (("--threads",), "threads", CPUS, False, None, None),
-    ]),
+    "verify": ("run the built-in acceptance checks", []),
 }
 
 
@@ -589,7 +586,7 @@ def test_subcommand_options_are_unchanged():
             for a in sub._actions
             if not isinstance(a, argparse._HelpAction)
         ])
-        if name in ("fourth-moment", "simulate", "verify"):
+        if name in ("fourth-moment", "simulate"):
             assert sub.get_default("threads") == os.cpu_count()
     assert got == SUBCOMMAND_OPTIONS
 

@@ -258,7 +258,7 @@ def test_mono_counts_across_the_uint8_tally_boundary(m, k, c):
     for cols in (1, 3, 1023):
         ct = palette[rng.integers(0, len(palette), size=(n, cols))].astype(sim._color_dtype(c))
         ct[:, 0] = c - 1
-        counts = sim._mono_counts(ct, cliques)
+        counts = sim._mono_counts(ct, cliques, sim.SLAB)
         assert counts.tolist() == _plain_counts(ct, cliques)
         assert counts[0] == m
 
@@ -301,16 +301,37 @@ def test_exhaustive_oracle_evaluates_colourings_up_to_permutation(monkeypatch):
     columns = []
     mono_counts = sim._mono_counts
 
-    def counting(ct, cliques):
+    def counting(ct, cliques, slab):
         if cliques.shape[1] == 3:  # one call per evaluated block
             columns.append(ct.shape[1])
-        return mono_counts(ct, cliques)
+        return mono_counts(ct, cliques, slab)
 
     monkeypatch.setattr(sim, "_mono_counts", counting)
     exact_distribution(complete(10), 4)
     # 15 growth strings on the first 4 vertices times 4^6 suffix
     # colourings, against the 4^10 = 1,048,576 covered
     assert sum(columns) < 70_000
+
+
+def test_exhaustive_oracle_memory_is_bounded_by_its_slabs():
+    # what one prefix string holds at once: the colour block (10 x 4^6
+    # uint8), the tally over (T2, T3) pairs and its three per-string
+    # copies (counted, cast, weighted), three int64 counts per column, and
+    # four slab temporaries of at most 2^16 bytes (the first vertex's
+    # colours, the running hits, a gather and its comparison), plus 64 KB
+    # of small objects; 255-row slabs of 4096 columns alone pass 1 MB
+    g = complete(10)
+    tc = triangle_census(g)
+    columns = 4**6
+    tally = 8 * (g.edge_count + 1) * (len(tc.triangles) + 1)
+    bound = g.n * columns + 4 * tally + 3 * 8 * columns + 4 * 2**16 + 2**16
+    tracemalloc.start()
+    try:
+        exact_distribution(g, 4, tc=tc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_exact_law_with_uint16_colours():
@@ -357,13 +378,13 @@ def test_block_pool_is_bounded_by_the_machine(monkeypatch):
     g = gnp(8, 0.4, 1)
     cfg = SimConfig(c=3, replications=5000, seed=2)  # 5 blocks
     assert sample_statistics(g, cfg, threads=10**6) == sample_statistics(g, cfg, threads=1)
-    # prefix strings 00 and 01 over the 4^6 suffix colourings: 2 groups
+    # the exhaustive oracle accepts threads but starts no pool
     law = exact_distribution(g, 4, threads=10**6)
     assert law.joint == exact_distribution(g, 4, threads=1).joint
-    assert sizes == [3, 2]
+    assert sizes == [3]
     monkeypatch.setattr(sim.os, "cpu_count", lambda: None)  # unknown: serial
     sample_statistics(g, cfg, threads=10**6)
-    assert sizes == [3, 2]
+    assert sizes == [3]
 
 
 def test_block_streams_distinct_at_and_above_2_63():
