@@ -35,7 +35,6 @@ sum C(d, 4) alone is quartic in the d-values.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -158,10 +157,6 @@ class PyramidCounts:
         return (self.n1, self.n2, self.n3, self.n4)
 
 
-def _edge_array(g: Graph) -> np.ndarray:
-    return np.fromiter(itertools.chain.from_iterable(g.edges), np.int64, 2 * len(g.edges)).reshape(-1, 2)
-
-
 def triangle_census(g: Graph) -> TriangleCensus:
     """Every triangle once, by degree-ordered closing of oriented edges.
 
@@ -172,7 +167,7 @@ def triangle_census(g: Graph) -> TriangleCensus:
     of edges with at most _PASS candidates w.
     """
     n = g.n
-    e = _edge_array(g)
+    e = g.edge_array
     rank = _rank(np.bincount(e.ravel(), minlength=n))
     up = rank[e[:, 0]] < rank[e[:, 1]]
     fwd = np.where(up, e[:, 0], e[:, 1]) * n + np.where(up, e[:, 1], e[:, 0])
@@ -299,7 +294,7 @@ def _wedge_c4(n: int, edges: np.ndarray, weights: np.ndarray) -> int:
 
 def count_c4(g: Graph) -> int:
     """Number of distinct 4-cycle subgraphs: the wedge kernel with unit weights."""
-    e = _edge_array(g)
+    e = g.edge_array
     return _wedge_c4(g.n, e[:, 0] * g.n + e[:, 1], np.ones(len(e), np.int64))
 
 

@@ -264,7 +264,9 @@ COMMANDS = {
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """Every subcommand, with options only for command unless it is None."""
+    """The program's parser. For a known command, only that command's
+    subparser, with its options; otherwise every subcommand, with options
+    only for command unless it is None."""
     parser = argparse.ArgumentParser(
         prog="monoclt",
         description="exact statistics and simulation oracles for monochromatic "
@@ -272,7 +274,12 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"monoclt {__version__}")
     subs = parser.subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, c_required, options, _) in COMMANDS.items():
+    known = (*COMMANDS, "verify")
+    for name in (command,) if command in known else known:
+        if name == "verify":
+            subs.add_parser("verify", help="run the built-in acceptance checks")
+            continue
+        help_text, c_required, options, _ = COMMANDS[name]
         sub = subs.add_parser(name, help=help_text)
         if command not in (None, name):
             continue
@@ -287,7 +294,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         for flag, keywords in options.items():
             sub.add_argument(flag, **keywords)
         sub.add_argument("--out", help="output path (default stdout)")
-    subs.add_parser("verify", help="run the built-in acceptance checks")
     return parser
 
 

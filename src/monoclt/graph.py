@@ -1,6 +1,12 @@
 """Simple undirected graphs: construction, edge-list I/O, and generators
 for every family used in the experiments.
 
+A Graph is n and a read-only (m, 2) int64 array of its edges, rows
+(u, v) with u < v in ascending order, which every numeric consumer
+reads; Graph.edges, a tuple view built on first access, is for callers
+outside the package. parse_edge_list reads the text serialize_edge_list
+writes in bulk, with numpy, and any other text line by line.
+
 Families:
     complete(n)         K_n
     star(n)             K_{1,n}: center 0, n leaves
@@ -24,7 +30,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -39,33 +46,68 @@ from .errors import (
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, ascending, by a stable argsort."""
+    x = x[np.argsort(x, kind="stable")]
+    new = np.ones(len(x), bool)
+    new[1:] = x[1:] != x[:-1]
+    return x[new]
+
+
+def _canonical(n: int, ends: np.ndarray) -> tuple[np.ndarray, int]:
+    """The distinct edges of the rows of ends (two distinct vertices
+    below n, either way round) as ascending rows (u, v) with u < v, and
+    the number of rows that repeat an edge before them."""
+    key = _distinct(ends.min(1) * n + ends.max(1))
+    return np.stack(np.divmod(key, n), 1), len(ends) - len(key)
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    edges are stored as (u, v) with u < v in ascending order. Instances
-    are immutable and safe to share.
+    edge_array holds the edges as rows (u, v) with u < v in ascending
+    order, read-only; Graph(n, rows) takes rows in that form as they are,
+    and from_edges checks and sorts any pairs. Instances are immutable,
+    safe to share, and equal when n and the edges are.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edge_array: np.ndarray
+
+    def __post_init__(self):
+        self.edge_array.flags.writeable = False
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            norm.add((u, v) if u < v else (v, u))
-        return cls(n=n, edges=tuple(sorted(norm)))
+        if n * n >= 1 << 63:  # so that every edge key u * n + v fits in int64
+            raise ValueError(f"vertex count {n} is over 3 * 10^9")
+        e = np.array(list(edges), np.int64)
+        e = e.reshape(len(e), 2)
+        bad = np.flatnonzero((e[:, 0] == e[:, 1]) | (e.min(1) < 0) | (e.max(1) >= n))
+        if len(bad):
+            u, v = e[bad[0]].tolist()
+            raise ValueError(f"self-loop at vertex {u}" if u == v else f"edge ({u}, {v}) out of range for n={n}")
+        return cls(n, _canonical(n, e)[0])
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as (u, v) tuples, in edge_array's order."""
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edge_array, other.edge_array)
+
+    def __hash__(self):
+        return hash((self.n, self.edge_array.tobytes()))
 
     def digest(self) -> str:
         """sha256 of the canonical serialization; used in CLI reports."""
@@ -76,12 +118,16 @@ class Graph:
 class ParseResult:
     graph: Graph
     duplicate_count: int
-    # id_map[i] = original id of internal vertex i (identity when a
+    # id_map[i] = original id of internal vertex i (range(n) when a
     # vertices= header pinned the numbering)
-    id_map: tuple[int, ...]
+    id_map: Sequence[int]
 
 
 _HEADER_RE = re.compile(r"vertices\s*=\s*(\d+)")
+# the texts read in bulk: an optional comment line, then "u v" lines of at
+# most 18 digits per id (below 2^63), each ending in a newline. The comment
+# holds none of the characters str.splitlines breaks at.
+_BULK_RE = re.compile("(#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*\n)?(?:[0-9]{1,18} [0-9]{1,18}\n)*")
 
 
 def parse_edge_list(text: str) -> ParseResult:
@@ -93,19 +139,57 @@ def parse_edge_list(text: str) -> ParseResult:
     seen are compacted to 0..k-1 and the original ids preserved in id_map.
     Duplicate edges are collapsed and tallied; self-loops are rejected, and
     so is a header of more than 2 * MAX_EDGES vertices, before any array is
-    sized by it. Each edge is checked and oriented here once, so the Graph
-    is built from the sorted edges as they are.
+    sized by it.
+
+    A text that matches _BULK_RE is read in bulk: np.fromstring reads the
+    ids, and a bad line is named from its row. Any other text is read line
+    by line, with the same results and errors.
     """
-    header_n: Optional[int] = None
+    bulk = _BULK_RE.fullmatch(text)
+    if bulk is None:
+        return _parse_lines(text)
+    head = bulk.group(1) or ""
+    header = _HEADER_RE.search(head)
+    body = text[len(head):]
+    ends = np.fromstring(body, np.int64, sep=" ").reshape(-1, 2) if body else np.empty((0, 2), np.int64)
+    first = 2 if head else 1  # the line number of row 0
+
+    loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
+    if len(loops):
+        raise SelfLoopError(int(ends[loops[0], 0]), first + int(loops[0]))
+    if header is not None:
+        n = _header_n(header)
+        past = np.flatnonzero(ends.max(1) >= n)
+        if len(past):
+            line_no = first + int(past[0])
+            raise MalformedLineError(line_no, text.split("\n", line_no)[line_no - 1])
+        ids = range(n)
+    else:
+        seen = _distinct(ends.ravel())  # ascending, so each edge keeps its orientation
+        n, ends, ids = len(seen), np.searchsorted(seen, ends), tuple(seen.tolist())
+    rows, duplicates = _canonical(n, ends)
+    return ParseResult(Graph(n, rows), duplicates, ids)
+
+
+def _header_n(match: re.Match) -> int:
+    """The vertex count a header pins; refused past 2 * MAX_EDGES."""
+    n = int(match.group(1))
+    if n > 2 * MAX_EDGES:
+        raise TooLargeError(f"vertices={n} in the header is over the cap of {2 * MAX_EDGES}")
+    return n
+
+
+def _parse_lines(text: str) -> ParseResult:
+    """parse_edge_list line by line, for any text: each edge is checked and
+    oriented once, and the first bad line named by its number."""
+    header = None
     lines = text.splitlines()
     edges: dict[tuple[int, int], int] = {}  # edge -> number of the line it first appears on
     duplicates = 0
     for line_no, line in enumerate(lines, start=1):
         body, _, comment = line.partition("#")
-        if header_n is None and comment:
-            m = _HEADER_RE.search(comment)
-            if m:
-                header_n = int(m.group(1))
+        if header is None and comment:
+            header = _HEADER_RE.search(comment)
         body = body.strip()
         if not body:
             continue
@@ -126,25 +210,24 @@ def parse_edge_list(text: str) -> ParseResult:
         else:
             edges[edge] = line_no
 
-    if header_n is not None:
-        if header_n > 2 * MAX_EDGES:
-            raise TooLargeError(f"vertices={header_n} in the header is over the cap of {2 * MAX_EDGES}")
+    if header is not None:
+        n = _header_n(header)
         for (_, v), line_no in edges.items():
-            if v >= header_n:
+            if v >= n:
                 raise MalformedLineError(line_no, lines[line_no - 1])
-        return ParseResult(Graph(header_n, tuple(sorted(edges))), duplicates, tuple(range(header_n)))
+        return ParseResult(Graph(n, np.array(sorted(edges), np.int64).reshape(-1, 2)), duplicates, range(n))
 
     ids = sorted({x for e in edges for x in e})
     compact = {orig: i for i, orig in enumerate(ids)}  # ascending, so each edge stays oriented
-    graph = Graph(len(ids), tuple(sorted((compact[u], compact[v]) for u, v in edges)))
+    rows = sorted((compact[u], compact[v]) for u, v in edges)
+    graph = Graph(len(ids), np.array(rows, np.int64).reshape(-1, 2))
     return ParseResult(graph, duplicates, tuple(ids))
 
 
 def serialize_edge_list(g: Graph) -> str:
     """Canonical text form: header comment plus "u v" lines in ascending order."""
-    lines = [f"# vertices={g.n} edges={g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    lines = ("%d %d\n" * g.edge_count) % tuple(g.edge_array.ravel().tolist())
+    return f"# vertices={g.n} edges={g.edge_count}\n" + lines
 
 
 # ---------------------------------------------------------------------------
@@ -244,24 +327,39 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+# vertex pairs gnp draws for at a time
+_DRAWS = 1 << 16
+
+
 def gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with a counter-based generator; identical seeds give
-    identical graphs regardless of platform or thread count."""
+    identical graphs regardless of platform or thread count.
+
+    Pair k of the upper triangle, in row-major order, is an edge when the
+    k-th draw of one Philox stream is below p. The draws are taken
+    _DRAWS at a time, which gives the same numbers as one draw of them
+    all, and only the kept pairs are placed, by row."""
     if not (0.0 <= p <= 1.0):
         raise BadParamsError(f"gnp requires 0 <= p <= 1, got {p}")
     rng = np.random.Generator(np.random.Philox(key=_check_seed(seed)))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    draws = rng.random(len(pairs))
-    return Graph.from_edges(n, [e for e, d in zip(pairs, draws) if d < p])
+    # the index of the first pair of each row u, whose pairs are (u, u+1..n-1)
+    first = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    pairs, rows = math.comb(n, 2), [np.empty((0, 2), np.int64)]
+    for lo in range(0, pairs, _DRAWS):
+        k = lo + np.flatnonzero(rng.random(min(_DRAWS, pairs - lo)) < p)
+        u = np.searchsorted(first, k, "right") - 1
+        rows.append(np.stack([u, k - first[u] + u + 1], 1))
+    return Graph(n, np.concatenate(rows))
 
 
 def disjoint_union(*graphs: Graph) -> Graph:
-    edges = []
-    offset = 0
+    """The graphs side by side, each numbered after the ones before it, so
+    the rows stay in order."""
+    offset, rows = 0, [np.empty((0, 2), np.int64)]
     for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges)
+        rows.append(g.edge_array + offset)
         offset += g.n
-    return Graph.from_edges(offset, edges)
+    return Graph(offset, np.concatenate(rows))
 
 
 # the families fixed by n alone: name -> (generator, least n, edges at n)

@@ -266,7 +266,7 @@ def _wedge_passes(g):
     """The passes of the wedge kernel on g, each as the (top, bottom) key of
     each wedge, its edge ids tm and mw, and the group starts; and each
     vertex's number of edges down to vertices ranked below it."""
-    e = census._edge_array(g)
+    e = g.edge_array
     rank = census._rank(np.bincount(e.ravel(), minlength=g.n))
     passes = []
     for tm, mw, group in census._wedges(g.n, e[:, 0] * g.n + e[:, 1]):

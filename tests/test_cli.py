@@ -617,3 +617,29 @@ def test_graph_options_the_source_ignores_are_usage_errors(capsys, monkeypatch, 
         run_cli(capsys, *(a.format(g=g) for a in argv))
     assert exc.value.code == 2
     assert "does not apply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("-h",), ("bogus",), (), *((name, "-h") for name in (*cli.COMMANDS, "verify")), ("moments", "--family", "star")],
+    ids=lambda argv: " ".join(argv) or "none",
+)
+def test_parser_of_one_command_prints_what_the_full_parser_prints(capsys, argv):
+    # run builds only the named command's subparser; help, and the usage
+    # errors argparse raises while parsing, must not tell the difference
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    assert outcome(run) == outcome(cli.build_parser().parse_args)
+
+
+def test_a_known_command_builds_only_its_subparser(capsys):
+    assert list(cli.build_parser("census").subparsers.choices) == ["census"]
+    assert list(cli.build_parser("bogus").subparsers.choices) == [*cli.COMMANDS, "verify"]
+    with pytest.raises(SystemExit):
+        run(["-h"])
+    listing = capsys.readouterr().out
+    assert all(name in listing for name in (*cli.COMMANDS, "verify"))

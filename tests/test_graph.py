@@ -1,18 +1,23 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from brute import brute_triangles
 from helpers import degrees, has_edge
+from monoclt import graph
 from monoclt.errors import (
     BadParamsError,
     CompositeUndefinedError,
     MalformedLineError,
+    MonocltError,
     SelfLoopError,
     TooLargeError,
 )
 from monoclt.graph import (
+    _BULK_RE,
     MAX_EDGES,
     FamilySpec,
     Graph,
@@ -23,6 +28,7 @@ from monoclt.graph import (
     disjoint_union,
     generate,
     gnp,
+    _parse_lines,
     _plan,
     parse_edge_list,
     pyramid,
@@ -143,6 +149,8 @@ def test_from_edges_validation():
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
+    with pytest.raises(ValueError):  # its edge keys u * n + v would pass int64
+        Graph.from_edges(2**32, [(0, 1)])
 
 
 def test_gnp_determinism_and_seed_sensitivity():
@@ -259,3 +267,87 @@ def test_relabeling_preserves_structure():
     h = Graph.from_edges(12, [(perm[u], perm[v]) for u, v in g.edges])
     assert h.edge_count == g.edge_count
     assert sorted(degrees(h)) == sorted(degrees(g))
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except MonocltError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "text,bulk",
+    [
+        ("", True),
+        ("# vertices=4\n", True),
+        ("# vertices=5 edges=2\n0 4\n3 1\n", True),
+        ("#\n0 1\n", True),
+        ("# no header here\n30 40\n10 30\n", True),
+        ("0 1\n1 2", False),
+        ("0 1\r\n1 2\r\n", False),
+        ("# vertices=5\n# vertices=3\n0 4\n", False),
+        ("# a\rvertices=3\n0 1\n", False),
+        ("0 1 # vertices=3\n1 2\n", False),
+        ("# vertices=12\n007 010\n", True),
+        ("7 10\n007 10\n0 7\n", True),
+        ("999999999999999999 0\n", True),
+        ("1234567890123456789 5\n5 7\n", False),
+        ("# vertices=3\n1234567890123456789 1\n", False),
+        ("0\t1\n", False),
+        ("0 1\n\n1 2\n", False),
+        ("0 1\n2 2\n", True),
+        ("# vertices=3\n0 1\n2 2\n", True),
+        ("# vertices=30000000\n0 1\n2 2\n", True),
+        ("# vertices=3\n0 1\n5 1\n1 5\n", True),
+        ("# vertices=3\n0 1\n2 3\n# vertices=9\n", False),
+        (f"# vertices={2 * MAX_EDGES + 1}\n0 1\n", True),
+        (f"# vertices={2 * MAX_EDGES}\n0 1\n", True),
+        ("0 1\n1 0\n2 1\n1 2\n0 1\n", True),
+        ("0 1\n1 two\n", False),
+        ("0 1 2\n", False),
+    ],
+)
+def test_bulk_parse_equals_the_line_loop(text, bulk):
+    # the same result, or the same error and message, from both paths
+    assert (_BULK_RE.fullmatch(text) is not None) == bulk
+    assert _parsed(parse_edge_list, text) == _parsed(_parse_lines, text)
+
+
+def test_a_vertices_header_maps_ids_by_a_range():
+    r = parse_edge_list("# vertices=5000000\n0 1\n")
+    assert r.id_map == range(5_000_000)
+    assert (r.graph.n, r.graph.edges) == (5_000_000, ((0, 1),))
+
+
+def test_graph_holds_a_read_only_edge_array():
+    g = Graph.from_edges(4, [(3, 1), (0, 1), (1, 3), (2, 0)])
+    assert g.edge_array.dtype == np.int64
+    assert g.edge_array.tolist() == [[0, 1], [0, 2], [1, 3]]
+    with pytest.raises(ValueError):
+        g.edge_array[0, 0] = 2
+    assert "edges" not in vars(g)  # the tuple view is built on first access, then kept
+    assert g.edges == ((0, 1), (0, 2), (1, 3)) and g.edges is g.edges
+    h = Graph.from_edges(4, g.edges)
+    assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+    assert g != Graph.from_edges(5, g.edges) and g != cycle(4)
+
+
+def test_gnp_draws_in_blocks_as_in_one_draw(monkeypatch):
+    whole = {seed: gnp(60, 0.3, seed) for seed in (1, 2)}
+    monkeypatch.setattr(graph, "_DRAWS", 7)
+    for seed, g in whole.items():
+        assert gnp(60, 0.3, seed) == g
+
+
+def test_gnp_memory_follows_its_edges():
+    # the draws are taken a block at a time, so nothing of all C(n, 2)
+    # vertex pairs is held; a Python list of them peaked at 545 MB
+    tracemalloc.start()
+    try:
+        g = gnp(3000, 0.01, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == 44_976
+    assert peak < 100 * 2**20
