@@ -36,14 +36,14 @@ from .census import (
 )
 from .errors import MonocltError
 from .fourthmoment import DEFAULT_BUDGET, fourth_moment_exact
-from .graph import FAMILIES, FAMILY_FIELDS, SIMPLE_FAMILIES, FamilySpec, Graph, generate
+from .graph import FAMILIES, FamilySpec, Graph, generate
 from .graph import parse_edge_list, serialize_edge_list
 from .moments import clt_bound_t2, clt_bound_t3, t2_moments, t3_mean_var
 from .ratpoly import evaluate, fraction_json
 from .sim import SimConfig, sample_statistics
 
 # the options that build a FamilySpec: flag -> (field, argparse keywords).
-# graph.FAMILY_FIELDS says which fields each family reads; --input reads none.
+# graph.FAMILIES says which fields each family reads; --input reads none.
 SPEC_OPTIONS = {
     "--n": ("n", {"type": int, "help": "family size parameter"}),
     "--p": ("p", {"type": float, "help": "edge probability (gnp)"}),
@@ -66,7 +66,7 @@ THREADS = {"type": thread_count, "default": os.cpu_count()}  # every --threads o
 
 def _parse_part(text: str) -> FamilySpec:
     name, _, arg = text.partition(":")
-    if name not in SIMPLE_FAMILIES or not arg:
+    if name not in FAMILIES or FAMILIES[name].reads != ("n",) or not arg:
         raise argparse.ArgumentTypeError(
             f"bad --parts entry {text!r}; use a deterministic family like pyramid:8")
     try:
@@ -83,7 +83,7 @@ def _resolve_graph(args):
     given = {}  # argparse's dest is the flag without dashes, "-" as "_"
     for flag, (field, _) in SPEC_OPTIONS.items():
         given[field] = getattr(args, flag[2:].replace("-", "_"))
-        if given[field] is not None and field not in FAMILY_FIELDS.get(args.family, ()):
+        if given[field] is not None and field not in (FAMILIES[args.family].reads if args.family else ()):
             source = "--input" if args.input is not None else f"--family {args.family}"
             raise argparse.ArgumentTypeError(f"{flag} does not apply to {source}")
     if args.input is not None:
@@ -284,7 +284,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         if command not in (None, name):
             continue
         sub.add_argument("--input", help="edge-list file (one 'u v' pair per line)")
-        sub.add_argument("--family", choices=FAMILIES, help="generated family")
+        sub.add_argument("--family", choices=tuple(FAMILIES), help="generated family")
         for flag, (_, keywords) in SPEC_OPTIONS.items():
             sub.add_argument(flag, **keywords)
         sub.add_argument(

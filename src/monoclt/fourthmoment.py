@@ -335,7 +335,7 @@ def _rows_by(pair: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """The order that sorts entries by (pair, key), and ascending row ids
     in that order, one row per distinct (pair, key)."""
     joint = pair * (int(key.max(initial=0)) + 1) + key
-    order = np.argsort(joint)
+    order = np.argsort(joint, kind="stable")
     joint = joint[order]
     rows = np.zeros(len(joint), np.int64)
     rows[1:] = np.cumsum(joint[1:] != joint[:-1])
@@ -497,7 +497,8 @@ def _contact_cycles(tc: TriangleCensus) -> tuple[int, int]:
     on = np.repeat(np.arange(len(edges)), tc.edge_d)
     # the triangles on each edge e as keys e * n + x of their third vertices
     # x, ascending: those on e start at tc.on[0][e]
-    thirds = np.sort(on * n + tc.triangles[tc.on[1]].sum(1) - edges[on] // n - edges[on] % n)
+    thirds = on * n + tc.triangles[tc.on[1]].sum(1) - edges[on] // n - edges[on] % n
+    thirds = thirds[np.argsort(thirds, kind="stable")]
     eight = twice_seven = 0
     for tm, mw, group in _wedges(n, edges):
         # each wedge pairs with the later ones of its group, and a cycle

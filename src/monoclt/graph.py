@@ -7,6 +7,10 @@ reads; Graph.edges, a tuple view built on first access, is for callers
 outside the package. parse_edge_list reads the text serialize_edge_list
 writes in bulk, with numpy, and any other text line by line.
 
+Each family is declared once, as a Family in FAMILIES, and builds int64
+rows with numpy: complete, star and pyramid in canonical order, the
+others through from_edges, which takes an (m, 2) array as it is.
+
 Families:
     complete(n)         K_n
     star(n)             K_{1,n}: center 0, n leaves
@@ -31,7 +35,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -79,12 +83,12 @@ class Graph:
         self.edge_array.flags.writeable = False
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> "Graph":
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         if n * n >= 1 << 63:  # so that every edge key u * n + v fits in int64
             raise ValueError(f"vertex count {n} is over 3 * 10^9")
-        e = np.array(list(edges), np.int64)
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), np.int64)
         e = e.reshape(len(e), 2)
         bad = np.flatnonzero((e[:, 0] == e[:, 1]) | (e.min(1) < 0) | (e.max(1) >= n))
         if len(bad):
@@ -249,32 +253,26 @@ class FamilySpec:
         return out
 
 
-def _require_n(spec: FamilySpec, minimum: int) -> int:
-    if spec.n is None or spec.n < minimum:
-        raise BadParamsError(f"{spec.family} requires n >= {minimum}, got {spec.n}")
-    return spec.n
-
-
 def complete(n: int) -> Graph:
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    u, v = np.triu_indices(n, 1)
+    return Graph(n, np.stack([u, v], 1).astype(np.int64, copy=False))
 
 
 def star(n: int) -> Graph:
     """K_{1,n}: n edges from center 0."""
-    return Graph.from_edges(n + 1, [(0, v) for v in range(1, n + 1)])
+    return Graph(n + 1, np.stack([np.zeros(n, np.int64), np.arange(1, n + 1, dtype=np.int64)], 1))
 
 
 def cycle(n: int) -> Graph:
-    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+    v = np.arange(n, dtype=np.int64)
+    return Graph.from_edges(n, np.stack([v, (v + 1) % n], 1))
 
 
 def pyramid(n: int) -> Graph:
     """n triangles {0, 1, s} sharing the base edge (0, 1); n+2 vertices, 2n+1 edges."""
-    edges = [(0, 1)]
-    for s in range(2, n + 2):
-        edges.append((0, s))
-        edges.append((1, s))
-    return Graph.from_edges(n + 2, edges)
+    apexes = np.arange(2, n + 2, dtype=np.int64)
+    rows = np.stack([np.repeat(np.arange(2, dtype=np.int64), n), np.tile(apexes, 2)], 1)
+    return Graph(n + 2, np.concatenate([np.array([[0, 1]], np.int64), rows]))
 
 
 def bipyramid_chain(n: int) -> Graph:
@@ -284,14 +282,10 @@ def bipyramid_chain(n: int) -> Graph:
     {b, s, u_{b,s}}; 3n+2 vertices, 6n edges, 2n triangles, and no two
     triangles share an edge.
     """
-    edges = []
-    for s in range(1, n + 1):
-        spine = 1 + s
-        ua = n + 1 + s
-        ub = 2 * n + 1 + s
-        edges += [(0, spine), (0, ua), (spine, ua)]
-        edges += [(1, spine), (1, ub), (spine, ub)]
-    return Graph.from_edges(3 * n + 2, edges)
+    spine = np.arange(2, n + 2, dtype=np.int64)
+    ua, ub, a, b = spine + n, spine + 2 * n, np.zeros_like(spine), np.ones_like(spine)
+    rows = np.stack([a, spine, a, ua, spine, ua, b, spine, b, ub, spine, ub], 1)
+    return Graph.from_edges(3 * n + 2, rows.reshape(-1, 2))
 
 
 def composite_chain_length(n: int, c: int) -> int:
@@ -362,53 +356,52 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph(offset, np.concatenate(rows))
 
 
-# the families fixed by n alone: name -> (generator, least n, edges at n)
-SIMPLE_FAMILIES = {
-    "complete": (complete, 1, lambda n: math.comb(n, 2)),
-    "star": (star, 1, lambda n: n),
-    "cycle": (cycle, 3, lambda n: n),
-    "pyramid": (pyramid, 1, lambda n: 2 * n + 1),
-    "bipyramid_chain": (bipyramid_chain, 1, lambda n: 6 * n),
+class Family(NamedTuple):
+    """A family's one declaration: the FamilySpec fields it reads, each
+    required, in the order they are checked and passed to size and build;
+    its least n; its size in closed form, which generate checks against
+    MAX_EDGES before building, and what that size counts; its builder."""
+
+    reads: tuple[str, ...]
+    least_n: int
+    size: Callable[..., int]
+    build: Callable[..., Graph]
+    counts: str = "edges"
+
+
+FAMILIES = {
+    "complete": Family(("n",), 1, lambda n: math.comb(n, 2), complete),
+    "star": Family(("n",), 1, lambda n: n, star),
+    "cycle": Family(("n",), 3, lambda n: n, cycle),
+    "pyramid": Family(("n",), 1, lambda n: 2 * n + 1, pyramid),
+    "bipyramid_chain": Family(("n",), 1, lambda n: 6 * n, bipyramid_chain),
+    "composite": Family(("n", "c"), 4, lambda n, c: 2 * n + 1 + 6 * composite_chain_length(n, c),
+                        lambda n, c: disjoint_union(pyramid(n), bipyramid_chain(composite_chain_length(n, c)))),
+    "gnp": Family(("n", "p", "seed"), 1, lambda n, p, seed: math.comb(n, 2), gnp, "vertex pairs"),
+    "disjoint_union": Family(("parts",), 0, lambda parts: sum(_plan(part)[0] for part in parts),
+                             lambda parts: disjoint_union(*map(generate, parts))),
 }
-# the FamilySpec fields each family reads, c aside (only composite reads it)
-FAMILY_FIELDS = {**dict.fromkeys((*SIMPLE_FAMILIES, "composite"), ("n",)),
-                 "gnp": ("n", "p", "seed"), "disjoint_union": ("parts",)}
-FAMILIES = tuple(FAMILY_FIELDS)
 # the most edges a family may build, or vertex pairs gnp may draw
 MAX_EDGES = 10**7
 
 
 def _plan(spec: FamilySpec) -> tuple[int, Callable[[], Graph]]:
-    """Check spec and return, without building anything, the edges it
-    builds (for gnp, the vertex pairs it draws) in closed form and the
-    function that builds it."""
-    fam = spec.family
-    if fam not in FAMILY_FIELDS:
-        raise BadParamsError(f"unknown family {fam!r}; expected one of {FAMILIES}")
-    given = [f for f in ("n", "p", "seed", "parts") if getattr(spec, f) not in (None, ())]
-    if set(given) - set(FAMILY_FIELDS[fam]):
-        raise BadParamsError(f"{fam} reads only {FAMILY_FIELDS[fam]}, got {tuple(given)}")
-    if fam in SIMPLE_FAMILIES:
-        build, least, edges = SIMPLE_FAMILIES[fam]
-        n = _require_n(spec, least)
-        return edges(n), lambda: build(n)
-    if fam == "composite":
-        n = _require_n(spec, 4)
-        if spec.c is None:
-            raise BadParamsError("composite requires c")
-        n_chain = composite_chain_length(n, spec.c)
-        return 2 * n + 1 + 6 * n_chain, lambda: disjoint_union(pyramid(n), bipyramid_chain(n_chain))
-    if fam == "gnp":
-        n = _require_n(spec, 1)
-        if spec.p is None:
-            raise BadParamsError("gnp requires p")
-        if spec.seed is None:
-            raise BadParamsError("gnp requires a seed")
-        return math.comb(n, 2), lambda: gnp(n, spec.p, spec.seed)
-    if not spec.parts:  # disjoint_union
-        raise BadParamsError("disjoint_union requires at least one part")
-    parts = [_plan(part) for part in spec.parts]
-    return sum(size for size, _ in parts), lambda: disjoint_union(*(build() for _, build in parts))
+    """Check spec against its family's entry and return, without building
+    anything, its size and the function that builds it."""
+    family = FAMILIES.get(spec.family)
+    if family is None:
+        raise BadParamsError(f"unknown family {spec.family!r}; expected one of {tuple(FAMILIES)}")
+    # any spec may carry c: the CLI passes --c to every family
+    given = tuple(f for f in ("n", "p", "seed", "parts") if getattr(spec, f) not in (None, ()))
+    if set(given) - set(family.reads):
+        raise BadParamsError(f"{spec.family} reads only {family.reads}, got {given}")
+    args = [getattr(spec, f) for f in family.reads]
+    for f, value in zip(family.reads, args):
+        if f == "n" and (value is None or value < family.least_n):
+            raise BadParamsError(f"{spec.family} requires n >= {family.least_n}, got {value}")
+        if value in (None, ()):
+            raise BadParamsError(f"{spec.family} requires {f}")
+    return family.size(*args), lambda: family.build(*args)
 
 
 def generate(spec: FamilySpec) -> Graph:
@@ -419,6 +412,6 @@ def generate(spec: FamilySpec) -> Graph:
     any of it is built."""
     size, build = _plan(spec)
     if size > MAX_EDGES:
-        what = "vertex pairs" if spec.family == "gnp" else "edges"
+        what = FAMILIES[spec.family].counts
         raise TooLargeError(f"{spec.family} would build {size} {what}, over the cap of {MAX_EDGES}")
     return build()

@@ -172,16 +172,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _high64(x: np.ndarray, c: int) -> np.ndarray:
-    """(x * c) >> 64 for uint64 x and c < 2^64, from 32-bit limbs
-    (Hacker's Delight, 8-2)."""
-    s, mask = np.uint64(32), np.uint64(0xFFFFFFFF)
-    cl, ch = np.uint64(c & 0xFFFFFFFF), np.uint64(c >> 32)
-    xl, xh = x & mask, x >> s
-    t = xh * cl + (xl * cl >> s)
-    return xh * ch + (t >> s) + ((xl * ch + (t & mask)) >> s)
-
-
 def _draw_block(seed: int, block: int, c: int, n: int, size: int) -> np.ndarray:
     """The vertex-major colours (n x size) of block `block`: bit for bit
     _block_rng(seed, block).integers(0, c, size=(size, n),
@@ -192,16 +182,23 @@ def _draw_block(seed: int, block: int, c: int, n: int, size: int) -> np.ndarray:
     shift with no product and no rejection. Here the rule runs on
     up to _WORDS raw words at once, filling _PIECE bytes of whole
     replications at a time; colours left over carry into the next piece,
-    so neither bound moves a byte."""
+    so neither bound moves a byte. Past 2^32 colours each piece is the
+    generator's own draw: its 64-bit rule reads one word a trial and keeps
+    none between calls, so the pieces read the stream as one draw does."""
     dtype = np.dtype(_color_dtype(c))
     k = 8 * dtype.itemsize
     reject = (1 << k) % c
-    raw = _block_rng(seed, block).bit_generator.random_raw
+    rng = _block_rng(seed, block)
+    raw = rng.bit_generator.random_raw
     ct = np.empty((n, size), dtype=dtype)
     step = max(1, _PIECE // dtype.itemsize // max(n, 1))
     kept = np.empty(0, dtype=dtype)
     for r in range(0, size if n else 0, step):
-        want = min(step, size - r) * n
+        rows = min(step, size - r)
+        if k == 64:
+            ct[:, r : r + rows] = rng.integers(0, c, size=(rows, n), dtype=dtype).T
+            continue
+        want = rows * n
         parts, have = [kept], len(kept)
         while have < want:
             words = ((want - have) << k) * k // (64 * ((1 << k) - reject))  # expected to fill it
@@ -212,11 +209,11 @@ def _draw_block(seed: int, block: int, c: int, n: int, size: int) -> np.ndarray:
             if c & (c - 1) == 0:
                 x = x >> dtype.type(k + 1 - c.bit_length())
             else:
-                x = _high64(x, c) if k == 64 else (np.multiply(x, c, dtype=f"u{k // 4}") >> k).astype(dtype)
+                x = (np.multiply(x, c, dtype=f"u{k // 4}") >> k).astype(dtype)
             parts.append(x)
             have += len(x)
         kept = np.concatenate(parts)
-        ct[:, r : r + want // n] = kept[:want].reshape(-1, n).T
+        ct[:, r : r + rows] = kept[:want].reshape(-1, n).T
         kept = kept[want:]
     return ct
 

@@ -1,3 +1,4 @@
+import argparse
 import math
 import random
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 
 from brute import brute_triangles
 from helpers import degrees, has_edge
-from monoclt import graph
+from monoclt import cli, graph
 from monoclt.errors import (
     BadParamsError,
     CompositeUndefinedError,
@@ -18,6 +19,7 @@ from monoclt.errors import (
 )
 from monoclt.graph import (
     _BULK_RE,
+    FAMILIES,
     MAX_EDGES,
     FamilySpec,
     Graph,
@@ -351,3 +353,62 @@ def test_gnp_memory_follows_its_edges():
         tracemalloc.stop()
     assert g.edge_count == 44_976
     assert peak < 100 * 2**20
+
+
+# the list constructions the deterministic families were built by before
+# they built int64 rows, kept as the reference for the arrays
+def _bipyramid_chain_list(n):
+    edges = []
+    for s in range(1, n + 1):
+        spine, ua, ub = 1 + s, n + 1 + s, 2 * n + 1 + s
+        edges += [(0, spine), (0, ua), (spine, ua), (1, spine), (1, ub), (spine, ub)]
+    return Graph.from_edges(3 * n + 2, edges)
+
+
+LIST_FAMILIES = {
+    "complete": lambda n: Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)]),
+    "star": lambda n: Graph.from_edges(n + 1, [(0, v) for v in range(1, n + 1)]),
+    "cycle": lambda n: Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)]),
+    "pyramid": lambda n: Graph.from_edges(n + 2, [(0, 1)] + [(b, s) for s in range(2, n + 2) for b in (0, 1)]),
+    "bipyramid_chain": _bipyramid_chain_list,
+}
+
+
+@pytest.mark.parametrize("name", LIST_FAMILIES)
+def test_array_families_equal_their_list_constructions(name):
+    family = FAMILIES[name]
+    for n in (*range(family.least_n, 41), 257, 1000):
+        g, want = family.build(n), LIST_FAMILIES[name](n)
+        assert g.edge_array.dtype == np.int64
+        assert g.n == want.n and np.array_equal(g.edge_array, want.edge_array), (name, n)
+        assert g.digest() == want.digest(), (name, n)
+
+
+def test_complete_memory_follows_its_edges():
+    # 1,999,000 rows of two int64s are 32 MB; the list of edge tuples the
+    # family was built from peaked at 290 MB
+    tracemalloc.start()
+    try:
+        g = complete(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == math.comb(2000, 2)
+    assert peak < 100 * 2**20
+
+
+def test_each_family_is_sized_as_it_is_built():
+    values = {"n": 6, "c": 2, "p": 1.0, "seed": 1,
+              "parts": (FamilySpec("pyramid", n=3), FamilySpec("gnp", n=5, p=1.0, seed=2))}
+    for name, family in FAMILIES.items():
+        spec = FamilySpec(name, **{f: values[f] for f in family.reads})
+        assert _plan(spec)[0] == generate(spec).edge_count, name
+    # --parts takes the families that read n alone
+    parts = set()
+    for name in FAMILIES:
+        try:
+            cli._parse_part(f"{name}:5")
+            parts.add(name)
+        except argparse.ArgumentTypeError:
+            pass
+    assert parts == {"complete", "star", "cycle", "pyramid", "bipyramid_chain"}
