@@ -4,12 +4,12 @@ for every family used in the experiments.
 A Graph is n and a read-only (m, 2) int64 array of its edges, rows
 (u, v) with u < v in ascending order, which every numeric consumer
 reads; Graph.edges, a tuple view built on first access, is for callers
-outside the package. parse_edge_list reads the text serialize_edge_list
-writes in bulk, with numpy, and any other text line by line.
+outside the package. parse_edge_list splits a text into rows, the text
+serialize_edge_list writes in bulk and any other line by line, and one
+numpy tail checks, compacts and orders the rows of both.
 
-Each family is declared once, as a Family in FAMILIES, and builds int64
-rows with numpy: complete, star and pyramid in canonical order, the
-others through from_edges, which takes an (m, 2) array as it is.
+Each family is declared once, as a Family in FAMILIES, and writes its
+int64 rows in canonical order with numpy, so none is sorted.
 
 Families:
     complete(n)         K_n
@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -115,7 +115,10 @@ class Graph:
 
     def digest(self) -> str:
         """sha256 of the canonical serialization; used in CLI reports."""
-        return hashlib.sha256(serialize_edge_list(self).encode()).hexdigest()
+        h = hashlib.sha256()
+        for block in _text_blocks(self):
+            h.update(block.encode())
+        return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -145,29 +148,63 @@ def parse_edge_list(text: str) -> ParseResult:
     so is a header of more than 2 * MAX_EDGES vertices, before any array is
     sized by it.
 
-    A text that matches _BULK_RE is read in bulk: np.fromstring reads the
-    ids, and a bad line is named from its row. Any other text is read line
-    by line, with the same results and errors.
+    A text that matches _BULK_RE is read by np.fromstring, any other by
+    _tokenize, line by line; each raises the first self-loop or malformed
+    line. One numpy tail, _assemble, then does the rest for both.
     """
     bulk = _BULK_RE.fullmatch(text)
     if bulk is None:
-        return _parse_lines(text)
+        return _assemble(text, *_tokenize(text))
     head = bulk.group(1) or ""
-    header = _HEADER_RE.search(head)
     body = text[len(head):]
     ends = np.fromstring(body, np.int64, sep=" ").reshape(-1, 2) if body else np.empty((0, 2), np.int64)
     first = 2 if head else 1  # the line number of row 0
-
     loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
     if len(loops):
         raise SelfLoopError(int(ends[loops[0], 0]), first + int(loops[0]))
+    return _assemble(text, _HEADER_RE.search(head), ends, range(first, first + len(ends)))
+
+
+def _tokenize(text: str) -> tuple[Optional[re.Match], np.ndarray, list[int]]:
+    """The first header of any text, its (u, v) rows as an (m, 2) array and
+    the line number of each row; the first malformed line or self-loop
+    raised in line order."""
+    header, rows, line_nos = None, [], []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        body, _, comment = line.partition("#")
+        if header is None and comment:
+            header = _HEADER_RE.search(comment)
+        tokens = body.split()
+        if not tokens:
+            continue
+        try:
+            u, v = map(int, tokens)
+        except ValueError:  # not two tokens, or not integers
+            raise MalformedLineError(line_no, line) from None
+        if u < 0 or v < 0:
+            raise MalformedLineError(line_no, line)
+        if u == v:
+            raise SelfLoopError(u, line_no)
+        rows.append((u, v))
+        line_nos.append(line_no)
+    try:
+        return header, np.array(rows, np.int64).reshape(-1, 2), line_nos
+    except OverflowError:  # an id of 2^63 or more, kept as a Python int
+        return header, np.array(rows, object).reshape(-1, 2), line_nos
+
+
+def _assemble(text: str, header: Optional[re.Match], ends: np.ndarray, line_nos: Sequence[int]) -> ParseResult:
+    """The ParseResult of rows of two distinct nonnegative ids (int64, or
+    Python ints in an object array), row i read from line line_nos[i]."""
     if header is not None:
-        n = _header_n(header)
+        n = int(header.group(1))
+        if n > 2 * MAX_EDGES:
+            raise TooLargeError(f"vertices={n} in the header is over the cap of {2 * MAX_EDGES}")
         past = np.flatnonzero(ends.max(1) >= n)
         if len(past):
-            line_no = first + int(past[0])
-            raise MalformedLineError(line_no, text.split("\n", line_no)[line_no - 1])
-        ids = range(n)
+            line_no = line_nos[int(past[0])]
+            raise MalformedLineError(line_no, text.splitlines()[line_no - 1])
+        ends, ids = ends.astype(np.int64, copy=False), range(n)
     else:
         seen = _distinct(ends.ravel())  # ascending, so each edge keeps its orientation
         n, ends, ids = len(seen), np.searchsorted(seen, ends), tuple(seen.tolist())
@@ -175,63 +212,21 @@ def parse_edge_list(text: str) -> ParseResult:
     return ParseResult(Graph(n, rows), duplicates, ids)
 
 
-def _header_n(match: re.Match) -> int:
-    """The vertex count a header pins; refused past 2 * MAX_EDGES."""
-    n = int(match.group(1))
-    if n > 2 * MAX_EDGES:
-        raise TooLargeError(f"vertices={n} in the header is over the cap of {2 * MAX_EDGES}")
-    return n
+_ROWS = 1 << 16  # edge rows formatted at a time by serialize_edge_list and Graph.digest
 
 
-def _parse_lines(text: str) -> ParseResult:
-    """parse_edge_list line by line, for any text: each edge is checked and
-    oriented once, and the first bad line named by its number."""
-    header = None
-    lines = text.splitlines()
-    edges: dict[tuple[int, int], int] = {}  # edge -> number of the line it first appears on
-    duplicates = 0
-    for line_no, line in enumerate(lines, start=1):
-        body, _, comment = line.partition("#")
-        if header is None and comment:
-            header = _HEADER_RE.search(comment)
-        body = body.strip()
-        if not body:
-            continue
-        tokens = body.split()
-        if len(tokens) != 2:
-            raise MalformedLineError(line_no, line)
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise MalformedLineError(line_no, line) from None
-        if u < 0 or v < 0:
-            raise MalformedLineError(line_no, line)
-        if u == v:
-            raise SelfLoopError(u, line_no)
-        edge = (u, v) if u < v else (v, u)
-        if edge in edges:
-            duplicates += 1
-        else:
-            edges[edge] = line_no
-
-    if header is not None:
-        n = _header_n(header)
-        for (_, v), line_no in edges.items():
-            if v >= n:
-                raise MalformedLineError(line_no, lines[line_no - 1])
-        return ParseResult(Graph(n, np.array(sorted(edges), np.int64).reshape(-1, 2)), duplicates, range(n))
-
-    ids = sorted({x for e in edges for x in e})
-    compact = {orig: i for i, orig in enumerate(ids)}  # ascending, so each edge stays oriented
-    rows = sorted((compact[u], compact[v]) for u, v in edges)
-    graph = Graph(len(ids), np.array(rows, np.int64).reshape(-1, 2))
-    return ParseResult(graph, duplicates, tuple(ids))
+def _text_blocks(g: Graph) -> Iterator[str]:
+    """The canonical text form in pieces: the header comment, then "u v"
+    lines in ascending order, _ROWS rows a piece."""
+    yield f"# vertices={g.n} edges={g.edge_count}\n"
+    for lo in range(0, g.edge_count, _ROWS):
+        block = g.edge_array[lo:lo + _ROWS]
+        yield ("%d %d\n" * len(block)) % tuple(block.ravel().tolist())
 
 
 def serialize_edge_list(g: Graph) -> str:
     """Canonical text form: header comment plus "u v" lines in ascending order."""
-    lines = ("%d %d\n" * g.edge_count) % tuple(g.edge_array.ravel().tolist())
-    return f"# vertices={g.n} edges={g.edge_count}\n" + lines
+    return "".join(_text_blocks(g))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +259,9 @@ def star(n: int) -> Graph:
 
 
 def cycle(n: int) -> Graph:
+    """C_n, n >= 3: rows (0, 1), (0, n-1), then (v, v+1) for v = 1..n-2."""
     v = np.arange(n, dtype=np.int64)
-    return Graph.from_edges(n, np.stack([v, (v + 1) % n], 1))
+    return Graph(n, np.stack([np.concatenate([[0], v[:-1]]), np.concatenate([[1, n - 1], v[2:]])], 1))
 
 
 def pyramid(n: int) -> Graph:
@@ -283,9 +279,11 @@ def bipyramid_chain(n: int) -> Graph:
     triangles share an edge.
     """
     spine = np.arange(2, n + 2, dtype=np.int64)
-    ua, ub, a, b = spine + n, spine + 2 * n, np.zeros_like(spine), np.ones_like(spine)
-    rows = np.stack([a, spine, a, ua, spine, ua, b, spine, b, ub, spine, ub], 1)
-    return Graph.from_edges(3 * n + 2, rows.reshape(-1, 2))
+    rows = np.empty((6 * n, 2), np.int64)
+    rows[:2 * n, 0], rows[2 * n:4 * n, 0] = 0, 1
+    rows[:4 * n, 1] = np.concatenate([np.arange(2, 2 * n + 2), spine, spine + 2 * n])  # a: spine, u_a; b: spine, u_b
+    rows[4 * n:] = (spine[:, None, None] + [[0, n], [0, 2 * n]]).reshape(-1, 2)  # s: u_{a,s} = s+n, u_{b,s} = s+2n
+    return Graph(3 * n + 2, rows)
 
 
 def composite_chain_length(n: int, c: int) -> int:

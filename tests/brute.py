@@ -9,6 +9,7 @@ enumerate; tests/test_brute.py checks them against enumeration.
 """
 
 import math
+import re
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -18,7 +19,8 @@ from math import comb
 import numpy as np
 
 from helpers import has_edge
-from monoclt.graph import Graph
+from monoclt.errors import MalformedLineError, SelfLoopError, TooLargeError
+from monoclt.graph import MAX_EDGES, Graph, ParseResult
 
 
 def brute_triangles(g: Graph) -> list[tuple[int, int, int]]:
@@ -444,3 +446,51 @@ def lattice_ks(p: dict, q: dict) -> float:
         fq += q.get(v, 0)
         worst = max(worst, abs(fp - fq))
     return float(worst)
+
+
+def brute_parse_edge_list(text: str) -> ParseResult:
+    """parse_edge_list line by line, for any text, with Python ints of any
+    size: each edge is checked and oriented once, the first bad line named
+    by its number, and the first "vertices=N" in any comment is the header."""
+    header = None
+    lines = text.splitlines()
+    edges: dict[tuple[int, int], int] = {}  # edge -> number of the line it first appears on
+    duplicates = 0
+    for line_no, line in enumerate(lines, start=1):
+        body, _, comment = line.partition("#")
+        if header is None and comment:
+            header = re.search(r"vertices\s*=\s*(\d+)", comment)
+        body = body.strip()
+        if not body:
+            continue
+        tokens = body.split()
+        if len(tokens) != 2:
+            raise MalformedLineError(line_no, line)
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise MalformedLineError(line_no, line) from None
+        if u < 0 or v < 0:
+            raise MalformedLineError(line_no, line)
+        if u == v:
+            raise SelfLoopError(u, line_no)
+        edge = (u, v) if u < v else (v, u)
+        if edge in edges:
+            duplicates += 1
+        else:
+            edges[edge] = line_no
+
+    if header is not None:
+        n = int(header.group(1))
+        if n > 2 * MAX_EDGES:
+            raise TooLargeError(f"vertices={n} in the header is over the cap of {2 * MAX_EDGES}")
+        for (_, v), line_no in edges.items():
+            if v >= n:
+                raise MalformedLineError(line_no, lines[line_no - 1])
+        return ParseResult(Graph(n, np.array(sorted(edges), np.int64).reshape(-1, 2)), duplicates, range(n))
+
+    ids = sorted({x for e in edges for x in e})
+    compact = {orig: i for i, orig in enumerate(ids)}  # ascending, so each edge stays oriented
+    rows = sorted((compact[u], compact[v]) for u, v in edges)
+    graph = Graph(len(ids), np.array(rows, np.int64).reshape(-1, 2))
+    return ParseResult(graph, duplicates, tuple(ids))

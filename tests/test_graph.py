@@ -1,4 +1,5 @@
 import argparse
+import collections
 import math
 import random
 import tracemalloc
@@ -6,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from brute import brute_triangles
+from brute import brute_parse_edge_list, brute_triangles
 from helpers import degrees, has_edge
 from monoclt import cli, graph
 from monoclt.errors import (
@@ -30,7 +31,6 @@ from monoclt.graph import (
     disjoint_union,
     generate,
     gnp,
-    _parse_lines,
     _plan,
     parse_edge_list,
     pyramid,
@@ -313,7 +313,59 @@ def _parsed(parse, text):
 def test_bulk_parse_equals_the_line_loop(text, bulk):
     # the same result, or the same error and message, from both paths
     assert (_BULK_RE.fullmatch(text) is not None) == bulk
-    assert _parsed(parse_edge_list, text) == _parsed(_parse_lines, text)
+    assert _parsed(parse_edge_list, text) == _parsed(brute_parse_edge_list, text)
+
+
+# the token grammar of the random texts: mostly small ids, so that many
+# texts parse, duplicate or loop, and now and then an id at or past 2^63,
+# one int() reads but the bulk reader does not, or one no reader takes
+_SMALL_IDS = ("0", "1", "2", "3", "4", "5", "6", "007")
+_ODD_IDS = (str(2**63 - 1), str(2**63), str(2**64 - 1), str(2**64), str(10**20),
+            "1_0", "+2", "٣", "-0", "-1", "x", "2.0", "999999999999999999")
+_GAPS = (" ", " ", "  ", "\t", "\x0c", " \t ")
+_ENDS = ("\n", "\n", "\n", "\r\n", "\r")
+_COMMENTS = ("# vertices=4", "# vertices=7 edges=3", "#vertices = 12", "# vertices=0",
+             f"# vertices={2 * MAX_EDGES + 1}", "# no header", "#")
+
+
+def _random_text(rng: random.Random) -> str:
+    if rng.random() < 0.3:  # the form serialize_edge_list writes, read in bulk when it is well formed
+        rows = [f"{rng.choice(_SMALL_IDS)} {rng.choice(_SMALL_IDS)}\n" for _ in range(rng.randrange(8))]
+        return rng.choice(("", "# vertices=6\n", "# vertices=3 edges=2\n", "# x\n")) + "".join(rows)
+    lines = []
+    for _ in range(rng.randrange(9)):
+        kind = rng.random()
+        if kind < 0.1:
+            line = ""
+        elif kind < 0.2:
+            line = rng.choice(_COMMENTS)  # a first header, a second one or a plain comment
+        else:
+            ids = [rng.choice(_ODD_IDS if rng.random() < 0.15 else _SMALL_IDS)
+                   for _ in range(rng.choice((2, 2, 2, 2, 2, 1, 3)))]
+            line = rng.choice(("", " ", "\t")) + rng.choice(_GAPS).join(ids)
+            if rng.random() < 0.1:
+                line += " " + rng.choice(_COMMENTS)
+        lines.append(line + rng.choice(_ENDS))
+    text = "".join(lines)
+    return text.rstrip("\n") if rng.random() < 0.2 else text
+
+
+def test_parse_equals_the_line_loop_on_random_texts():
+    rng = random.Random(25)
+    outcomes = collections.Counter()
+    for _ in range(3000):
+        text = _random_text(rng)
+        got = _parsed(parse_edge_list, text)
+        assert got == _parsed(brute_parse_edge_list, text), text
+        if isinstance(got, graph.ParseResult):
+            assert isinstance(got.id_map, range) or all(type(i) is int for i in got.id_map), text
+            outcomes["bulk" if _BULK_RE.fullmatch(text) else "lines"] += 1
+            outcomes["past 2^63"] += any(i >= 2**63 for i in got.id_map[-1:])
+        else:
+            outcomes[got[0].__name__] += 1
+    # every path and every error is reached, so the grammar has not decayed
+    assert min(outcomes[k] for k in ("bulk", "lines", "MalformedLineError", "SelfLoopError")) >= 200, outcomes
+    assert min(outcomes[k] for k in ("past 2^63", "TooLargeError")) >= 10, outcomes
 
 
 def test_a_vertices_header_maps_ids_by_a_range():
