@@ -164,22 +164,9 @@ def _census(args, graph):
 
 def _moments(args, graph):
     pc = pyramid_counts(triangle_census(graph))
-    t2 = t2_moments(graph.edge_count, pc.n1, count_c4(graph), args.c)
-    body = {
-        "T2": {
-            "mean": fraction_json(t2.mean),
-            "variance": fraction_json(t2.variance),
-            "excess4": fraction_json(t2.excess4),
-            "inputs": t2.inputs,
-        }
-    }
+    body = {"T2": t2_moments(graph.edge_count, pc.n1, count_c4(graph), args.c).to_json_dict()}
     if pc.n1 >= 1:
-        t3 = t3_mean_var(pc, args.c)
-        body["T3"] = {
-            "mean": fraction_json(t3.mean),
-            "variance": fraction_json(t3.variance),
-            "inputs": t3.inputs,
-        }
+        body["T3"] = t3_mean_var(pc, args.c).to_json_dict()
     return {"c": args.c}, body
 
 

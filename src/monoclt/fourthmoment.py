@@ -17,10 +17,10 @@ independent groups. Under uniform colorings that holds for every
 separable set: one whose triangles split into two groups sharing at
 most one vertex (Janson 1988). Disconnected sets are separable, so only
 vertex-connected sets are counted. The coefficient itself comes from
-Moebius inversion over the set partitions of the four positions
-(Leonov & Shiryaev 1959; Speed 1983), with E prod Y over a set of
-cliques equal to x^(|V(union)| - components(union)); see
-cumulant_coefficient.
+Moebius inversion over the set partitions of the four positions, with
+E prod Y over a set of cliques equal to x^(|V(union)| - components(union)):
+it is moments.cumulant_coefficient at order 4, and the excess is
+moments.cumulant over the discovered classes and their counts.
 
 Class discovery reads the graph's triangle census alone: its triangles,
 and the triangles at each vertex and on each edge. It counts the
@@ -62,8 +62,8 @@ import numpy as np
 
 from .census import TriangleCensus, _choose_sum, _exact, _expand, _find, _runs, _wedges, pyramid_counts
 from .errors import BadParamsError, BudgetExceededError, NoTrianglesError
-from .moments import _check_colors, t3_mean_var
-from .ratpoly import evaluate, fraction_json
+from .moments import _check_colors, _component_count, _set_partitions, cumulant, cumulant_coefficient, t3_mean_var
+from .ratpoly import fraction_json
 
 DEFAULT_BUDGET = 10**7
 
@@ -71,95 +71,15 @@ Triangle = tuple[int, int, int]
 
 
 # ---------------------------------------------------------------------------
-# joint cumulants of clique indicators
-
-
-def _component_count(cliques: Iterable[Iterable[int]]) -> int:
-    """Number of vertex-connected components of the union of the cliques."""
-    comps: list[set[int]] = []
-    for q in cliques:
-        merged = set(q)
-        rest = []
-        for comp in comps:
-            if comp & merged:
-                merged |= comp
-            else:
-                rest.append(comp)
-        comps = rest + [merged]
-    return len(comps)
-
-
-def _set_partitions(r: int) -> list[list[list[int]]]:
-    """Every set partition of range(r), as lists of blocks."""
-    if r == 0:
-        return [[]]
-    out = []
-    for p in _set_partitions(r - 1):
-        out.append(p + [[r - 1]])
-        for i in range(len(p)):
-            out.append(p[:i] + [p[i] + [r - 1]] + p[i + 1 :])
-    return out
-
-
-@lru_cache(maxsize=None)
-def _mobius_terms(r: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The order-r coefficient of k cliques as (block images, weight) terms.
-
-    For each map f of the r positions onto the k cliques and each set
-    partition pi of the positions, the term is the Moebius weight
-    (-1)^(|pi| - 1) (|pi| - 1)! times the product, over the blocks of
-    pi, of E prod Y over the cliques the block maps to. The product
-    depends only on those images (as k-bit masks), so the weights are
-    summed per sorted tuple of images.
-    """
-    terms: Counter = Counter()
-    parts = _set_partitions(r)
-    for f in itertools.product(range(k), repeat=r):
-        if len(set(f)) < k:
-            continue
-        for pi in parts:
-            weight = (-1) ** (len(pi) - 1) * math.factorial(len(pi) - 1)
-            images = tuple(sorted(sum({1 << f[i] for i in block}) for block in pi))
-            terms[images] += weight
-    return tuple((images, w) for images, w in sorted(terms.items()) if w)
-
-
-def cumulant_coefficient(cliques: Iterable[Iterable[int]], r: int) -> tuple[int, ...]:
-    """Order-r coefficient of a set of 1..r distinct cliques (edges or
-    triangles) as an integer polynomial in x = 1/c: index i holds the
-    coefficient of x**i, trailing zeros stripped.
-
-    It is the sum, over maps of r positions onto the set, of the joint
-    cumulant of the clique indicators, i.e. the share of this set in the
-    r-th cumulant of the sum of all clique indicators. Each cumulant is
-    a Moebius sum over set partitions of the positions of products of
-    E prod Y = x^(|V(union)| - components(union)); the exponent is
-    computed once per subset of the cliques.
-    """
-    cl = [frozenset(q) for q in cliques]
-    k = len(cl)
-    if len(set(cl)) != k or not 1 <= k <= r:
-        raise ValueError(f"need 1 to {r} distinct cliques")
-    exponent = [0] * (1 << k)
-    for mask in range(1, 1 << k):
-        chosen = [q for i, q in enumerate(cl) if mask >> i & 1]
-        exponent[mask] = len(frozenset().union(*chosen)) - _component_count(chosen)
-    coeffs: Counter = Counter()
-    for images, w in _mobius_terms(r, k):
-        coeffs[sum(exponent[m] for m in images)] += w
-    degree = max((d for d, w in coeffs.items() if w), default=-1)
-    return tuple(coeffs[d] for d in range(degree + 1))
+# class coefficients
 
 
 def class_coefficient(triangles: Iterable[Triangle]) -> tuple[int, ...]:
     """Coefficient polynomial of the class represented by these 1..4
-    distinct triangles: its share of the fourth cumulant of T, the sum
-    over ordered 4-tuples covering exactly these triangles of the joint
-    cumulant of their indicators."""
+    distinct triangles: its share of the fourth cumulant of T."""
     return cumulant_coefficient(triangles, 4)
 
 
-@lru_cache(maxsize=None)
 def pyramid_class_coefficient(s: int) -> tuple[int, ...]:
     """Coefficient of the s-pyramid class (s triangles on one shared edge)."""
     if not 1 <= s <= 4:
@@ -167,7 +87,6 @@ def pyramid_class_coefficient(s: int) -> tuple[int, ...]:
     return class_coefficient([(0, 1, 2 + i) for i in range(s)])
 
 
-@lru_cache(maxsize=None)
 def bipyramid_quad_coefficient() -> tuple[int, ...]:
     """Coefficient of the class realized by quadruples
     {a,s,.},{b,s,.},{a,t,.},{b,t,.} in the bipyramid chain: four triangles
@@ -269,11 +188,7 @@ class ClassRecord:
         return tuple(sorted(edges))
 
     def degree_multiset(self) -> tuple[int, ...]:
-        deg: dict[int, int] = {}
-        for u, v in self.union_edges():
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        return tuple(sorted(deg.values()))
+        return tuple(sorted(Counter(v for edge in self.union_edges() for v in edge).values()))
 
     def is_connected(self) -> bool:
         return _component_count(self.representative) == 1
@@ -674,12 +589,5 @@ def fourth_moment_exact(tc: TriangleCensus, c: int, *, budget: int = DEFAULT_BUD
         raise NoTrianglesError("fourth moment needs at least one triangle")
     disc = discover_classes(tc, budget=budget)
     sigma2 = t3_mean_var(pyramid_counts(tc), c).variance
-    total = Fraction(0)
-    for rec, cnt in disc.entries:
-        total += evaluate(rec.coefficient, x) * cnt
-    return Decomposition(
-        c=c,
-        sigma2=sigma2,
-        entries=disc.entries,
-        excess4=total / sigma2**2,
-    )
+    kappa4 = cumulant(((rec.representative, cnt) for rec, cnt in disc.entries), 4, x)
+    return Decomposition(c=c, sigma2=sigma2, entries=disc.entries, excess4=kappa4 / sigma2**2)

@@ -203,13 +203,21 @@ def _assemble(text: str, header: Optional[re.Match], ends: np.ndarray, line_nos:
         past = np.flatnonzero(ends.max(1) >= n)
         if len(past):
             line_no = line_nos[int(past[0])]
-            raise MalformedLineError(line_no, text.splitlines()[line_no - 1])
+            raise MalformedLineError(line_no, _line(text, line_no))
         ends, ids = ends.astype(np.int64, copy=False), range(n)
     else:
         seen = _distinct(ends.ravel())  # ascending, so each edge keeps its orientation
         n, ends, ids = len(seen), np.searchsorted(seen, ends), tuple(seen.tolist())
     rows, duplicates = _canonical(n, ends)
     return ParseResult(Graph(n, rows), duplicates, ids)
+
+
+def _line(text: str, line_no: int) -> str:
+    """Line line_no of text as str.splitlines numbers it, split from a prefix only."""
+    end = 256
+    while len(lines := text[:end].splitlines()) <= line_no and end < len(text):
+        end *= 8
+    return lines[line_no - 1]
 
 
 _ROWS = 1 << 16  # edge rows formatted at a time by serialize_edge_list and Graph.digest

@@ -15,14 +15,13 @@ from monoclt.fourthmoment import (
     bipyramid_quad_coefficient,
     class_coefficient,
     class_key,
-    cumulant_coefficient,
     discover_classes,
     fourth_moment_exact,
     key_representative,
     pyramid_class_coefficient,
 )
 from monoclt.graph import FamilySpec, bipyramid_chain, complete, disjoint_union, generate, gnp, pyramid
-from monoclt.moments import t2_mean_var, t2_moments, t3_mean_var
+from monoclt.moments import cumulant_coefficient, t2_mean_var, t2_moments, t3_mean_var
 from monoclt.ratpoly import evaluate
 from monoclt.sim import exact_distribution
 
@@ -42,34 +41,41 @@ COLORS = range(2, 12)
 
 def test_cumulant_order_2_reproduces_the_variances():
     tri, pair = [(0, 1, 2)], [(0, 1, 2), (0, 1, 3)]
+    assert cumulant_coefficient(tri, 1) == (0, 0, 1)
+    assert cumulant_coefficient([(0, 1)], 1) == (0, 1)
     assert cumulant_coefficient(tri, 2) == (0, 0, 1, 0, -1)
     assert cumulant_coefficient(pair, 2) == (0, 0, 0, 2, -2)
     assert cumulant_coefficient([(0, 1)], 2) == (0, 1, -1)
     for c in COLORS:
         x = Fraction(1, c)
-        one = t3_mean_var(PyramidCounts(1, 0, 0, 0), c).variance
-        assert evaluate(cumulant_coefficient(tri, 2), x) == one
+        one = t3_mean_var(PyramidCounts(1, 0, 0, 0), c)
+        assert (one.mean, one.variance) == (x**2, x**2 * (1 - x**2))
+        assert evaluate(cumulant_coefficient(tri, 2), x) == one.variance
         two = t3_mean_var(PyramidCounts(2, 1, 0, 0), c).variance
-        assert evaluate(cumulant_coefficient(pair, 2), x) == two - 2 * one
-        assert evaluate(cumulant_coefficient([(0, 1)], 2), x) == t2_mean_var(1, c).variance
+        assert evaluate(cumulant_coefficient(pair, 2), x) == two - 2 * one.variance == 2 * (x**3 - x**4)
+        edge = t2_mean_var(1, c)
+        assert (edge.mean, edge.variance) == (x, x * (1 - x))
+        assert evaluate(cumulant_coefficient([(0, 1)], 2), x) == edge.variance
 
 
 def test_cumulant_order_4_on_edges_reproduces_g1_g2_g3():
-    # t2_moments gives kappa4(T2) = g1 |E| + g2 N(K3) + g3 N(C4), linear in
-    # the three counts, so each g is a difference of two evaluations
-    def kappa4(m, k3, c4, c):
-        rep = t2_moments(m, k3, c4, c)
-        return rep.excess4 * rep.variance**2
-
+    # the classical kappa4(T2) = g1 |E| + g2 N(K3) + g3 N(C4), with
+    # g1 = x (1 - 7x + 12x^2 - 6x^3), g2 = 36 x^2 (1 - x)(1 - 2x) and
+    # g3 = 24 x^3 (1 - x), pinned by value
     edge = [(0, 1)]
     k3 = [(0, 1), (0, 2), (1, 2)]
     c4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    g1, g2, g3 = (0, 1, -7, 12, -6), (0, 0, 36, -108, 72), (0, 0, 0, 24, -24)
+    assert cumulant_coefficient(edge, 4) == g1
+    assert cumulant_coefficient(k3, 4) == g2
+    assert cumulant_coefficient(c4, 4) == g3
+    # and t2_moments sums exactly these three classes
     for c in COLORS:
         x = Fraction(1, c)
-        g1 = kappa4(1, 0, 0, c)
-        assert evaluate(cumulant_coefficient(edge, 4), x) == g1
-        assert evaluate(cumulant_coefficient(k3, 4), x) == kappa4(1, 1, 0, c) - g1
-        assert evaluate(cumulant_coefficient(c4, 4), x) == kappa4(1, 0, 1, c) - g1
+        for m, n3, n4 in ((1, 0, 0), (6, 4, 3), (10, 10, 15), (7, 0, 2)):
+            rep = t2_moments(m, n3, n4, c)
+            want = evaluate(g1, x) * m + evaluate(g2, x) * n3 + evaluate(g3, x) * n4
+            assert rep.excess4 * rep.variance**2 == want
     # a forest of edges is independent, so it contributes nothing
     assert cumulant_coefficient([(0, 1), (1, 2)], 4) == ()
     assert cumulant_coefficient([(0, 1), (1, 2), (1, 3), (3, 4)], 4) == ()

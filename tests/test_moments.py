@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from brute import all_small_graph_stats, relabeled
+from brute import all_small_graph_stats, brute_joint_law, central_moment, relabeled
 from helpers import t2_inputs
 from monoclt.census import b_statistic, count_c4, pyramid_counts, triangle_census
 from monoclt.errors import NoEdgesError, NoTrianglesError, UnsupportedFamilyError
@@ -72,6 +73,10 @@ def test_closed_forms_match_pure_python_enumeration(small_corpus):
             (m2, v2), (m3, v3) = all_small_graph_stats(g, c)
             rep2 = t2_moments(*t2_inputs(g), c)
             assert (rep2.mean, rep2.variance) == (m2, v2), (name, c)
+            law2 = Counter()
+            for (t2, _), count in brute_joint_law(g, c).items():
+                law2[t2] += count
+            assert rep2.excess4 == central_moment(law2, 4) / central_moment(law2, 2) ** 2 - 3, (name, c)
             pc = _pc(g)
             if pc.n1 >= 1:
                 rep3 = t3_mean_var(pc, c)
