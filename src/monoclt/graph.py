@@ -131,10 +131,22 @@ class ParseResult:
 
 
 _HEADER_RE = re.compile(r"vertices\s*=\s*(\d+)")
-# the texts read in bulk: an optional comment line, then "u v" lines of at
-# most 18 digits per id (below 2^63), each ending in a newline. The comment
-# holds none of the characters str.splitlines breaks at.
-_BULK_RE = re.compile("(#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*\n)?(?:[0-9]{1,18} [0-9]{1,18}\n)*")
+
+
+def _bulk(head: str, body: str) -> bool:
+    """Whether a text is read in bulk: head empty or one comment line free
+    of str.splitlines' breaks, body "u v" lines of 1 to 18 digits an id
+    (below 2^63), each ending in a newline."""
+    if head.splitlines() not in ([], [head[:-1]]) or not body.isascii():
+        return False
+    b = np.frombuffer(body.encode("ascii"), np.uint8)
+    digit = b - np.uint8(48) < 10
+    seps = b[~digit]  # a space and a newline in turn, never two together
+    run = digit  # run[i]: digit[i : i + w] are all digits, for w = 2, 4, 8, 16 in turn
+    for w in (1, 2, 4, 8):
+        run = run[:-w] & run[w:]
+    return not len(b) or bool(digit[0] and b[-1] == 10 and (digit[1:] | digit[:-1]).all() and (seps[::2] == 32).all()
+                              and (seps[1::2] == 10).all() and not (run[:-3] & run[3:]).any())
 
 
 def parse_edge_list(text: str) -> ParseResult:
@@ -148,15 +160,14 @@ def parse_edge_list(text: str) -> ParseResult:
     so is a header of more than 2 * MAX_EDGES vertices, before any array is
     sized by it.
 
-    A text that matches _BULK_RE is read by np.fromstring, any other by
+    A text that _bulk accepts is read by np.fromstring, any other by
     _tokenize, line by line; each raises the first self-loop or malformed
     line. One numpy tail, _assemble, then does the rest for both.
     """
-    bulk = _BULK_RE.fullmatch(text)
-    if bulk is None:
-        return _assemble(text, *_tokenize(text))
-    head = bulk.group(1) or ""
+    head = text[: text.find("\n") + 1] if text.startswith("#") else ""
     body = text[len(head):]
+    if not _bulk(head, body):
+        return _assemble(text, *_tokenize(text))
     ends = np.fromstring(body, np.int64, sep=" ").reshape(-1, 2) if body else np.empty((0, 2), np.int64)
     first = 2 if head else 1  # the line number of row 0
     loops = np.flatnonzero(ends[:, 0] == ends[:, 1])

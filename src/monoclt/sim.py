@@ -12,8 +12,8 @@ _draw_block writes a block vertex-major in pieces, reducing the raw
 Philox words to colours by Lemire's rejection, the rule and stream of
 Generator.integers. The exhaustive oracle returns the exact joint law
 of (edge count, triangle count) over all colorings with rational
-masses, evaluating them up to colour permutation: weighted prefix
-strings over one shared block of suffix colourings, on one thread.
+masses: weighted restricted-growth strings of the least loaded vertices
+over one block of suffix colourings, whose own cliques are counted once.
 
 Moments are exact: statistics are small nonnegative integers, so each
 run is reduced to a value-count table and moments come from big-integer
@@ -134,14 +134,17 @@ def _mono_counts(ct: np.ndarray, cliques: np.ndarray, slab: int) -> np.ndarray:
     """For each column of the vertex-major colour block ct (n x rows), the
     number of rows of cliques (m x k vertex ids) whose k vertices all
     share one colour. Gathers slab <= SLAB cliques per step and tallies
-    each slab's hits per column in uint8, which holds 255 hits exactly."""
+    each slab's hits per column in uint8, which holds 255 hits exactly;
+    one-byte colours are compared over their own gathered bytes."""
+    def same(first: np.ndarray, other: np.ndarray) -> np.ndarray:
+        return np.equal(first, other, out=other.view(bool) if other.itemsize == 1 else None)
     out = np.zeros(ct.shape[1], dtype=np.int64)
     for s in range(0, len(cliques), slab):
         part = cliques[s : s + slab]
         first = ct[part[:, 0]]
-        hit = first == ct[part[:, 1]]
+        hit = same(first, ct[part[:, 1]])
         for j in range(2, part.shape[1]):
-            hit &= first == ct[part[:, j]]
+            hit &= same(first, ct[part[:, j]])
         out += np.add.reduce(hit.view(np.uint8), axis=0, dtype=np.uint8)
     return out
 
@@ -368,15 +371,16 @@ def exact_distribution(
 ) -> ExactDistribution:
     """Joint pmf of (T2, T3) over all c^n colorings, up to colour permutation.
 
-    A prefix of j vertices runs over the restricted-growth strings (Knuth,
-    TAOCP 4A, 7.2.1.5); a string using m colours stands for perm(c, m)
-    colourings, as the law is invariant under colour permutations. Each is
-    written into one block of all c^s colourings of the other s = n - j
-    vertices (c^s <= SUFFIX, j >= 1 when n >= 1), tallied by _mono_counts
-    and weighted into one integer tally, so the masses are exact. Slabs
-    hold at most 2^16 cells, so no temporary passes the allocator's mmap
-    threshold to be faulted in afresh per string; on slabs that small one
-    thread beats a pool, and threads is accepted and unused.
+    The j vertices in the fewest edges plus triangles form a prefix that
+    runs over the restricted-growth strings (Knuth, TAOCP 4A, 7.2.1.5); a
+    string using m colours stands for perm(c, m) colourings, as the law is
+    invariant under colour permutations. Each is written into one block of
+    all c^s colourings of the other s = n - j vertices (c^s <= SUFFIX,
+    j >= 1 when n >= 1); _mono_counts counts the cliques wholly in the
+    suffix once and the rest per string, into one exact integer tally.
+    Slabs hold at most 2^16 cells, so no temporary passes the allocator's
+    mmap threshold to be faulted in afresh per string; on slabs that small
+    one thread beats a pool, and threads is accepted and unused.
     """
     _check_colors(c)
     total = c**g.n
@@ -384,12 +388,13 @@ def exact_distribution(
         raise TooLargeError(f"enumeration size {total} exceeds cap {cap}")
     if tc is None:
         tc = triangle_census(g)
-    edges = g.edge_array
-    tris = tc.triangles
-    stride = len(tris) + 1
-    width = (len(edges) + 1) * stride
     s = max((k for k in range(g.n) if c**k <= SUFFIX), default=0)
     j = g.n - s
+    load = np.bincount(np.concatenate([g.edge_array.ravel(), tc.triangles.ravel()]), minlength=g.n)
+    rank = np.argsort(np.argsort(load, kind="stable"), kind="stable")  # least loaded first; labels move no mass
+    edges, tris = rank[g.edge_array], rank[tc.triangles]
+    stride = len(tris) + 1
+    width = (len(edges) + 1) * stride
     slab = max(1, min(SLAB, 2**16 // c**s))
     dtype = _color_dtype(c)
     ct = np.empty((g.n, c**s), dtype=dtype)  # prefix rows are set per string
@@ -398,10 +403,14 @@ def exact_distribution(
     prefixes = [((), 0)]  # restricted-growth strings, each with its colour count
     for _ in range(j):
         prefixes = [(p + (x,), max(m, x + 1)) for p, m in prefixes for x in range(min(m + 1, c))]
+    touch = [k.min(1) < j for k in (edges, tris)]  # the rows each string counts afresh
+    base = _mono_counts(ct, edges[~touch[0]], slab) * stride + _mono_counts(ct, tris[~touch[1]], slab)
+    edges, tris = edges[touch[0]], tris[touch[1]]
     tally = np.zeros(width, dtype=np.int64 if total < 1 << 63 else object)
     for prefix, m in prefixes:
         ct[:j] = np.array(prefix, dtype=dtype)[:, None]
-        flat = _mono_counts(ct, edges, slab) * stride + _mono_counts(ct, tris, slab)
+        flat = _mono_counts(ct, edges, slab) * stride + base
+        flat += _mono_counts(ct, tris, slab)
         tally += math.perm(c, m) * np.bincount(flat, minlength=width).astype(tally.dtype)
     joint = {}
     for flat in np.nonzero(tally)[0]:

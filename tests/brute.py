@@ -448,6 +448,13 @@ def lattice_ks(p: dict, q: dict) -> float:
     return float(worst)
 
 
+# the texts parse_edge_list reads in bulk, as one regular expression: an
+# optional comment line, then "u v" lines of at most 18 digits per id
+# (below 2^63), each ending in a newline. The comment holds none of the
+# characters str.splitlines breaks at.
+BULK_RE = re.compile("(#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*\n)?(?:[0-9]{1,18} [0-9]{1,18}\n)*")
+
+
 def brute_parse_edge_list(text: str) -> ParseResult:
     """parse_edge_list line by line, for any text, with Python ints of any
     size: each edge is checked and oriented once, the first bad line named

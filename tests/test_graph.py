@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from brute import brute_parse_edge_list, brute_triangles
+from brute import BULK_RE, brute_parse_edge_list, brute_triangles
 from helpers import degrees, has_edge
 from monoclt import cli, graph
 from monoclt.errors import (
@@ -19,7 +19,6 @@ from monoclt.errors import (
     TooLargeError,
 )
 from monoclt.graph import (
-    _BULK_RE,
     FAMILIES,
     MAX_EDGES,
     FamilySpec,
@@ -312,7 +311,7 @@ def _parsed(parse, text):
 )
 def test_bulk_parse_equals_the_line_loop(text, bulk):
     # the same result, or the same error and message, from both paths
-    assert (_BULK_RE.fullmatch(text) is not None) == bulk
+    assert (BULK_RE.fullmatch(text) is not None) == bulk
     assert _parsed(parse_edge_list, text) == _parsed(brute_parse_edge_list, text)
 
 
@@ -359,13 +358,50 @@ def test_parse_equals_the_line_loop_on_random_texts():
         assert got == _parsed(brute_parse_edge_list, text), text
         if isinstance(got, graph.ParseResult):
             assert isinstance(got.id_map, range) or all(type(i) is int for i in got.id_map), text
-            outcomes["bulk" if _BULK_RE.fullmatch(text) else "lines"] += 1
+            outcomes["bulk" if BULK_RE.fullmatch(text) else "lines"] += 1
             outcomes["past 2^63"] += any(i >= 2**63 for i in got.id_map[-1:])
         else:
             outcomes[got[0].__name__] += 1
     # every path and every error is reached, so the grammar has not decayed
     assert min(outcomes[k] for k in ("bulk", "lines", "MalformedLineError", "SelfLoopError")) >= 200, outcomes
     assert min(outcomes[k] for k in ("past 2^63", "TooLargeError")) >= 10, outcomes
+
+
+_GRAMMAR_EDGES = ("#", "#0 1\n", "#\r\n0 1\n", "#\x85\n0 1\n", "# h\u00e9 \u2603\n0 1\n", "0 1\n#\n",
+                  "\u0663 1\n", "0 1\u2028", "0  1\n", " 0 1\n", "0 1 \n", "0 1\n\n", "\n", " \n", "0 \n", "0\n1\n",
+                  "0 1\n\x00", "0\x001\n", "0 1\n\x80", "0 1 2 3\n", "0\n1 2\n")
+
+
+def test_bulk_check_equals_the_reference_grammar(monkeypatch):
+    # parse_edge_list's byte check sends exactly the texts the regular
+    # expression refuses to the line tokenizer
+    tokenized = []
+    tokenize = graph._tokenize
+    monkeypatch.setattr(graph, "_tokenize", lambda text: tokenized.append(text) or tokenize(text))
+    rng = random.Random(27)
+    texts = [_random_text(rng) for _ in range(3000)] + list(_GRAMMAR_EDGES)
+    texts += [head + "0 1\n" * r + f"{'7' * a} {'8' * b}\n" * k
+              for head in ("", "# vertices=9\n") for r in range(4)
+              for a in (1, 17, 18, 19, 40) for b in (1, 18, 19) for k in (1, 2)]
+    for text in texts:
+        tokenized.clear()
+        _parsed(parse_edge_list, text)
+        assert (not tokenized) == (BULK_RE.fullmatch(text) is not None), text
+
+
+def test_bulk_parse_memory_follows_the_text():
+    # the byte check holds a few bytes per character of the 4 MB text, the
+    # parsed rows 16 MB; a regular expression of the same grammar kept
+    # state for each line and peaked at 227 MB
+    text = "# vertices=3\n" + "0 1\n" * 10**6
+    tracemalloc.start()
+    try:
+        r = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.graph.edges, r.duplicate_count) == (((0, 1),), 999_999)
+    assert peak < 64 * 2**20
 
 
 def test_a_vertices_header_maps_ids_by_a_range():

@@ -1,5 +1,6 @@
 import io
 import math
+import random
 import tracemalloc
 from concurrent.futures import Future
 from fractions import Fraction
@@ -12,7 +13,7 @@ from helpers import t2_inputs
 from monoclt import sim
 from monoclt.census import pyramid_counts, triangle_census
 from monoclt.errors import BadParamsError, TooLargeError
-from monoclt.graph import Graph, complete, cycle, gnp, pyramid
+from monoclt.graph import Graph, complete, cycle, gnp, pyramid, star
 from monoclt.moments import t2_moments, t3_mean_var
 from monoclt.sim import (
     SimConfig,
@@ -56,13 +57,20 @@ BRUTE_LAW_CASES = [
       for i, perm in enumerate([(7, 6, 5, 4, 3, 2, 1, 0), (3, 0, 6, 1, 7, 4, 2, 5)])
       for c in (2, 3)),
     ("edge_c300", Graph.from_edges(2, [(0, 1)]), 300),
+    # prefixes of two or three vertices, picked by load away from the
+    # first ids: the leaves, the apexes, the isolated vertices
+    ("star9_c3", star(9), 3),
+    ("pyramid7_c3", pyramid(7), 3),
+    ("gnp10_c3", gnp(10, 0.5, 1), 3),
+    ("gnp15_c2", gnp(15, 0.3, 1), 2),
+    ("isolated_c3", Graph.from_edges(9, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]), 3),
 ]
 
 
 @pytest.mark.parametrize("name,g,c", BRUTE_LAW_CASES, ids=[case[0] for case in BRUTE_LAW_CASES])
 def test_exact_distribution_matches_visiting_every_coloring(name, g, c):
-    # the prefix vertices are the first ones; the relabelled copies move
-    # other vertices into the prefix
+    # the prefix holds the least loaded vertices; the relabelled copies and
+    # the uneven graphs put other vertices than the first ones there
     total = c**g.n
     want = {key: Fraction(k, total) for key, k in brute_joint_law(g, c).items()}
     assert exact_distribution(g, c).joint == want
@@ -71,6 +79,15 @@ def test_exact_distribution_matches_visiting_every_coloring(name, g, c):
 def test_exact_distribution_cap():
     with pytest.raises(TooLargeError):
         exact_distribution(complete(10), 5, cap=10**6)
+
+
+def test_exact_law_does_not_depend_on_vertex_labels():
+    g = gnp(13, 0.4, 1)
+    law = exact_distribution(g, 3).joint
+    rng = random.Random(13)
+    for _ in range(3):
+        perm = rng.sample(range(g.n), g.n)
+        assert exact_distribution(relabeled(g, perm), 3).joint == law
 
 
 def test_exact_distribution_thread_invariance():
@@ -308,23 +325,41 @@ def test_exhaustive_oracle_evaluates_colourings_up_to_permutation(monkeypatch):
 
     monkeypatch.setattr(sim, "_mono_counts", counting)
     exact_distribution(complete(10), 4)
-    # 15 growth strings on the first 4 vertices times 4^6 suffix
-    # colourings, against the 4^10 = 1,048,576 covered
+    # the suffix block once, then 15 growth strings on the 4 prefix
+    # vertices, each times 4^6 suffix colourings: 16 x 4,096 = 65,536
+    # columns, against the 4^10 = 1,048,576 covered
     assert sum(columns) < 70_000
+
+
+def test_exhaustive_oracle_counts_suffix_cliques_once(monkeypatch):
+    rows = []
+    mono_counts = sim._mono_counts
+
+    def recording(ct, cliques, slab):
+        rows.append(len(cliques))
+        return mono_counts(ct, cliques, slab)
+
+    monkeypatch.setattr(sim, "_mono_counts", recording)
+    exact_distribution(complete(10), 4)
+    # the 15 edges and 20 triangles of the 6 suffix vertices once, then
+    # the 30 and 100 that touch the 4 prefix vertices for each of the 15
+    # growth strings: 1,985 rows, against 15 x 165 = 2,475 counted per string
+    assert rows == [15, 20] + [30, 100] * 15
 
 
 def test_exhaustive_oracle_memory_is_bounded_by_its_slabs():
     # what one prefix string holds at once: the colour block (10 x 4^6
     # uint8), the tally over (T2, T3) pairs and its three per-string
-    # copies (counted, cast, weighted), three int64 counts per column, and
-    # four slab temporaries of at most 2^16 bytes (the first vertex's
-    # colours, the running hits, a gather and its comparison), plus 64 KB
-    # of small objects; 255-row slabs of 4096 columns alone pass 1 MB
+    # copies (counted, cast, weighted), three int64 counts per column (the
+    # suffix cliques' counts, the string's sum and one count), and three
+    # slab temporaries of at most 2^16 bytes (the first vertex's colours,
+    # the running hits, and a gather compared over its own bytes), plus
+    # 64 KB of small objects; 255-row slabs of 4096 columns alone pass 1 MB
     g = complete(10)
     tc = triangle_census(g)
     columns = 4**6
     tally = 8 * (g.edge_count + 1) * (len(tc.triangles) + 1)
-    bound = g.n * columns + 4 * tally + 3 * 8 * columns + 4 * 2**16 + 2**16
+    bound = g.n * columns + 4 * tally + 3 * 8 * columns + 3 * 2**16 + 2**16
     tracemalloc.start()
     try:
         exact_distribution(g, 4, tc=tc)
@@ -332,6 +367,22 @@ def test_exhaustive_oracle_memory_is_bounded_by_its_slabs():
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+def test_colour_kernel_holds_three_slab_temporaries():
+    # a triangle pass over one-byte colours holds the first vertex's
+    # colours, the hits and one gather of 16 x 4,096 bytes each, beside
+    # the int64 counts, one uint8 row of slab tallies and 16 KB of small
+    # objects; a comparison of its own would add a fourth
+    ct = np.random.default_rng(0).integers(0, 3, size=(9, 4096), dtype=np.uint8)
+    tris = triangle_census(complete(9)).triangles
+    tracemalloc.start()
+    try:
+        sim._mono_counts(ct, tris, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**16 + 8 * 4096 + 4096 + 2**14
 
 
 def test_exact_law_with_uint16_colours():
