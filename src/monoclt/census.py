@@ -143,6 +143,13 @@ class TriangleCensus:
         edge = self.edge_ids(tv[:, [0, 0, 1]], tv[:, [1, 2, 2]])
         return np.cumsum(self.edge_d) - self.edge_d, np.argsort(edge.ravel(), kind="stable") // 3
 
+    @cached_property
+    def thirds(self) -> np.ndarray:
+        """The triangles that on lists, as keys e * n + x of their edge e and
+        third vertex x; ascending, as lexicographic order lists them so."""
+        e = np.repeat(np.arange(len(self.edge_keys)), self.edge_d)
+        return e * self.n + self.triangles[self.on[1]].sum(1) - sum(np.divmod(self.edge_keys[e], self.n))
+
 
 @dataclass(frozen=True)
 class PyramidCounts:

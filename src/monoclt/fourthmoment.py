@@ -30,11 +30,13 @@ bound on the rows its passes read (see _work):
 
 - a nonzero class of three or four triangles but two has a connected
   pair whose union holds two or more vertices of every other member.
-  Per connected pair, the triangles holding two vertices of its union,
-  gathered from the edges between them, are typed by the union vertices
-  they contain, and numpy counts them, and ordered pairs of them, by
-  type in small Gram matrices (cells). A cell fixes the class of its
-  sets, whose count is the cell sum over the class's qualifying pairs;
+  Per connected pair, the triangles holding two vertices of its union
+  are typed by the union vertices they contain. Numpy counts them, and
+  ordered pairs of them, by type in small Gram matrices (cells) of the
+  per-pair counts that edge_d and the listed triples of union vertices
+  give; only ordered pairs sharing an outside vertex read triangles. A
+  cell fixes the class of its sets, whose count is the cell sum over its
+  qualifying pairs;
 - the other two are triangles on the four edges of a 4-cycle, counted
   per 4-cycle listed in degree order (Chiba & Nishizeki 1985).
 
@@ -231,30 +233,15 @@ def _pairs(tc: TriangleCensus):
 
 
 def _gram(rows: np.ndarray, types: np.ndarray, width: int) -> np.ndarray:
-    """M^T M in float64 for the row-by-type count matrix M holding one
-    count per entry (rows[i], types[i]), rows ascending; M is built a
-    block of rows at a time."""
+    """M^T M in float64 for the row-by-type count matrix M of the entries
+    (rows[i], types[i]), rows ascending from 0 with no gaps, _BLOCK at a time."""
     gram = np.zeros((width, width))
-    if len(rows):
-        cut = np.searchsorted(rows, np.arange(0, rows[-1] + _BLOCK + 1, _BLOCK))
-        for lo, hi in zip(cut, cut[1:]):
-            if lo < hi:
-                base = rows[lo]
-                m = np.bincount((rows[lo:hi] - base) * width + types[lo:hi], np.ones(hi - lo),
-                                (rows[hi - 1] - base + 1) * width).reshape(-1, width)
-                gram += m.T @ m
+    cut = np.searchsorted(rows, np.arange(0, rows.max(initial=-1) + _BLOCK + 1, _BLOCK))
+    for lo, hi in zip(cut, cut[1:]):
+        m = np.bincount((rows[lo:hi] - rows[lo]) * width + types[lo:hi], np.ones(hi - lo),
+                        (rows[hi - 1] - rows[lo] + 1) * width).reshape(-1, width)
+        gram += m.T @ m
     return gram
-
-
-def _rows_by(pair: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The order that sorts entries by (pair, key), and ascending row ids
-    in that order, one row per distinct (pair, key)."""
-    joint = pair * (int(key.max(initial=0)) + 1) + key
-    order = np.argsort(joint, kind="stable")
-    joint = joint[order]
-    rows = np.zeros(len(joint), np.int64)
-    rows[1:] = np.cumsum(joint[1:] != joint[:-1])
-    return order, rows
 
 
 def _slots(tv: np.ndarray, own: np.ndarray, sh: int) -> np.ndarray:
@@ -271,8 +258,8 @@ def _cells(tc: TriangleCensus) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """The cells of the connected pairs, summed over them by the number of
     vertices they share: third triangles by type, and ordered pairs of
     them by (k, t1, t2). A run of pairs at a time finds the edges between
-    their slots, then passes of at most _CHUNK triangles on those edges
-    are counted."""
+    their slots, then runs of pairs whose slot edges carry at most _CHUNK
+    triangles are counted."""
     tv = tc.triangles
     cells = {sh: (np.zeros(1 << 6 - sh, np.int64), np.zeros((2, 1 << 6 - sh, 1 << 6 - sh), np.int64))
              for sh in (1, 2)}
@@ -284,48 +271,69 @@ def _cells(tc: TriangleCensus) -> dict[int, tuple[np.ndarray, np.ndarray]]:
             first, second = np.triu_indices(6 - sh, 1)
             eid = tc.edge_ids(slots[:, first], slots[:, second])
             for p, q in _runs(np.where(eid < 0, 0, tc.edge_d[eid]).sum(1), _CHUNK):
-                total, counted = _count_chunk(tc, slots[p:q], own[p:q], eid[p:q])
-                third += total
-                fourth += counted
+                for acc, got in zip((third, fourth), _count_chunk(tc, slots[p:q], own[p:q], eid[p:q])):
+                    acc += got
     return cells
+
+
+@lru_cache(maxsize=None)
+def _layout(s: int) -> tuple[np.ndarray, ...]:
+    """For s slots: the types of eid's columns; per slot triple, its type,
+    edges ij, ik and jk (ids and a 0/1 row), slot k and whether it is
+    neither a nor b; and the places `at` of their Gram that add to cells `to`."""
+    first, second = np.triu_indices(s, 1)
+    types = (1 << first) | (1 << second)
+    trip = np.array(list(itertools.combinations(range(s), 3)))
+    kinds = (1 << trip).sum(1)
+    on_side = types & kinds[:, None] == types
+    sides = np.nonzero(on_side)[1].reshape(-1, 3)
+    # a is the a-only and shared slots, b the b-only and shared ones
+    one = (1 << s - 3) - 1
+    other = (kinds & one > 0) & (kinds & one << s - 3 > 0)
+    # a triple on the edge opposite its slot x is in the group of x
+    side, x = types[sides].ravel(), (kinds[:, None] ^ types[sides]).ravel()
+    t, u = np.nonzero(x[:, None] == x)
+    return types, kinds, sides, on_side * 1.0, trip[:, 2], other, t * sides.size + u, side[t] << s | side[u]
 
 
 def _count_chunk(tc: TriangleCensus, slots: np.ndarray, own: np.ndarray,
                  eid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cells of one run of pairs with the same overlap, given the ids
-    of the edges between their slots (eid, one column per two slots, -1
-    where there is none): candidates by type, and ordered pairs of
-    distinct candidates by (k, t1, t2)."""
-    s = slots.shape[1]
-    width = 1 << s
-    first, second = np.triu_indices(s, 1)
-    # every triangle on an edge between two slots but a and b, typed by
-    # its slots; one inside U(P) is on three such edges, and is kept at
-    # the one between its lowest two slots
-    start, tri = tc.on
-    p, col = np.nonzero(eid >= 0)
-    i, pos = _expand(start[eid[p, col]], tc.edge_d[eid[p, col]])
-    p, col, c = p[i], col[i], tri[pos]
-    x = tc.triangles[c].sum(1) - slots[p, first[col]] - slots[p, second[col]]
-    slot = np.argmax(slots[p] == x[:, None], 1)
-    inside = slots[p, slot] == x
-    keep = (c != own[p, 0]) & (c != own[p, 1]) & (~inside | (slot > second[col]))
-    p, x, inside = p[keep], x[keep], inside[keep]
-    types = (1 << first[col[keep]]) | (1 << second[col[keep]]) | np.where(inside, 1 << slot[keep], 0)
-    total = np.bincount(types, minlength=width)
-    every = _gram(p, types, width)
-    # c and w share a vertex outside U(P) when it is the third vertex of both
-    out = ~inside
-    order, rows = _rows_by(p[out], x[out])
-    shared = _gram(rows, types[out][order], width)
-    # every counts each ordered pair once, and no partial sum is more:
-    # float64 was exact
-    assert every.max(initial=0) < 2**52
-    cells = np.stack([every - shared, shared]).astype(np.int64)
-    # less the pairs c = w: k = 0 inside U(P), 1 outside it
-    cells[0] -= np.diag(np.bincount(types[inside], minlength=width))
-    cells[1] -= np.diag(np.bincount(types[out], minlength=width))
-    return total, cells
+    """The cells of one run of pairs with the same overlap (own, their
+    triangles, is unread), given the ids of the edges between their slots
+    (eid, a column per two slots, -1 where none): candidates by type, and
+    ordered pairs of distinct candidates by (k, t1, t2). Listed slot
+    triples but a and b are candidates inside U(P), edge_d less them those
+    outside, and H^T H of these counts H gives the cells but k = 1 and
+    c = w. Only k = 1 reads rows, by (pair, third vertex x), on the slot
+    edges with outside candidates of pairs with two such edges."""
+    width = 1 << slots.shape[1]
+    types, kinds, sides, on_side, third, other, at, to = _layout(slots.shape[1])
+    # look up the slot triples but a and b whose three edges carry triangles
+    e = eid[:, sides]
+    listed = (e >= 0).all(2) & other
+    p, t = np.nonzero(listed)
+    listed[p, t] = _find(tc.thirds, e[p, t, 0] * tc.n + slots[p, third[t]])[1]
+    hist = np.zeros((len(eid), width))
+    hist[:, kinds] = listed
+    listed = (listed | ~other) * 1.0
+    hist[:, types] = np.where(eid < 0, 0, tc.edge_d[eid]) - listed @ on_side
+    total, every = hist.sum(0), hist.T @ hist
+    read = (hist[:, types] > 0) & ((hist[:, types] > 0).sum(1) > 1)[:, None]
+    p, c = np.nonzero(read)
+    i, pos = _expand(tc.on[0][eid[p, c]], tc.edge_d[eid[p, c]])
+    key = ((p[i] * tc.n + tc.thirds[pos] % tc.n) << slots.shape[1]) + types[c[i]]
+    key, edge_type = np.divmod(key[np.argsort(key, kind="stable")], width)
+    group = np.cumsum(np.diff(key, prepend=-1) != 0) - 1
+    size = np.bincount(group)
+    keep = size[group] > 1
+    shared = _gram((np.cumsum(size > 1) - 1)[group[keep]], edge_type[keep], width)
+    # less the groups of a slot x: the listed triples on x, read on its opposite edge
+    rows = (listed[:, :, None] * read[:, sides]).reshape(len(eid), -1)
+    slot = np.bincount(to, (rows.T @ rows).flat[at], width * width).reshape(width, width)
+    # each Gram counts ordered pairs, so float64 is exact below 2^52
+    assert max(g.max(initial=0) for g in (every, shared, slot)) < 2**52
+    shared = (shared - slot) * (1 - np.eye(width))
+    return total.astype(np.int64), np.stack([every - shared - np.diag(total), shared]).astype(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -408,14 +416,8 @@ def _contact_cycles(tc: TriangleCensus) -> tuple[int, int]:
     group, and a pass counts cycles whose edges carry about _CHUNK
     triangles; every cycle adds at least one to the census's b statistic.
     """
-    n, edges = tc.n, tc.edge_keys
-    on = np.repeat(np.arange(len(edges)), tc.edge_d)
-    # the triangles on each edge e as keys e * n + x of their third vertices
-    # x, ascending: those on e start at tc.on[0][e]
-    thirds = on * n + tc.triangles[tc.on[1]].sum(1) - edges[on] // n - edges[on] % n
-    thirds = thirds[np.argsort(thirds, kind="stable")]
     eight = twice_seven = 0
-    for tm, mw, group in _wedges(n, edges):
+    for tm, mw, group in _wedges(tc.n, tc.edge_keys):
         # each wedge pairs with the later ones of its group, and a cycle
         # costs the triangles on its four edges
         size = np.diff(np.r_[group, len(tm)])
@@ -426,7 +428,7 @@ def _contact_cycles(tc: TriangleCensus) -> tuple[int, int]:
         for p, q in _runs(later * half + cum[end] - cum[1:], _CHUNK):
             j, other = _expand(np.arange(p, q) + 1, later[p:q])
             j += p
-            got = _cycle_counts(tc, thirds, np.stack([tm[j], mw[j], mw[other], tm[other]], 1))
+            got = _cycle_counts(tc, tc.thirds, np.stack([tm[j], mw[j], mw[other], tm[other]], 1))
             eight += got[0]
             twice_seven += got[1]
     assert twice_seven % 2 == 0
@@ -480,8 +482,8 @@ def _count_configurations(tc: TriangleCensus) -> Counter:
     pair P = {a, b} (a < b) whose union U(P) holds two or more vertices of
     every other member (a qualifying pair). P's candidates are the
     triangles other than a and b holding two or more vertices of U(P),
-    gathered from the edges between them; each is typed by the bitmask of
-    the slots of U(P) it contains (see _cell_key) and has at most one
+    counted by type (the slots of U(P) they hold, see _cell_key) from the
+    edges between those and their listed triples; each has at most one
     vertex outside U(P). A candidate c falls in the cell (share, t) of its
     type, and an ordered pair (c, w) of distinct candidates in the cell
     (share, t1, t2, k), k = 1 if c and w share their outside vertex and 0

@@ -411,7 +411,8 @@ def exact_distribution(
         ct[:j] = np.array(prefix, dtype=dtype)[:, None]
         flat = _mono_counts(ct, edges, slab) * stride + base
         flat += _mono_counts(ct, tris, slab)
-        tally += math.perm(c, m) * np.bincount(flat, minlength=width).astype(tally.dtype)
+        counts = np.bincount(flat, minlength=width).astype(tally.dtype, copy=False)
+        tally += np.multiply(counts, math.perm(c, m), out=counts)
     joint = {}
     for flat in np.nonzero(tally)[0]:
         t2, t3 = divmod(int(flat), stride)

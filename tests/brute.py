@@ -501,3 +501,46 @@ def brute_parse_edge_list(text: str) -> ParseResult:
     rows = sorted((compact[u], compact[v]) for u, v in edges)
     graph = Graph(len(ids), np.array(rows, np.int64).reshape(-1, 2))
     return ParseResult(graph, duplicates, tuple(ids))
+
+
+def brute_count_chunk(tc, slots, own, eid):
+    """The cells of fourthmoment._count_chunk from every row: each
+    triangle on an edge between two slots, but a and b, is typed by the
+    slots it holds, one inside U(P) once, at the edge between its lowest
+    two slots; ordered pairs come from the Gram of the rows by pair and
+    from that of the rows outside U(P) by (pair, outside vertex)."""
+    s = slots.shape[1]
+    width = 1 << s
+
+    def gram(rows, types):
+        m = np.zeros((int(rows.max(initial=-1)) + 1, width), np.int64)
+        np.add.at(m, (rows, types), 1)
+        return m.T @ m
+
+    first, second = np.triu_indices(s, 1)
+    start, tri = tc.on
+    p, col = np.nonzero(eid >= 0)
+    ids = eid[p, col]
+    d = tc.edge_d[ids]
+    i = np.repeat(np.arange(len(ids)), d)
+    pos = np.arange(len(i)) + np.repeat(start[ids] - np.cumsum(d) + d, d)
+    p, col, c = p[i], col[i], tri[pos]
+    x = tc.triangles[c].sum(1) - slots[p, first[col]] - slots[p, second[col]]
+    slot = np.argmax(slots[p] == x[:, None], 1)
+    inside = slots[p, slot] == x
+    keep = (c != own[p, 0]) & (c != own[p, 1]) & (~inside | (slot > second[col]))
+    p, x, inside = p[keep], x[keep], inside[keep]
+    types = (1 << first[col[keep]]) | (1 << second[col[keep]]) | np.where(inside, 1 << slot[keep], 0)
+    total = np.bincount(types, minlength=width)
+    every = gram(p, types)
+    out = ~inside
+    joint = p[out] * (int(x[out].max(initial=0)) + 1) + x[out]
+    order = np.argsort(joint, kind="stable")
+    joint = joint[order]
+    rows = np.zeros(len(joint), np.int64)
+    rows[1:] = np.cumsum(joint[1:] != joint[:-1])
+    shared = gram(rows, types[out][order])
+    cells = np.stack([every - shared, shared])
+    cells[0] -= np.diag(np.bincount(types[inside], minlength=width))
+    cells[1] -= np.diag(np.bincount(types[out], minlength=width))
+    return total, cells

@@ -17,7 +17,7 @@ from brute import (
     brute_weighted_c4,
     relabeled,
 )
-from helpers import degrees, has_edge
+from helpers import degrees, discovery_corpus, has_edge
 from monoclt import census, cli, sim
 from monoclt.census import (
     TriangleCensus,
@@ -243,6 +243,30 @@ def test_score_order_regression_bound():
         s_val = s_statistic(tc, score_ordering(tc))
         denom = (pc.n1 + pc.n2) ** 1.5 * (1 + pc.n4) ** 0.25
         assert s_val / denom < 10.0
+
+
+def _relabelled_gnp():
+    perm = list(range(60))
+    random.Random(5).shuffle(perm)
+    return relabeled(gnp(60, 0.3, 1), perm)
+
+
+@pytest.mark.parametrize("g", discovery_corpus() + [pytest.param(_relabelled_gnp(), id="gnp60_relabelled")])
+def test_thirds_list_each_edges_triangles_by_ascending_third_vertex(g):
+    # the keys e * n + x of the triangles on each edge e, with x their third
+    # vertex, are ascending as on lists them: lexicographic triangle order
+    # lists the triangles on an edge by ascending third vertex, unsorted
+    tc = triangle_census(g)
+    edge = {key: e for e, key in enumerate(tc.edge_keys.tolist())}
+    want = sorted(edge[u * g.n + v] * g.n + sum(t) - u - v for t in brute_triangles(g)
+                  for u, v in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])))
+    assert tc.thirds.tolist() == want
+    # position i lists the triangle tc.on[1][i], on edge thirds[i] // n
+    e, x = np.divmod(tc.thirds, g.n)
+    assert e.tolist() == np.repeat(np.arange(len(tc.edge_d)), tc.edge_d).tolist()
+    rows = tc.triangles[tc.on[1]]
+    for v in (*np.divmod(tc.edge_keys[e], g.n), x):
+        assert (rows == v[:, None]).any(1).all()
 
 
 def _census_outputs(g):

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from brute import (brute_class_key, brute_cycle_sets, brute_discover_classes, brute_t3_third_central_moment,
-                   relabeled)
+from brute import (brute_class_key, brute_count_chunk, brute_cycle_sets, brute_discover_classes,
+                   brute_t3_third_central_moment, relabeled)
+from helpers import UNION, discovery_corpus
 from monoclt import census, fourthmoment
 from monoclt.census import PyramidCounts, index_triangles, pyramid_counts, triangle_census
 from monoclt.errors import BudgetExceededError, NoTrianglesError
@@ -20,7 +21,7 @@ from monoclt.fourthmoment import (
     key_representative,
     pyramid_class_coefficient,
 )
-from monoclt.graph import FamilySpec, bipyramid_chain, complete, disjoint_union, generate, gnp, pyramid
+from monoclt.graph import FamilySpec, bipyramid_chain, complete, generate, gnp, pyramid
 from monoclt.moments import cumulant_coefficient, t2_mean_var, t2_moments, t3_mean_var
 from monoclt.ratpoly import evaluate
 from monoclt.sim import exact_distribution
@@ -333,32 +334,11 @@ def k9_brute():
     return brute_discover_classes(triangle_census(complete(9)).triangles)
 
 
-UNION = disjoint_union(complete(6), pyramid(5), bipyramid_chain(6))
-
-
-def _discovery_corpus():
-    graphs = [(f"K{n}", complete(n)) for n in (7, 8)]
-    graphs += [(f"composite{n}", generate(FamilySpec("composite", n=n, c=2))) for n in range(6, 13)]
-    graphs += [("composite6_c3", generate(FamilySpec("composite", n=6, c=3)))]
-    graphs += [(f"gnp16_seed{s}", gnp(16, 0.45, s)) for s in range(3)]
-    graphs += [(f"gnp18_seed{s}", gnp(18, 0.45, s)) for s in (0, 2, 3)]
-    graphs += [(f"gnp14_p0.6_seed{s}", gnp(14, 0.6, s)) for s in range(3)]
-    graphs += [("pyramid30", pyramid(30)), ("bipyramid_chain20", bipyramid_chain(20))]
-    graphs += [("union_K6_pyramid5_chain6", UNION)]
-    rng = random.Random(11)
-    relabelled = []
-    for name, g in graphs:
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        relabelled.append((f"{name}_relabelled", relabeled(g, perm)))
-    return [pytest.param(g, id=name) for name, g in graphs + relabelled]
-
-
 # the walk over every connected set, once per triangle list for the tests below
 _walk = functools.lru_cache(maxsize=None)(brute_discover_classes)
 
 
-@pytest.mark.parametrize("g", _discovery_corpus())
+@pytest.mark.parametrize("g", discovery_corpus())
 def test_discovery_matches_visiting_every_configuration(g):
     tc = triangle_census(g)
     disc = discover_classes(tc)
@@ -374,7 +354,7 @@ def _levels(counts) -> list[int]:
     return levels
 
 
-@pytest.mark.parametrize("g", _discovery_corpus())
+@pytest.mark.parametrize("g", discovery_corpus())
 def test_connected_sets_per_level_match_the_walk(g):
     # discovery keys every single triangle and every pair on an edge, and
     # of each larger size no more sets than the walk finds connected
@@ -403,7 +383,7 @@ def _rows_read(monkeypatch) -> list[int]:
     return rows
 
 
-@pytest.mark.parametrize("g", _discovery_corpus() + [pytest.param(complete(9), id="K9"),
+@pytest.mark.parametrize("g", discovery_corpus() + [pytest.param(complete(9), id="K9"),
                                                      pytest.param(gnp(60, 0.3, 1), id="gnp60")])
 def test_budget_bounds_the_rows_the_passes_read(g, monkeypatch):
     tc = triangle_census(g)
@@ -691,3 +671,25 @@ def test_decomposition_json_schema():
         int(entry["count"])
         for coef in entry["coefficient"]:
             int(coef)
+
+
+# a triangle cut in four without its centre 345: the edges 34, 35 and 45
+# carry triangles, but the triple 345 is not one
+TRIFORCE = index_triangles([(0, 3, 5), (1, 3, 4), (2, 4, 5)])
+
+
+@pytest.mark.parametrize("chunk", [1, fourthmoment._CHUNK], ids=["one_pair", "default"])
+@pytest.mark.parametrize("g", discovery_corpus() + [
+    pytest.param(g, id=name) for name, g in (
+        ("K9", complete(9)), ("K12", complete(12)), ("pyramid100", pyramid(100)),
+        ("bipyramid_chain60", bipyramid_chain(60)), ("gnp30", gnp(30, 0.4, 2)), ("triforce", TRIFORCE))
+])
+def test_cells_equal_the_row_reference(g, chunk, monkeypatch):
+    # the cells from per-pair counts, against those from typing every row
+    # on the slot edges, at one pair per pass and at the default bound
+    tc = g if isinstance(g, census.TriangleCensus) else triangle_census(g)
+    monkeypatch.setattr(fourthmoment, "_CHUNK", chunk)
+    got = fourthmoment._cells(tc)
+    monkeypatch.setattr(fourthmoment, "_count_chunk", brute_count_chunk)
+    want = fourthmoment._cells(tc)
+    assert [a.tolist() for sh in (1, 2) for a in got[sh]] == [a.tolist() for sh in (1, 2) for a in want[sh]]
