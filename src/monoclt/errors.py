@@ -39,7 +39,8 @@ class NoEdgesError(MonocltError):
 
 
 class BudgetExceededError(MonocltError):
-    """Connected configuration enumeration exceeded the configured cap."""
+    """W, the closed-form bound on the rows class discovery reads, is
+    past the budget."""
 
 
 class TooLargeError(MonocltError):

@@ -218,8 +218,10 @@ _CYCLE7 = class_key([(0, 1, 4), (1, 2, 5), (2, 3, 6), (3, 0, 6)])
 
 
 def _pairs(tc: TriangleCensus):
-    """The connected pairs a < b of triangles, as arrays a and b, a run of
-    triangles a at a time."""
+    """The connected pairs a < b of triangles, a run of triangles a at a
+    time, as (sh, slots) for the pairs sharing sh = 1 and 2 vertices: the
+    rows of slots are their a-only vertices, then their b-only ones, then
+    the shared ones (see _cell_key)."""
     tv = tc.triangles
     start, count, tri = tc.at
     for lo, hi in _runs(count[tv].sum(1), _CHUNK):
@@ -229,7 +231,15 @@ def _pairs(tc: TriangleCensus):
         a_in_b = (tv[a][:, :, None] == tv[b][:, None, :]).any(2)
         # each pair once, at the first vertex of a that b contains
         keep = (b > a) & (a_in_b.argmax(1) == i % 3)
-        yield a[keep], b[keep]
+        va, vb, a_in_b = tv[a[keep]], tv[b[keep]], a_in_b[keep]
+        b_in_a = (vb[:, :, None] == va[:, None, :]).any(2)
+        # sorted stably by the masks, a's and b's vertices fall in the order
+        # a-only, b-only, shared in a, shared in b; the last are cut
+        order = np.argsort(np.hstack([a_in_b, b_in_a]), 1, kind="stable")
+        slots = np.take_along_axis(np.hstack([va, vb]), order, 1)
+        share = a_in_b.sum(1)
+        for sh in (1, 2):
+            yield sh, slots[share == sh, :6 - sh]
 
 
 def _gram(rows: np.ndarray, types: np.ndarray, width: int) -> np.ndarray:
@@ -244,35 +254,20 @@ def _gram(rows: np.ndarray, types: np.ndarray, width: int) -> np.ndarray:
     return gram
 
 
-def _slots(tv: np.ndarray, own: np.ndarray, sh: int) -> np.ndarray:
-    """The slots of each pair (a, b) sharing sh vertices: its a-only
-    vertices, then its b-only ones, then the shared ones (see _cell_key)."""
-    va, vb = tv[own[:, 0]], tv[own[:, 1]]
-    a_in_b = (va[:, :, None] == vb[:, None, :]).any(2)
-    b_in_a = (vb[:, :, None] == va[:, None, :]).any(2)
-    return np.hstack([va[~a_in_b].reshape(-1, 3 - sh), vb[~b_in_a].reshape(-1, 3 - sh),
-                      va[a_in_b].reshape(-1, sh)])
-
-
 def _cells(tc: TriangleCensus) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """The cells of the connected pairs, summed over them by the number of
     vertices they share: third triangles by type, and ordered pairs of
     them by (k, t1, t2). A run of pairs at a time finds the edges between
     their slots, then runs of pairs whose slot edges carry at most _CHUNK
     triangles are counted."""
-    tv = tc.triangles
     cells = {sh: (np.zeros(1 << 6 - sh, np.int64), np.zeros((2, 1 << 6 - sh, 1 << 6 - sh), np.int64))
              for sh in (1, 2)}
-    for a, b in _pairs(tc):
-        share = (tv[a][:, :, None] == tv[b][:, None, :]).any(2).sum(1)
-        for sh, (third, fourth) in cells.items():
-            own = np.stack([a[share == sh], b[share == sh]], 1)
-            slots = _slots(tv, own, sh)
-            first, second = np.triu_indices(6 - sh, 1)
-            eid = tc.edge_ids(slots[:, first], slots[:, second])
-            for p, q in _runs(np.where(eid < 0, 0, tc.edge_d[eid]).sum(1), _CHUNK):
-                for acc, got in zip((third, fourth), _count_chunk(tc, slots[p:q], own[p:q], eid[p:q])):
-                    acc += got
+    for sh, slots in _pairs(tc):
+        first, second = np.triu_indices(6 - sh, 1)
+        eid = tc.edge_ids(slots[:, first], slots[:, second])
+        for p, q in _runs(np.where(eid < 0, 0, tc.edge_d[eid]).sum(1), _CHUNK):
+            for acc, got in zip(cells[sh], _count_chunk(tc, slots[p:q], eid[p:q])):
+                acc += got
     return cells
 
 
@@ -296,16 +291,15 @@ def _layout(s: int) -> tuple[np.ndarray, ...]:
     return types, kinds, sides, on_side * 1.0, trip[:, 2], other, t * sides.size + u, side[t] << s | side[u]
 
 
-def _count_chunk(tc: TriangleCensus, slots: np.ndarray, own: np.ndarray,
-                 eid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cells of one run of pairs with the same overlap (own, their
-    triangles, is unread), given the ids of the edges between their slots
-    (eid, a column per two slots, -1 where none): candidates by type, and
-    ordered pairs of distinct candidates by (k, t1, t2). Listed slot
-    triples but a and b are candidates inside U(P), edge_d less them those
-    outside, and H^T H of these counts H gives the cells but k = 1 and
-    c = w. Only k = 1 reads rows, by (pair, third vertex x), on the slot
-    edges with outside candidates of pairs with two such edges."""
+def _count_chunk(tc: TriangleCensus, slots: np.ndarray, eid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of one run of pairs with the same overlap, given the ids
+    of the edges between their slots (eid, a column per two slots, -1
+    where none): candidates by type, and ordered pairs of distinct
+    candidates by (k, t1, t2). Listed slot triples but a and b are
+    candidates inside U(P), edge_d less them those outside, and H^T H of
+    these counts H gives the cells but k = 1 and c = w. Only k = 1 reads
+    rows, by (pair, third vertex x), on the slot edges with outside
+    candidates of pairs with two such edges."""
     width = 1 << slots.shape[1]
     types, kinds, sides, on_side, third, other, at, to = _layout(slots.shape[1])
     # look up the slot triples but a and b whose three edges carry triangles
@@ -368,10 +362,9 @@ def _injective(size: np.ndarray, masks: Sequence[int]) -> np.ndarray:
     return total
 
 
-def _cycle_counts(tc: TriangleCensus, thirds: np.ndarray, e: np.ndarray) -> tuple[int, int]:
+def _cycle_counts(tc: TriangleCensus, e: np.ndarray) -> tuple[int, int]:
     """Sets of _CYCLE8, and twice those of _CYCLE7, on the 4-cycles whose
-    edges as, sb, bt and ta are the rows of edge ids e, given the ascending
-    keys e * n + x of every edge e of a triangle and its third vertex x.
+    edges as, sb, bt and ta are the rows of edge ids e.
 
     X_1..X_4 are the third vertices of the triangles on as, sb, bt and ta,
     less a, s, b and t. Each vertex of their union is taken from the
@@ -380,7 +373,7 @@ def _cycle_counts(tc: TriangleCensus, thirds: np.ndarray, e: np.ndarray) -> tupl
     c = len(e)
     # the cycle's vertices are the ends of its edges as and bt
     cycle = np.hstack(np.divmod(tc.edge_keys[e[:, [0, 2]]], tc.n))
-    start = tc.on[0]
+    start, thirds = tc.on[0], tc.thirds
     tally = []
     for i in range(4):
         k, pos = _expand(start[e[:, i]], tc.edge_d[e[:, i]])
@@ -428,7 +421,7 @@ def _contact_cycles(tc: TriangleCensus) -> tuple[int, int]:
         for p, q in _runs(later * half + cum[end] - cum[1:], _CHUNK):
             j, other = _expand(np.arange(p, q) + 1, later[p:q])
             j += p
-            got = _cycle_counts(tc, tc.thirds, np.stack([tm[j], mw[j], mw[other], tm[other]], 1))
+            got = _cycle_counts(tc, np.stack([tm[j], mw[j], mw[other], tm[other]], 1))
             eight += got[0]
             twice_seven += got[1]
     assert twice_seven % 2 == 0

@@ -325,10 +325,7 @@ def composite_chain_length(n: int, c: int) -> int:
             f"composite family undefined for c={c}: 4-pyramid coefficient {d4} is nonnegative"
         )
     target = 2 * (-d4) / h16 * math.comb(n, 4)  # n'^2 >= target, minimal
-    k = math.isqrt(target.numerator // target.denominator)
-    while k * k * target.denominator < target.numerator:
-        k += 1
-    return k
+    return math.isqrt(math.ceil(target) - 1) + 1
 
 
 def _check_seed(seed: int) -> int:

@@ -33,7 +33,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .census import TriangleCensus, pyramid_counts, triangle_census
+from .census import TriangleCensus, _rank, pyramid_counts, triangle_census
 from .errors import BadParamsError, TooLargeError
 from .graph import Graph, _check_seed
 from .moments import _check_colors, standard_normal_cdf, t2_mean_var, t3_mean_var
@@ -391,7 +391,7 @@ def exact_distribution(
     s = max((k for k in range(g.n) if c**k <= SUFFIX), default=0)
     j = g.n - s
     load = np.bincount(np.concatenate([g.edge_array.ravel(), tc.triangles.ravel()]), minlength=g.n)
-    rank = np.argsort(np.argsort(load, kind="stable"), kind="stable")  # least loaded first; labels move no mass
+    rank = _rank(load)  # least loaded first; labels move no mass
     edges, tris = rank[g.edge_array], rank[tc.triangles]
     stride = len(tris) + 1
     width = (len(edges) + 1) * stride

@@ -503,7 +503,7 @@ def brute_parse_edge_list(text: str) -> ParseResult:
     return ParseResult(graph, duplicates, tuple(ids))
 
 
-def brute_count_chunk(tc, slots, own, eid):
+def brute_count_chunk(tc, slots, eid):
     """The cells of fourthmoment._count_chunk from every row: each
     triangle on an edge between two slots, but a and b, is typed by the
     slots it holds, one inside U(P) once, at the edge between its lowest
@@ -511,6 +511,10 @@ def brute_count_chunk(tc, slots, own, eid):
     from that of the rows outside U(P) by (pair, outside vertex)."""
     s = slots.shape[1]
     width = 1 << s
+    # a is its a-only slots and the shared ones, b its b-only slots and the shared ones
+    only = s - 3
+    a_tri = np.sort(np.hstack([slots[:, :only], slots[:, 2 * only:]]), 1)
+    b_tri = np.sort(slots[:, only:], 1)
 
     def gram(rows, types):
         m = np.zeros((int(rows.max(initial=-1)) + 1, width), np.int64)
@@ -528,7 +532,8 @@ def brute_count_chunk(tc, slots, own, eid):
     x = tc.triangles[c].sum(1) - slots[p, first[col]] - slots[p, second[col]]
     slot = np.argmax(slots[p] == x[:, None], 1)
     inside = slots[p, slot] == x
-    keep = (c != own[p, 0]) & (c != own[p, 1]) & (~inside | (slot > second[col]))
+    row = np.sort(tc.triangles[c], 1)
+    keep = ~(row == a_tri[p]).all(1) & ~(row == b_tri[p]).all(1) & (~inside | (slot > second[col]))
     p, x, inside = p[keep], x[keep], inside[keep]
     types = (1 << first[col[keep]]) | (1 << second[col[keep]]) | np.where(inside, 1 << slot[keep], 0)
     total = np.bincount(types, minlength=width)

@@ -370,13 +370,13 @@ def _rows_read(monkeypatch) -> list[int]:
     rows = [0]
     count_chunk, cycle_counts = fourthmoment._count_chunk, fourthmoment._cycle_counts
 
-    def chunk(tc, slots, own, eid):
+    def chunk(tc, slots, eid):
         rows[0] += int(np.where(eid < 0, 0, tc.edge_d[eid]).sum())
-        return count_chunk(tc, slots, own, eid)
+        return count_chunk(tc, slots, eid)
 
-    def cycles(tc, thirds, e):
+    def cycles(tc, e):
         rows[0] += int(tc.edge_d[e].sum())
-        return cycle_counts(tc, thirds, e)
+        return cycle_counts(tc, e)
 
     monkeypatch.setattr(fourthmoment, "_count_chunk", chunk)
     monkeypatch.setattr(fourthmoment, "_cycle_counts", cycles)
@@ -676,6 +676,24 @@ def test_decomposition_json_schema():
 # a triangle cut in four without its centre 345: the edges 34, 35 and 45
 # carry triangles, but the triple 345 is not one
 TRIFORCE = index_triangles([(0, 3, 5), (1, 3, 4), (2, 4, 5)])
+
+
+@pytest.mark.parametrize("chunk", [1, fourthmoment._CHUNK], ids=["one_run", "default"])
+@pytest.mark.parametrize("g", discovery_corpus() + [
+    pytest.param(complete(9), id="K9"),
+    pytest.param(relabeled(gnp(30, 0.4, 2), random.Random(5).sample(range(30), 30)), id="gnp30_relabelled")])
+def test_pairs_yield_each_connected_pair_once_with_its_slots(g, chunk, monkeypatch):
+    # every connected pair a < b of triangles once, its slots the sets a - b,
+    # b - a and a & b in that order, against a listing of all pairs
+    tc = triangle_census(g)
+    monkeypatch.setattr(fourthmoment, "_CHUNK", chunk)
+    got = []
+    for sh, slots in fourthmoment._pairs(tc):
+        assert slots.shape[1] == 6 - sh
+        got += [(sorted(r[:3 - sh]), sorted(r[3 - sh:6 - 2 * sh]), sorted(r[6 - 2 * sh:])) for r in slots.tolist()]
+    tris = [set(t) for t in tc.triangles.tolist()]
+    want = [(sorted(a - b), sorted(b - a), sorted(a & b)) for a, b in itertools.combinations(tris, 2) if a & b]
+    assert sorted(got) == sorted(want)
 
 
 @pytest.mark.parametrize("chunk", [1, fourthmoment._CHUNK], ids=["one_pair", "default"])
