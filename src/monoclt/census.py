@@ -195,15 +195,22 @@ def triangle_census(g: Graph) -> TriangleCensus:
 
 def index_triangles(rows, n: int | None = None) -> TriangleCensus:
     """The census of the triangles given as rows of three distinct
-    vertices below n (by default, one more than the largest)."""
+    vertices below n (by default, one more than the largest), each
+    triangle once in any vertex order; any other row is a ValueError."""
     rows = np.asarray(rows, np.int64).reshape(-1, 3)
     n = int(rows.max(initial=-1)) + 1 if n is None else n
     low, high = rows.min(1), rows.max(1)
     mid = rows.sum(1) - low - high
+    if n * n >= 1 << 63:  # so that every edge key u * n + v fits in int64
+        raise ValueError(f"vertex count {n} is over 3 * 10^9")
+    if not (low.min(initial=0) >= 0 and high.max(initial=-1) < n and np.all((low < mid) & (mid < high))):
+        raise ValueError(f"a triangle is not three distinct vertices in [0, {n})")
     # lexicographic order: by the last vertex, then stably by the first two
     order = high.argsort(kind="stable")
     order = order[(low[order] * n + mid[order]).argsort(kind="stable")]
     tv = np.stack([low, mid, high], 1)[order]
+    if (tv[1:] == tv[:-1]).all(1).any():
+        raise ValueError("a triangle is listed twice")
     return TriangleCensus(n, tv, *_edge_counts(tv, n))
 
 

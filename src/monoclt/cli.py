@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from contextlib import ExitStack
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional
 
@@ -231,9 +232,8 @@ def _simulate(args, graph):
             for stat in ("T2", "T3")
             if args.raw_out and cfg.statistic in (stat, "both")
         }
-        report = sample_statistics(graph, cfg, threads=args.threads, raw_sinks=raw_sinks or None)
-    out = report.to_json_dict()
-    return out["config"], out["results"]
+        summaries = sample_statistics(graph, cfg, threads=args.threads, raw_sinks=raw_sinks or None)
+    return asdict(cfg), [s.to_json_dict() for s in summaries.values()]
 
 
 # every graph command: name -> (help, whether --c is required, the
@@ -375,7 +375,7 @@ def _verify() -> int:
         pc = pyramid_counts(tc)
         c4 = count_c4(g)
         for c in (2, 3):
-            dist = exact_distribution(g, c, tc=tc)
+            dist = exact_distribution(g, c)
             mu2, v2, _ = dist.moments("T2")
             rep2 = t2_moments(g.edge_count, pc.n1, c4, c)
             if (mu2, v2) != (rep2.mean, rep2.variance) or dist.excess4("T2") != rep2.excess4:

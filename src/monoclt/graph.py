@@ -88,13 +88,18 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         if n * n >= 1 << 63:  # so that every edge key u * n + v fits in int64
             raise ValueError(f"vertex count {n} is over 3 * 10^9")
-        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), np.int64)
+        # ids are checked as given, so that none is truncated or wrapped into range
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         e = e.reshape(len(e), 2)
-        bad = np.flatnonzero((e[:, 0] == e[:, 1]) | (e.min(1) < 0) | (e.max(1) >= n))
+        with np.errstate(invalid="ignore"):  # inf % 1 is nan: not an integer either
+            frac = e.dtype.kind not in "biu" and (e % 1 != 0).any(1)
+        bad = np.flatnonzero(frac | (e[:, 0] == e[:, 1]) | (e.min(1) < 0) | (e.max(1) >= n))
         if len(bad):
             u, v = e[bad[0]].tolist()
+            if u % 1 or v % 1:
+                raise ValueError(f"edge ({u}, {v}) has a vertex id that is not an integer")
             raise ValueError(f"self-loop at vertex {u}" if u == v else f"edge ({u}, {v}) out of range for n={n}")
-        return cls(n, _canonical(n, e)[0])
+        return cls(n, _canonical(n, e.astype(np.int64, copy=False))[0])
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:

@@ -27,13 +27,13 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .census import TriangleCensus, _rank, pyramid_counts, triangle_census
+from .census import _rank, pyramid_counts, triangle_census
 from .errors import BadParamsError, TooLargeError
 from .graph import Graph, _check_seed
 from .moments import _check_colors, standard_normal_cdf, t2_mean_var, t3_mean_var
@@ -103,21 +103,6 @@ class StatisticSummary:
         if self.atoms:
             out["atoms"] = [{"location": a.location, "mass": a.mass} for a in self.atoms]
         return out
-
-
-@dataclass(frozen=True)
-class SimReport:
-    config: SimConfig
-    summaries: tuple[StatisticSummary, ...]
-
-    def summary(self, statistic: str) -> StatisticSummary:
-        for s in self.summaries:
-            if s.statistic == statistic:
-                return s
-        raise KeyError(statistic)
-
-    def to_json_dict(self) -> dict:
-        return {"config": asdict(self.config), "results": [s.to_json_dict() for s in self.summaries]}
 
 
 # ---------------------------------------------------------------------------
@@ -222,21 +207,19 @@ def _draw_block(seed: int, block: int, c: int, n: int, size: int) -> np.ndarray:
 
 
 def sample_statistics(
-    g: Graph,
-    cfg: SimConfig,
-    tc: Optional[TriangleCensus] = None,
-    threads: Optional[int] = None,
-    raw_sinks: Optional[dict] = None,
-) -> SimReport:
-    """Sample uniformly random colorings and tabulate the statistics.
+    g: Graph, cfg: SimConfig, threads: Optional[int] = None, raw_sinks: Optional[dict] = None
+) -> dict[str, StatisticSummary]:
+    """Sample uniformly random colorings and summarize each statistic the
+    configuration asks for, keyed "T2" then "T3".
 
-    Identical (seed, replications) give identical reports regardless of
+    Identical (seed, replications) give identical summaries regardless of
     thread count: block b of 1024 replications always draws from the
-    stream keyed (seed, b), and value counts are summed in block order.
-    _draw_block writes each block vertex-major (a row per vertex) from
-    that stream, piece by piece, so working memory is bounded by the
-    block, a piece and a 255-clique slab, not by the triangle count, and
-    no finished block is kept.
+    stream keyed (seed, b), and blocks are folded in block order. A block
+    yields only its per-replication values; the fold adds their value
+    counts to one table per statistic. _draw_block writes each block
+    vertex-major (a row per vertex) from that stream, piece by piece, so
+    working memory is bounded by the block, a piece and a 255-clique
+    slab, not by the triangle count, and no finished block is kept.
 
     raw_sinks optionally maps a statistic name ("T2"/"T3") to a writable
     binary stream; per-replication values are then written to it as
@@ -247,34 +230,30 @@ def sample_statistics(
     if cfg.statistic in ("T2", "both"):
         cliques["T2"] = g.edge_array
     if cfg.statistic in ("T3", "both"):
-        if tc is None:
-            tc = triangle_census(g)
+        tc = triangle_census(g)
         cliques["T3"] = tc.triangles
 
     def run_block(b: int) -> dict:
         ct = _draw_block(cfg.seed, b, cfg.c, g.n, min(BLOCK, cfg.replications - b * BLOCK))
-        out = {}
-        for name, k in cliques.items():
-            values = _mono_counts(ct, k, SLAB)
-            out[name] = (np.bincount(values, minlength=len(k) + 1), values)
-        return out
+        return {name: _mono_counts(ct, k, SLAB) for name, k in cliques.items()}
 
     counts = {name: np.zeros(len(k) + 1, dtype=np.int64) for name, k in cliques.items()}
     for out in _map_blocks(run_block, range(-(-cfg.replications // BLOCK)), threads):
-        for name, (tally, values) in out.items():  # block order == replication order
-            counts[name] += tally
+        for name, values in out.items():  # block order == replication order
+            tally = np.bincount(values)
+            counts[name][: len(tally)] += tally
             if raw_sinks.get(name) is not None:
                 raw_sinks[name].write(values.astype("<i8").tobytes())
 
-    summaries = []
+    summaries = {}
     for name, k in cliques.items():
         model = None
         if len(k) and name == "T2":
             model = t2_mean_var(g.edge_count, cfg.c)
         elif len(k):
             model = t3_mean_var(pyramid_counts(tc), cfg.c)
-        summaries.append(_summarize(name, counts[name], cfg, model))
-    return SimReport(config=cfg, summaries=tuple(summaries))
+        summaries[name] = _summarize(name, counts[name], cfg, model)
+    return summaries
 
 
 def _summarize(name: str, counts: np.ndarray, cfg: SimConfig, model) -> StatisticSummary:
@@ -363,11 +342,7 @@ def _marginal(joint: dict, index: int) -> dict[int, Fraction]:
 
 
 def exact_distribution(
-    g: Graph,
-    c: int,
-    cap: int = DEFAULT_ENUM_CAP,
-    threads: Optional[int] = None,
-    tc: Optional[TriangleCensus] = None,
+    g: Graph, c: int, cap: int = DEFAULT_ENUM_CAP, threads: Optional[int] = None
 ) -> ExactDistribution:
     """Joint pmf of (T2, T3) over all c^n colorings, up to colour permutation.
 
@@ -386,13 +361,12 @@ def exact_distribution(
     total = c**g.n
     if total > cap:
         raise TooLargeError(f"enumeration size {total} exceeds cap {cap}")
-    if tc is None:
-        tc = triangle_census(g)
+    tris = triangle_census(g).triangles
     s = max((k for k in range(g.n) if c**k <= SUFFIX), default=0)
     j = g.n - s
-    load = np.bincount(np.concatenate([g.edge_array.ravel(), tc.triangles.ravel()]), minlength=g.n)
+    load = np.bincount(np.concatenate([g.edge_array.ravel(), tris.ravel()]), minlength=g.n)
     rank = _rank(load)  # least loaded first; labels move no mass
-    edges, tris = rank[g.edge_array], rank[tc.triangles]
+    edges, tris = rank[g.edge_array], rank[tris]
     stride = len(tris) + 1
     width = (len(edges) + 1) * stride
     slab = max(1, min(SLAB, 2**16 // c**s))

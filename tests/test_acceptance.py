@@ -72,7 +72,7 @@ def test_criterion_1_exact_moment_oracle_equality(small_corpus):
         tc = triangle_census(g)
         pc = pyramid_counts(tc)
         for c in (2, 3, 5):
-            dist = exact_distribution(g, c, tc=tc, threads=THREADS)
+            dist = exact_distribution(g, c, threads=THREADS)
             mu2, v2, _ = dist.moments("T2")
             rep2 = t2_moments(*t2_inputs(g), c)
             assert (rep2.mean, rep2.variance) == (mu2, v2), (name, c)
@@ -102,7 +102,7 @@ def test_criterion_2_fourth_moment_oracle_equality(small_corpus):
             if c**g.n > cap:
                 continue
             dec = fourth_moment_exact(tc, c)
-            dist = exact_distribution(g, c, tc=tc, threads=THREADS)
+            dist = exact_distribution(g, c, threads=THREADS)
             assert dec.excess4 == dist.excess4("T3"), (name, c)
             checked += 1
     spots = {
@@ -168,10 +168,9 @@ def composite_runs():
         tc = triangle_census(g)
         dec = fourth_moment_exact(tc, 2)
         rep = sample_statistics(
-            g, SimConfig(c=2, replications=100_000, seed=11, statistic="T3"), tc=tc,
-            threads=THREADS,
+            g, SimConfig(c=2, replications=100_000, seed=11, statistic="T3"), threads=THREADS
         )
-        runs[n] = (n_chain, dec.excess4, rep.summary("T3"))
+        runs[n] = (n_chain, dec.excess4, rep["T3"])
     return runs
 
 
@@ -241,7 +240,7 @@ def test_criterion_6_pyramid_limit_law():
         SimConfig(c=c, replications=reps, seed=6, statistic="T3", atom_gap=gap),
         threads=THREADS,
     )
-    atoms = rep.summary("T3").atoms
+    atoms = rep["T3"].atoms
     law = limit_law_reference("pyramid", c)
     scaled = sorted(((a.location - n / c**2) / n, a.mass) for a in atoms)
     targets = [(float(loc), float(mass)) for loc, mass in law.atoms]
@@ -265,7 +264,7 @@ def test_criterion_7_bipyramid_limit_law():
     rep = sample_statistics(
         g, SimConfig(c=c, replications=reps, seed=7, statistic="T3"), threads=THREADS
     )
-    s = rep.summary("T3")
+    s = rep["T3"]
     law = limit_law_reference("bipyramid_chain", c)
     var_scaled = float(s.variance) / n
     target = float(law.total_variance)
@@ -291,7 +290,7 @@ def test_criterion_8_normal_regime_gnp60():
     rep = sample_statistics(
         g, SimConfig(c=3, replications=100_000, seed=8, statistic="T3"), threads=THREADS
     )
-    s = rep.summary("T3")
+    s = rep["T3"]
     mean = len(brute_triangles(g)) * Fraction(1, 9)
     variance = brute_t3_variance(g, 3)
     assert (s.model_mean, s.model_variance) == (mean, variance)
@@ -315,12 +314,12 @@ def test_criterion_8_normal_regime_edges_and_bounds():
     r2 = sample_statistics(
         g2, SimConfig(c=2, replications=100_000, seed=9, statistic="T2"), threads=THREADS
     )
-    ks2 = r2.summary("T2").ks_normal
+    ks2 = r2["T2"].ks_normal
     g3 = star(5000)
     r3 = sample_statistics(
         g3, SimConfig(c=2, replications=100_000, seed=10, statistic="T2"), threads=THREADS
     )
-    ks3 = r3.summary("T2").ks_normal
+    ks3 = r3["T2"].ks_normal
 
     g = pyramid(10)
     tc = triangle_census(g)

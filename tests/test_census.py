@@ -23,6 +23,7 @@ from monoclt.census import (
     TriangleCensus,
     b_statistic,
     count_c4,
+    index_triangles,
     pyramid_counts,
     s_statistic,
     score_ordering,
@@ -339,6 +340,22 @@ def test_census_of_a_graph_without_edges():
         tc = triangle_census(g)
         assert tc.triangles.shape == (0, 3) and len(tc.edge_keys) == len(tc.edge_d) == 0
         assert _census_outputs(g)[3:] == ((0, 0, 0, 0), 0, 0, list(range(g.n)), 0)
+
+
+@pytest.mark.parametrize("rows, n", [
+    pytest.param([[0, 1, 2], [0, 1, 2]], None, id="listed_twice"),
+    pytest.param([[0, 1, 2], [2, 1, 0]], None, id="listed_twice_reordered"),
+    pytest.param([[0, 1, 1]], None, id="repeated_vertex"),
+    pytest.param([[0, 1, 5]], 3, id="vertex_past_n"),
+    pytest.param([[-1, 0, 1]], None, id="negative_vertex"),
+    pytest.param([[0, 2**40, 2**40 + 1]], None, id="keys_past_int64"),
+])
+def test_index_refuses_rows_that_are_not_distinct_triangles(rows, n):
+    # each of these once indexed to a census with wrong edge counts (K3
+    # listed twice had edge_d [2, 2, 2]) or with keys past n, below 0 or
+    # wrapped past 2^63
+    with pytest.raises(ValueError):
+        index_triangles(rows, n)
 
 
 def _keys(n, edges):

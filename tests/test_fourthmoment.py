@@ -279,7 +279,7 @@ def test_fourth_moment_matches_enumeration(small_corpus):
             if c**g.n > 10**7:
                 continue
             dec = fourth_moment_exact(tc, c)
-            dist = exact_distribution(g, c, tc=tc)
+            dist = exact_distribution(g, c)
             assert dec.excess4 == dist.excess4("T3"), (name, c)
 
 

@@ -154,6 +154,21 @@ def test_from_edges_validation():
         Graph.from_edges(2**32, [(0, 1)])
 
 
+@pytest.mark.parametrize("edges", [
+    [(0.5, 1)], [(0, 1.9)], [(float("nan"), 1)], [(0, float("inf"))],  # not integers
+    [(2**63, 1)], [(0, 2**64)], np.array([[2**64 - 1, 1]], np.uint64),  # past int64, not wrapped
+])
+def test_from_edges_refuses_ids_it_would_truncate_or_wrap(edges):
+    with pytest.raises(ValueError):
+        Graph.from_edges(3, edges)
+
+
+def test_from_edges_takes_whole_numbers_of_any_type():
+    want = Graph.from_edges(3, [(0, 2), (1, 2)])
+    for edges in ([(0.0, 2.0), (2.0, 1.0)], np.array([[2, 0], [1, 2]], np.uint8)):
+        assert Graph.from_edges(3, edges) == want
+
+
 def test_gnp_determinism_and_seed_sensitivity():
     a = gnp(50, 0.5, 123)
     b = gnp(50, 0.5, 123)

@@ -102,7 +102,7 @@ def test_exact_moments_match_closed_forms(small_corpus):
         tc = triangle_census(g)
         pc = pyramid_counts(tc)
         for c in (2, 3, 5):
-            dist = exact_distribution(g, c, tc=tc)
+            dist = exact_distribution(g, c)
             mu2, v2, m42 = dist.moments("T2")
             rep2 = t2_moments(*t2_inputs(g), c)
             assert (mu2, v2) == (rep2.mean, rep2.variance), (name, c)
@@ -115,13 +115,13 @@ def test_exact_moments_match_closed_forms(small_corpus):
 def test_sampler_determinism_same_seed():
     g = pyramid(20)
     cfg = SimConfig(c=2, replications=3000, seed=99)
-    assert sample_statistics(g, cfg).to_json_dict() == sample_statistics(g, cfg).to_json_dict()
+    assert sample_statistics(g, cfg) == sample_statistics(g, cfg)
 
 
 def test_sampler_thread_invariance():
     g = gnp(15, 0.4, 12)
     cfg = SimConfig(c=3, replications=5000, seed=5)
-    reports = [sample_statistics(g, cfg, threads=t).to_json_dict() for t in (None, 1, 4, 8)]
+    reports = [sample_statistics(g, cfg, threads=t) for t in (None, 1, 4, 8)]
     assert all(r == reports[0] for r in reports)
 
 
@@ -129,15 +129,15 @@ def test_sampler_seed_sensitivity():
     g = pyramid(20)
     a = sample_statistics(g, SimConfig(c=2, replications=2000, seed=1))
     b = sample_statistics(g, SimConfig(c=2, replications=2000, seed=2))
-    assert a.summary("T3").distribution != b.summary("T3").distribution
+    assert a["T3"].distribution != b["T3"].distribution
 
 
 def test_sampler_statistic_selection():
     g = complete(4)
     only_t2 = sample_statistics(g, SimConfig(c=2, replications=100, seed=0, statistic="T2"))
-    assert [s.statistic for s in only_t2.summaries] == ["T2"]
+    assert list(only_t2) == [s.statistic for s in only_t2.values()] == ["T2"]
     both = sample_statistics(g, SimConfig(c=2, replications=100, seed=0))
-    assert [s.statistic for s in both.summaries] == ["T2", "T3"]
+    assert list(both) == [s.statistic for s in both.values()] == ["T2", "T3"]
 
 
 def test_sampler_mean_within_four_standard_errors(small_corpus):
@@ -148,16 +148,16 @@ def test_sampler_mean_within_four_standard_errors(small_corpus):
         if pc.n1 == 0:
             continue
         cfg = SimConfig(c=3, replications=reps, seed=17, statistic="T3")
-        report = sample_statistics(g, cfg, tc=tc)
+        report = sample_statistics(g, cfg)
         model = t3_mean_var(pc, 3)
         se = math.sqrt(float(model.variance) / reps)
-        assert abs(float(report.summary("T3").mean) - float(model.mean)) < 4 * se, name
+        assert abs(float(report["T3"].mean) - float(model.mean)) < 4 * se, name
 
 
 def test_sampler_empirical_moments_are_exact_fractions():
     g = complete(4)
     report = sample_statistics(g, SimConfig(c=2, replications=1000, seed=3))
-    s = report.summary("T3")
+    s = report["T3"]
     values = []
     for v, n in s.distribution:
         values.extend([v] * n)
@@ -186,7 +186,7 @@ def test_atom_summary_single_cluster():
 def test_triangle_free_graph_t3_report():
     g = cycle(6)
     report = sample_statistics(g, SimConfig(c=2, replications=500, seed=8))
-    s = report.summary("T3")
+    s = report["T3"]
     assert s.distribution == ((0, 500),)
     assert s.ks_normal is None
 
@@ -194,7 +194,7 @@ def test_triangle_free_graph_t3_report():
 def test_report_distribution_invariants(small_corpus):
     for name, g in small_corpus[:4]:
         report = sample_statistics(g, SimConfig(c=2, replications=2000, seed=4))
-        for s in report.summaries:
+        for s in report.values():
             counts = [n for _, n in s.distribution]
             values = [v for v, _ in s.distribution]
             assert values == sorted(values)
@@ -215,7 +215,7 @@ def test_raw_sample_streaming():
         raw = np.frombuffer(sinks[stat].getvalue(), dtype="<i8")
         assert len(raw) == 3000
         counts = {v: int(n) for v, n in zip(*np.unique(raw, return_counts=True))}
-        assert counts == dict(report.summary(stat).distribution)
+        assert counts == dict(report[stat].distribution)
     # replication order is thread-invariant
     threaded = {"T3": io.BytesIO()}
     sample_statistics(g, cfg, threads=4, raw_sinks=threaded)
@@ -236,7 +236,7 @@ def _sample_bytes(g, threads):
     sinks = {"T2": io.BytesIO(), "T3": io.BytesIO()}
     cfg = SimConfig(c=3, replications=2500, seed=4)
     report = sample_statistics(g, cfg, threads=threads, raw_sinks=sinks)
-    return report.to_json_dict(), sinks["T2"].getvalue(), sinks["T3"].getvalue()
+    return report, sinks["T2"].getvalue(), sinks["T3"].getvalue()
 
 
 @pytest.mark.parametrize("slab", [1, 2])
@@ -290,7 +290,7 @@ def test_partial_uint16_block_across_slabs_is_thread_invariant():
     for threads in (1, 2):
         sinks = {"T2": io.BytesIO(), "T3": io.BytesIO()}
         report = sample_statistics(g, cfg, threads=threads, raw_sinks=sinks)
-        runs.append((report.to_json_dict(), sinks["T2"].getvalue(), sinks["T3"].getvalue()))
+        runs.append((report, sinks["T2"].getvalue(), sinks["T3"].getvalue()))
     assert runs[0] == runs[1]
     colors = np.concatenate([
         _block_rng(cfg.seed, b).integers(0, 300, size=(size, 13), dtype=np.uint16)
@@ -362,7 +362,7 @@ def test_exhaustive_oracle_memory_is_bounded_by_its_slabs():
     bound = g.n * columns + 4 * tally + 3 * 8 * columns + 3 * 2**16 + 2**16
     tracemalloc.start()
     try:
-        exact_distribution(g, 4, tc=tc)
+        exact_distribution(g, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -495,6 +495,35 @@ def test_draw_block_does_not_depend_on_its_bounds(monkeypatch, c):
     assert blocks(1, 1, shapes[3:]) == want[3:]
 
 
+@pytest.mark.parametrize("statistic", ["T2", "T3", "both"])
+def test_each_block_yields_only_its_values(monkeypatch, statistic):
+    # the value counts are the fold's: a finished block carries each
+    # requested statistic's int64 per-replication values and nothing else
+    g = gnp(8, 0.4, 1)
+    cfg = SimConfig(c=3, replications=2500, seed=4, statistic=statistic)
+    want = {"T2": g.edge_array, "T3": triangle_census(g).triangles}
+    if statistic != "both":
+        want = {statistic: want[statistic]}
+    blocks = []
+    map_blocks = sim._map_blocks
+
+    def recorded(fn, items, threads):
+        for out in map_blocks(fn, items, threads):
+            blocks.append(out)
+            yield out
+
+    monkeypatch.setattr(sim, "_map_blocks", recorded)
+    sample_statistics(g, cfg, threads=2)
+    assert len(blocks) == 3
+    for b, out in enumerate(blocks):
+        size = min(sim.BLOCK, cfg.replications - b * sim.BLOCK)
+        ct = _block_rng(cfg.seed, b).integers(0, cfg.c, size=(size, g.n), dtype=np.uint8).T
+        assert list(out) == list(want)
+        for name, values in out.items():
+            assert values.dtype == np.int64 and values.shape == (size,)
+            assert values.tolist() == _plain_counts(ct, want[name])
+
+
 class _NullSink:
     def write(self, data):
         return len(data)
@@ -502,17 +531,17 @@ class _NullSink:
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sampler_memory_does_not_grow_with_replications(threads):
-    # each block's value tables (436 + 4061 entries on K30) and raw values
-    # are folded in as the block finishes, so 64 blocks hold no more than 4
+    # each block yields only its per-replication values (1,024 of T2 and of
+    # T3), which are tallied and written as the block finishes, so 64
+    # blocks hold no more than 4
     g = complete(30)
-    tc = triangle_census(g)
     peaks = []
     for blocks in (4, 64):
         cfg = SimConfig(c=3, replications=blocks * sim.BLOCK, seed=6)
         tracemalloc.start()
         try:
             sinks = {"T2": _NullSink(), "T3": _NullSink()}
-            sample_statistics(g, cfg, tc=tc, threads=threads, raw_sinks=sinks)
+            sample_statistics(g, cfg, threads=threads, raw_sinks=sinks)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
