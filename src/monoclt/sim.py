@@ -2,12 +2,15 @@
 
 Both oracles count monochromatic edges and triangles with one kernel,
 _mono_counts, over vertex-major colour blocks (a row per vertex, a
-column per coloring) in slabs of SLAB = 255 cliques tallied in uint8,
-so working memory is bounded by slab and block, not by the triangle
-count. Sampling blocks run on one pool, _map_blocks, and are folded in
-order as they finish. Sampling keys a Philox generator by
-(seed, block index) over fixed-size replication blocks, so a (seed,
-replications) pair gives bit-identical results on any number of threads.
+column per coloring). It compares the two ends of each edge once, in
+chunks of up to SLAB = 255 edges grouped by apex, and a triangle is
+monochromatic when its two edges at its apex are: each chunk and each
+slab of up to 255 triangles is tallied in uint8, so working memory is
+bounded by slab and block, not by the triangle count. Sampling blocks
+run on one pool, _map_blocks, and are folded in order as they finish.
+Sampling keys a Philox generator by (seed, block index) over fixed-size
+replication blocks, so a (seed, replications) pair gives bit-identical
+results on any number of threads.
 _draw_block writes a block vertex-major in pieces, reducing the raw
 Philox words to colours by Lemire's rejection, the rule and stream of
 Generator.integers. The exhaustive oracle returns the exact joint law
@@ -33,7 +36,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .census import _rank, pyramid_counts, triangle_census
+from .census import _rank, _runs, pyramid_counts, triangle_census
 from .errors import BadParamsError, TooLargeError
 from .graph import Graph, _check_seed
 from .moments import _check_colors, standard_normal_cdf, t2_mean_var, t3_mean_var
@@ -43,7 +46,7 @@ BLOCK = 1024  # replications per RNG block; fixed so reports never depend on thr
 _PIECE = 1 << 18  # bytes of colours a block transposes at once; the piece size moves no byte
 _WORDS = 1 << 13  # most Philox words one draw reduces (64 KB), so its temporaries stay small
 DEFAULT_ENUM_CAP = 10**7
-SLAB = 255  # cliques _mono_counts gathers at once: the most hits a uint8 tally holds
+SLAB = 255  # edges or triangles _mono_counts tallies at once: the most hits a uint8 tally holds
 SUFFIX = 1 << 12  # most suffix colourings exact_distribution shares across prefixes
 
 
@@ -115,23 +118,58 @@ def _color_dtype(c: int):
     return np.uint32 if c <= 1 << 32 else np.uint64
 
 
-def _mono_counts(ct: np.ndarray, cliques: np.ndarray, slab: int) -> np.ndarray:
-    """For each column of the vertex-major colour block ct (n x rows), the
-    number of rows of cliques (m x k vertex ids) whose k vertices all
-    share one colour. Gathers slab <= SLAB cliques per step and tallies
-    each slab's hits per column in uint8, which holds 255 hits exactly;
-    one-byte colours are compared over their own gathered bytes."""
-    def same(first: np.ndarray, other: np.ndarray) -> np.ndarray:
-        return np.equal(first, other, out=other.view(bool) if other.itemsize == 1 else None)
-    out = np.zeros(ct.shape[1], dtype=np.int64)
-    for s in range(0, len(cliques), slab):
-        part = cliques[s : s + slab]
-        first = ct[part[:, 0]]
-        hit = same(first, ct[part[:, 1]])
-        for j in range(2, part.shape[1]):
-            hit &= same(first, ct[part[:, j]])
-        out += np.add.reduce(hit.view(np.uint8), axis=0, dtype=np.uint8)
-    return out
+def _plan(rank: np.ndarray, edges: np.ndarray, tris: np.ndarray, rows: int, t2: bool) -> list:
+    """The chunks (apexes, other ends, counted for T2, slabs) _mono_counts
+    reads: edges by apex, their end of highest rank, at most rows to a
+    chunk, with the triangles at those apexes in slabs of at most rows
+    (i, j), the ids in the chunk of a triangle's two edges at its apex. A
+    hub, an apex on more edges, has plain chunks of its edges, then chunks
+    of rows // 2 triangles that carry their own two edges each."""
+    n = len(rank)
+    vertex = np.empty(n, np.int64)
+    vertex[rank] = np.arange(n)
+    x, y = (rank[v] for v in edges.T)  # column by column: numpy's reductions along rows are slow
+    keys = np.maximum(x, y) * n + np.minimum(x, y)
+    keys = keys[np.argsort(keys, kind="stable")]
+    r = [rank[v] for v in tris.T]
+    top, low = np.maximum.reduce(r), np.minimum.reduce(r)
+    mid = top * n + sum(r) - top - low  # the key of the edge from the apex to the middle vertex
+    order = np.argsort(mid.astype(np.min_scalar_type(n * n)), kind="stable")  # a radix sort below 2^16
+    ij = np.searchsorted(keys, [mid[order], (top * n + low)[order]])
+    start = np.searchsorted(keys, np.arange(n + 1) * n)
+    tstart, apex, other = np.searchsorted(ij[0], start), vertex[keys // n], vertex[keys % n]
+    plan, half = [], max(1, rows // 2)
+    for a, b in _runs(np.diff(start), rows):
+        e0, e1, t0, t1 = start[a], start[b], tstart[a], tstart[b]
+        if e1 - e0 > rows:  # a hub, read as one row; a triangle chunk holds mid edges, then low ones
+            u = slice(apex[e0], apex[e0] + 1)
+            plan += [(u, other[s : min(s + rows, e1)], True, []) for s in range(e0, e1, rows) if t2]
+            for s in range(t0, t1, half):  # halves, not alternate rows, which numpy would copy to AND
+                m = min(half, t1 - s)
+                plan.append((u, other[ij[:, s : s + m]].ravel(), False, [(np.s_[:m], np.s_[m:])]))
+            continue
+        ij[:, t0:t1] -= e0
+        slabs = [tuple(ij[:, s : min(s + rows, t1)]) for s in range(t0, t1, rows)]
+        plan += [(apex[e0:e1], other[e0:e1], t2, slabs)] if slabs or t2 else []
+    return plan
+
+
+def _mono_counts(ct: np.ndarray, plan: list) -> tuple[np.ndarray, np.ndarray]:
+    """For each column of the vertex-major colour block ct (n x columns),
+    the numbers (T2, T3) of the plan's edges and triangles whose vertices
+    share one colour: a triangle's do when its two edges at its apex do.
+    Each chunk's and each slab's hits are tallied in uint8, which holds 255."""
+    t2, t3 = np.zeros(ct.shape[1], np.int64), np.zeros(ct.shape[1], np.int64)
+    for u, v, count, slabs in plan:
+        hit = ct[u] == ct[v]
+        if count:
+            t2 += np.add.reduce(hit.view(np.uint8), axis=0, dtype=np.uint8)
+        for i, j in slabs:
+            both = hit[j]
+            both &= hit[i]
+            t3 += np.add.reduce(both.view(np.uint8), axis=0, dtype=np.uint8)
+        hit = both = None  # so that the next chunk's gathers are at most the third slab temporary
+    return t2, t3
 
 
 def _map_blocks(fn: Callable, items: Sequence, threads: Optional[int]) -> Iterator:
@@ -218,26 +256,30 @@ def sample_statistics(
     yields only its per-replication values; the fold adds their value
     counts to one table per statistic. _draw_block writes each block
     vertex-major (a row per vertex) from that stream, piece by piece, so
-    working memory is bounded by the block, a piece and a 255-clique
-    slab, not by the triangle count, and no finished block is kept.
+    working memory is bounded by the block, a piece and a 255-row slab,
+    not by the triangle count, and no finished block is kept. A clique's
+    apex is its vertex of highest (degree, id), so a hub's edge rows are
+    compared with one row of its colours.
 
     raw_sinks optionally maps a statistic name ("T2"/"T3") to a writable
     binary stream; per-replication values are then written to it as
     little-endian 64-bit integers in replication order, a block at a time.
     """
     raw_sinks = raw_sinks or {}
-    cliques = {}
-    if cfg.statistic in ("T2", "both"):
-        cliques["T2"] = g.edge_array
-    if cfg.statistic in ("T3", "both"):
-        tc = triangle_census(g)
-        cliques["T3"] = tc.triangles
+    names = ("T2", "T3") if cfg.statistic == "both" else (cfg.statistic,)
+    tc = triangle_census(g) if "T3" in names else None
+    tris = np.empty((0, 3), np.int64) if tc is None else tc.triangles
+    # T3 alone reads only the edges that carry a triangle
+    edges = g.edge_array if "T2" in names else np.stack(np.divmod(tc.edge_keys, g.n), 1)
+    rank = _rank(np.bincount(g.edge_array.ravel(), minlength=g.n))
+    plan = _plan(rank, edges, tris, SLAB, "T2" in names)
+    sizes = {"T2": g.edge_count, "T3": len(tris)}
 
     def run_block(b: int) -> dict:
         ct = _draw_block(cfg.seed, b, cfg.c, g.n, min(BLOCK, cfg.replications - b * BLOCK))
-        return {name: _mono_counts(ct, k, SLAB) for name, k in cliques.items()}
+        return {name: v for name, v in zip(("T2", "T3"), _mono_counts(ct, plan)) if name in names}
 
-    counts = {name: np.zeros(len(k) + 1, dtype=np.int64) for name, k in cliques.items()}
+    counts = {name: np.zeros(sizes[name] + 1, np.int64) for name in names}
     for out in _map_blocks(run_block, range(-(-cfg.replications // BLOCK)), threads):
         for name, values in out.items():  # block order == replication order
             tally = np.bincount(values)
@@ -245,34 +287,23 @@ def sample_statistics(
             if raw_sinks.get(name) is not None:
                 raw_sinks[name].write(values.astype("<i8").tobytes())
 
-    summaries = {}
-    for name, k in cliques.items():
-        model = None
-        if len(k) and name == "T2":
-            model = t2_mean_var(g.edge_count, cfg.c)
-        elif len(k):
-            model = t3_mean_var(pyramid_counts(tc), cfg.c)
-        summaries[name] = _summarize(name, counts[name], cfg, model)
-    return summaries
+    models = {"T2": lambda: t2_mean_var(g.edge_count, cfg.c),
+              "T3": lambda: t3_mean_var(pyramid_counts(tc), cfg.c)}
+    return {name: _summarize(name, counts[name], cfg, models[name]() if sizes[name] else None)
+            for name in names}
 
 
 def _summarize(name: str, counts: np.ndarray, cfg: SimConfig, model) -> StatisticSummary:
-    support = [int(v) for v in np.nonzero(counts)[0]]
-    dist = tuple((v, int(counts[v])) for v in support)
+    dist = tuple((int(v), int(counts[v])) for v in np.flatnonzero(counts))
     total = cfg.replications
     mean, var, m4 = _moments_from_counts(dist, total)
+    masses = [n / total for _, n in dist]
     ks = None
     if model is not None and model.variance > 0:
-        mu = float(model.mean)
-        sd = math.sqrt(float(model.variance))
-        zs = [(v - mu) / sd for v, _ in dist]
-        masses = [n / total for _, n in dist]
-        ks = ks_from_distribution(zs, masses, standard_normal_cdf)
-    atoms: tuple[Atom, ...] = ()
-    if cfg.atom_gap is not None:
-        atoms = atom_summary(
-            [float(v) for v, _ in dist], [n / total for _, n in dist], cfg.atom_gap
-        )
+        mu, sd = float(model.mean), math.sqrt(float(model.variance))
+        ks = ks_from_distribution([(v - mu) / sd for v, _ in dist], masses, standard_normal_cdf)
+    atoms = () if cfg.atom_gap is None else atom_summary(
+        [float(v) for v, _ in dist], masses, cfg.atom_gap)
     return StatisticSummary(
         statistic=name,
         replications=total,
@@ -291,14 +322,8 @@ def _moments_from_counts(
     dist: Sequence[tuple[int, int]], total: int
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Exact mean, variance, and fourth central moment from value counts."""
-    s1 = sum(v * n for v, n in dist)
-    s2 = sum(v * v * n for v, n in dist)
-    s3 = sum(v**3 * n for v, n in dist)
-    s4 = sum(v**4 * n for v, n in dist)
-    mu = Fraction(s1, total)
-    m2 = Fraction(s2, total) - mu**2
-    m4 = Fraction(s4, total) - 4 * mu * Fraction(s3, total) + 6 * mu**2 * Fraction(s2, total) - 3 * mu**4
-    return mu, m2, m4
+    mu, e2, e3, e4 = (Fraction(sum(v**k * n for v, n in dist), total) for k in (1, 2, 3, 4))
+    return mu, e2 - mu**2, e4 - 4 * mu * e3 + 6 * mu**2 * e2 - 3 * mu**4
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +377,9 @@ def exact_distribution(
     invariant under colour permutations. Each is written into one block of
     all c^s colourings of the other s = n - j vertices (c^s <= SUFFIX,
     j >= 1 when n >= 1); _mono_counts counts the cliques wholly in the
-    suffix once and the rest per string, into one exact integer tally.
+    suffix once and the rest per string, into one exact integer tally. A
+    clique's apex is its least label, so the two apex edges of a triangle
+    that touches the prefix touch it too.
     Slabs hold at most 2^16 cells, so no temporary passes the allocator's
     mmap threshold to be faulted in afresh per string; on slabs that small
     one thread beats a pool, and threads is accepted and unused.
@@ -377,20 +404,24 @@ def exact_distribution(
     prefixes = [((), 0)]  # restricted-growth strings, each with its colour count
     for _ in range(j):
         prefixes = [(p + (x,), max(m, x + 1)) for p, m in prefixes for x in range(min(m + 1, c))]
+    apex = np.arange(g.n)[::-1]  # the least label of a clique is its apex
+
+    def pairs(plan: list, base=0) -> np.ndarray:  # each column's (T2, T3) as one index
+        t2, t3 = _mono_counts(ct, plan)
+        t2 *= stride
+        t2 += t3
+        t2 += base
+        return t2
+
     touch = [k.min(1) < j for k in (edges, tris)]  # the rows each string counts afresh
-    base = _mono_counts(ct, edges[~touch[0]], slab) * stride + _mono_counts(ct, tris[~touch[1]], slab)
-    edges, tris = edges[touch[0]], tris[touch[1]]
+    base = pairs(_plan(apex, edges[~touch[0]], tris[~touch[1]], slab, True))
+    plan = _plan(apex, edges[touch[0]], tris[touch[1]], slab, True)
     tally = np.zeros(width, dtype=np.int64 if total < 1 << 63 else object)
     for prefix, m in prefixes:
         ct[:j] = np.array(prefix, dtype=dtype)[:, None]
-        flat = _mono_counts(ct, edges, slab) * stride + base
-        flat += _mono_counts(ct, tris, slab)
-        counts = np.bincount(flat, minlength=width).astype(tally.dtype, copy=False)
+        counts = np.bincount(pairs(plan, base), minlength=width).astype(tally.dtype, copy=False)
         tally += np.multiply(counts, math.perm(c, m), out=counts)
-    joint = {}
-    for flat in np.nonzero(tally)[0]:
-        t2, t3 = divmod(int(flat), stride)
-        joint[(t2, t3)] = Fraction(int(tally[flat]), total)
+    joint = {divmod(int(f), stride): Fraction(int(tally[f]), total) for f in np.flatnonzero(tally)}
     return ExactDistribution(c=c, n=g.n, joint=joint)
 
 

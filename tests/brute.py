@@ -549,3 +549,22 @@ def brute_count_chunk(tc, slots, eid):
     cells[0] -= np.diag(np.bincount(types[inside], minlength=width))
     cells[1] -= np.diag(np.bincount(types[out], minlength=width))
     return total, cells
+
+
+def brute_mono_counts(ct: np.ndarray, cliques: np.ndarray, slab: int) -> np.ndarray:
+    """For each column of the vertex-major colour block ct (n x rows), the
+    number of rows of cliques (m x k vertex ids) whose k vertices all
+    share one colour. Gathers slab <= SLAB cliques per step and tallies
+    each slab's hits per column in uint8, which holds 255 hits exactly;
+    one-byte colours are compared over their own gathered bytes."""
+    def same(first: np.ndarray, other: np.ndarray) -> np.ndarray:
+        return np.equal(first, other, out=other.view(bool) if other.itemsize == 1 else None)
+    out = np.zeros(ct.shape[1], dtype=np.int64)
+    for s in range(0, len(cliques), slab):
+        part = cliques[s : s + slab]
+        first = ct[part[:, 0]]
+        hit = same(first, ct[part[:, 1]])
+        for j in range(2, part.shape[1]):
+            hit &= same(first, ct[part[:, j]])
+        out += np.add.reduce(hit.view(np.uint8), axis=0, dtype=np.uint8)
+    return out

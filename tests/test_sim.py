@@ -8,10 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from brute import brute_joint_law, relabeled
+from brute import brute_joint_law, brute_mono_counts, relabeled
 from helpers import t2_inputs
 from monoclt import sim
-from monoclt.census import pyramid_counts, triangle_census
+from monoclt.census import _rank, pyramid_counts, triangle_census
 from monoclt.errors import BadParamsError, TooLargeError
 from monoclt.graph import Graph, complete, cycle, gnp, pyramid, star
 from monoclt.moments import t2_moments, t3_mean_var
@@ -232,6 +232,54 @@ KERNEL_CORPUS = {
 }
 
 
+def windmill(blades):
+    """blades triangles sharing vertex 0 and nothing else."""
+    spokes = [(0, v) for v in range(1, 2 * blades + 1)]
+    return Graph.from_edges(2 * blades + 1, spokes + [(v, v + 1) for v in range(1, 2 * blades, 2)])
+
+
+def wheel(m):
+    """Vertex 0 joined to each vertex of the cycle 1..m: m triangles on m spokes."""
+    spokes = [(0, v) for v in range(1, m + 1)]
+    return Graph.from_edges(m + 1, spokes + [(v, v % m + 1) for v in range(1, m + 1)])
+
+
+# each of the last three has one apex on more than 255 edges, and each of
+# pyramid300 and windmill300 one on more than 255 triangles too
+PLAN_CORPUS = {**KERNEL_CORPUS, "K30": complete(30), "gnp120": gnp(120, 0.5, 1),
+               "pyramid300": pyramid(300), "star600": star(600), "windmill300": windmill(300)}
+
+
+@pytest.mark.parametrize("c", [2, 3, 300])
+@pytest.mark.parametrize("name", list(PLAN_CORPUS))
+def test_mono_counts_equal_the_clique_reference(name, c):
+    # the edge-row kernel against the k-clique kernel it replaced: T2 and
+    # T3 together and each alone at the sampler's (degree, id) apexes, no
+    # chunk gathering more than SLAB edge rows, and both at the exhaustive
+    # oracle's least-label apexes, split at a prefix
+    g = PLAN_CORPUS[name]
+    tc = triangle_census(g)
+    tris, none = tc.triangles, np.empty((0, 3), np.int64)
+    carried = np.stack(np.divmod(tc.edge_keys, g.n), 1)  # the edges that carry a triangle
+    rank = _rank(np.bincount(g.edge_array.ravel(), minlength=g.n))
+    least, j = np.arange(g.n)[::-1], g.n // 3
+    touch = [k.min(1) < j for k in (g.edge_array, tris)]
+    rng = np.random.default_rng(c)
+    for cols in (1, 3, 1023):
+        ct = rng.integers(0, c, size=(g.n, cols)).astype(sim._color_dtype(c))
+        t2, t3 = (brute_mono_counts(ct, k, 255).tolist() for k in (g.edge_array, tris))
+        zero = [0] * cols
+        for edges, k, count, want in ((g.edge_array, tris, True, (t2, t3)),
+                                      (g.edge_array, none, True, (t2, zero)),
+                                      (carried, tris, False, (zero, t3))):
+            plan = sim._plan(rank, edges, k, sim.SLAB, count)
+            assert max((len(v) for _, v, _, _ in plan), default=0) <= sim.SLAB
+            assert [x.tolist() for x in sim._mono_counts(ct, plan)] == list(want)
+        split = [sim._mono_counts(ct, sim._plan(least, g.edge_array[t], tris[u], sim.SLAB, True))
+                 for t, u in ((~touch[0], ~touch[1]), touch)]
+        assert [(split[0][x] + split[1][x]).tolist() for x in (0, 1)] == [t2, t3]
+
+
 def _sample_bytes(g, threads):
     sinks = {"T2": io.BytesIO(), "T3": io.BytesIO()}
     cfg = SimConfig(c=3, replications=2500, seed=4)
@@ -261,23 +309,39 @@ def _plain_counts(ct, cliques):
     return [sum(len({col[v] for v in q}) == 1 for q in rows) for col in ct.T.tolist()]
 
 
+def _sampler_plan(g, rows=sim.SLAB):
+    """The sampler's plan of g for T2 and T3."""
+    rank = _rank(np.bincount(g.edge_array.ravel(), minlength=g.n))
+    return sim._plan(rank, g.edge_array, triangle_census(g).triangles, rows, True)
+
+
+def _plan_rows(plan):
+    """The edges a plan counts for T2 and the triangles it counts."""
+    edges = sum(len(v) for _, v, count, _ in plan if count)
+    return edges, sum(len(v[j]) for _, v, _, slabs in plan for _, j in slabs)
+
+
 @pytest.mark.parametrize("c", [3, 300], ids=["uint8", "uint16"])
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("m", [254, 255, 256, 510, 511, 1000])
 def test_mono_counts_across_the_uint8_tally_boundary(m, k, c):
-    # column 0 is one colour, so every clique hits there and each full
-    # slab tallies exactly 255; at c = 300 the colours 43 and 299 (and
-    # 0 and 256) share a low byte but are distinct
-    n = 9
+    # one apex carries all m edges (a star) or all m triangles (a wheel,
+    # its hub on m spokes), in one chunk up to 255 and as a hub past it;
+    # column 0 is one colour, so every edge and triangle hits there and
+    # each full chunk or slab tallies exactly 255; at c = 300 the colours
+    # 43 and 299 (and 0 and 256) share a low byte but are distinct
+    g = star(m) if k == 2 else wheel(m)
+    tris = triangle_census(g).triangles
+    plan = _sampler_plan(g)
     rng = np.random.default_rng(m * k + c)
-    cliques = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)[:, :k]
     palette = np.array([0, 1, 2] if c == 3 else [0, 43, 256, 299])
     for cols in (1, 3, 1023):
-        ct = palette[rng.integers(0, len(palette), size=(n, cols))].astype(sim._color_dtype(c))
+        ct = palette[rng.integers(0, len(palette), size=(g.n, cols))].astype(sim._color_dtype(c))
         ct[:, 0] = c - 1
-        counts = sim._mono_counts(ct, cliques, sim.SLAB)
-        assert counts.tolist() == _plain_counts(ct, cliques)
-        assert counts[0] == m
+        t2, t3 = sim._mono_counts(ct, plan)
+        assert t2.tolist() == _plain_counts(ct, g.edge_array)
+        assert t3.tolist() == _plain_counts(ct, tris)
+        assert (t2[0], t3[0]) == (g.edge_count, len(tris))
 
 
 def test_partial_uint16_block_across_slabs_is_thread_invariant():
@@ -318,10 +382,9 @@ def test_exhaustive_oracle_evaluates_colourings_up_to_permutation(monkeypatch):
     columns = []
     mono_counts = sim._mono_counts
 
-    def counting(ct, cliques, slab):
-        if cliques.shape[1] == 3:  # one call per evaluated block
-            columns.append(ct.shape[1])
-        return mono_counts(ct, cliques, slab)
+    def counting(ct, plan):  # one call per evaluated block
+        columns.append(ct.shape[1])
+        return mono_counts(ct, plan)
 
     monkeypatch.setattr(sim, "_mono_counts", counting)
     exact_distribution(complete(10), 4)
@@ -335,16 +398,16 @@ def test_exhaustive_oracle_counts_suffix_cliques_once(monkeypatch):
     rows = []
     mono_counts = sim._mono_counts
 
-    def recording(ct, cliques, slab):
-        rows.append(len(cliques))
-        return mono_counts(ct, cliques, slab)
+    def recording(ct, plan):
+        rows.append(_plan_rows(plan))
+        return mono_counts(ct, plan)
 
     monkeypatch.setattr(sim, "_mono_counts", recording)
     exact_distribution(complete(10), 4)
     # the 15 edges and 20 triangles of the 6 suffix vertices once, then
     # the 30 and 100 that touch the 4 prefix vertices for each of the 15
     # growth strings: 1,985 rows, against 15 x 165 = 2,475 counted per string
-    assert rows == [15, 20] + [30, 100] * 15
+    assert rows == [(15, 20)] + [(30, 100)] * 15
 
 
 def test_exhaustive_oracle_memory_is_bounded_by_its_slabs():
@@ -352,8 +415,8 @@ def test_exhaustive_oracle_memory_is_bounded_by_its_slabs():
     # uint8), the tally over (T2, T3) pairs and its three per-string
     # copies (counted, cast, weighted), three int64 counts per column (the
     # suffix cliques' counts, the string's sum and one count), and three
-    # slab temporaries of at most 2^16 bytes (the first vertex's colours,
-    # the running hits, and a gather compared over its own bytes), plus
+    # slab temporaries of at most 2^16 bytes (a chunk's two gathers and
+    # their comparison, or its hits and a slab's two gathers of them), plus
     # 64 KB of small objects; 255-row slabs of 4096 columns alone pass 1 MB
     g = complete(10)
     tc = triangle_census(g)
@@ -370,19 +433,20 @@ def test_exhaustive_oracle_memory_is_bounded_by_its_slabs():
 
 
 def test_colour_kernel_holds_three_slab_temporaries():
-    # a triangle pass over one-byte colours holds the first vertex's
-    # colours, the hits and one gather of 16 x 4,096 bytes each, beside
-    # the int64 counts, one uint8 row of slab tallies and 16 KB of small
-    # objects; a comparison of its own would add a fourth
+    # a chunk over one-byte colours holds its apexes' and its other ends'
+    # colours and their comparison, then the hits and a slab's two gathers
+    # of them, of at most 16 x 4,096 bytes each, beside the two int64
+    # counts, one uint8 row of tallies and 16 KB of small objects; a
+    # fourth slab temporary would pass the bound
     ct = np.random.default_rng(0).integers(0, 3, size=(9, 4096), dtype=np.uint8)
-    tris = triangle_census(complete(9)).triangles
+    plan = _sampler_plan(complete(9), rows=16)
     tracemalloc.start()
     try:
-        sim._mono_counts(ct, tris, 16)
+        sim._mono_counts(ct, plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 2**16 + 8 * 4096 + 4096 + 2**14
+    assert peak < 3 * 2**16 + 2 * 8 * 4096 + 4096 + 2**14
 
 
 def test_exact_law_with_uint16_colours():
@@ -529,23 +593,26 @@ class _NullSink:
         return len(data)
 
 
+def _sampling_peak(g, blocks, threads):
+    cfg = SimConfig(c=3, replications=blocks * sim.BLOCK, seed=6)
+    tracemalloc.start()
+    try:
+        sample_statistics(g, cfg, threads=threads, raw_sinks={"T2": _NullSink(), "T3": _NullSink()})
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sampler_memory_does_not_grow_with_replications(threads):
     # each block yields only its per-replication values (1,024 of T2 and of
     # T3), which are tallied and written as the block finishes, so 64
-    # blocks hold no more than 4
+    # blocks on w workers hold no more than w one-block runs (each its
+    # plan, colour block and slab temporaries) and 256 KB for the pool's
+    # pending values. Two runs on two workers can differ by more: their
+    # peaks depend on whether the workers' slab temporaries overlapped
     g = complete(30)
-    peaks = []
-    for blocks in (4, 64):
-        cfg = SimConfig(c=3, replications=blocks * sim.BLOCK, seed=6)
-        tracemalloc.start()
-        try:
-            sinks = {"T2": _NullSink(), "T3": _NullSink()}
-            sample_statistics(g, cfg, threads=threads, raw_sinks=sinks)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] < 256 * 1024
+    assert _sampling_peak(g, 64, threads) < threads * _sampling_peak(g, 1, 1) + 256 * 1024
 
 
 def test_unknown_statistic_is_a_domain_error():
