@@ -109,11 +109,11 @@ def _open_out(path: str, mode: str):
 
 
 def _check_out(path: Optional[str]):
-    """Refuses, before any work, an --out that is a directory or not in a
-    writable one; the file is opened only for the finished report."""
+    """Refuses, before any work, an --out that is empty, a directory or not
+    in a writable one; the file is opened only for the finished report."""
     folder = os.path.dirname(path or "") or "."
     writable = os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)
-    if path and (os.path.isdir(path) or not writable):
+    if path is not None and (not path or os.path.isdir(path) or not writable):
         raise argparse.ArgumentTypeError(f"cannot write {path}: not a file in a writable directory")
 
 
@@ -226,11 +226,13 @@ def _simulate(args, graph):
         statistic=args.statistic,
         atom_gap=args.atom_gap,
     )
+    if args.raw_out == "":
+        raise argparse.ArgumentTypeError("cannot write raw values to an empty --raw-out base")
     with ExitStack() as stack:
         raw_sinks = {
             stat: stack.enter_context(_open_out(f"{args.raw_out}.{stat.lower()}.bin", "wb"))
             for stat in ("T2", "T3")
-            if args.raw_out and cfg.statistic in (stat, "both")
+            if args.raw_out is not None and cfg.statistic in (stat, "both")
         }
         summaries = sample_statistics(graph, cfg, threads=args.threads, raw_sinks=raw_sinks or None)
     return asdict(cfg), [s.to_json_dict() for s in summaries.values()]
@@ -323,7 +325,7 @@ def _dispatch(args) -> int:
     else:
         config, report = body(args, graph)
         payload = _report(args.command, {"source": source, **config}, graph, report)
-    if args.out:
+    if args.out is not None:
         with _open_out(args.out, "w") as fh:
             fh.write(payload)
     else:

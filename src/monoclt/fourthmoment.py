@@ -254,6 +254,17 @@ def _gram(rows: np.ndarray, types: np.ndarray, width: int) -> np.ndarray:
     return gram
 
 
+def _by_third(tc: TriangleCensus, owner: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The triangles on the edges e (ids into edge_keys) of owners owner >= 0,
+    in groups by (owner, third vertex x) in that order: per triangle, the
+    index into e of its edge and its group; per group, its owner and x."""
+    k, pos = _expand(tc.on[0][e], tc.edge_d[e])
+    key = owner[k] * tc.n + tc.thirds[pos] % tc.n
+    order = np.argsort(key, kind="stable")
+    new = np.diff(key[order], prepend=-1) != 0
+    return k[order], np.cumsum(new) - 1, *np.divmod(key[order[new]], tc.n)
+
+
 def _cells(tc: TriangleCensus) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """The cells of the connected pairs, summed over them by the number of
     vertices they share: third triangles by type, and ordered pairs of
@@ -273,9 +284,9 @@ def _cells(tc: TriangleCensus) -> dict[int, tuple[np.ndarray, np.ndarray]]:
 
 @lru_cache(maxsize=None)
 def _layout(s: int) -> tuple[np.ndarray, ...]:
-    """For s slots: the types of eid's columns; per slot triple, its type,
-    edges ij, ik and jk (ids and a 0/1 row), slot k and whether it is
-    neither a nor b; and the places `at` of their Gram that add to cells `to`."""
+    """For s slots: the types of eid's columns; per slot triple ijk, its
+    type, the columns of its edges ij, ik and jk (as indices and as a 0/1
+    row), slot k and whether it is neither a nor b."""
     first, second = np.triu_indices(s, 1)
     types = (1 << first) | (1 << second)
     trip = np.array(list(itertools.combinations(range(s), 3)))
@@ -285,10 +296,7 @@ def _layout(s: int) -> tuple[np.ndarray, ...]:
     # a is the a-only and shared slots, b the b-only and shared ones
     one = (1 << s - 3) - 1
     other = (kinds & one > 0) & (kinds & one << s - 3 > 0)
-    # a triple on the edge opposite its slot x is in the group of x
-    side, x = types[sides].ravel(), (kinds[:, None] ^ types[sides]).ravel()
-    t, u = np.nonzero(x[:, None] == x)
-    return types, kinds, sides, on_side * 1.0, trip[:, 2], other, t * sides.size + u, side[t] << s | side[u]
+    return types, kinds, sides, on_side * 1.0, trip[:, 2], other
 
 
 def _count_chunk(tc: TriangleCensus, slots: np.ndarray, eid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,10 +306,10 @@ def _count_chunk(tc: TriangleCensus, slots: np.ndarray, eid: np.ndarray) -> tupl
     candidates by (k, t1, t2). Listed slot triples but a and b are
     candidates inside U(P), edge_d less them those outside, and H^T H of
     these counts H gives the cells but k = 1 and c = w. Only k = 1 reads
-    rows, by (pair, third vertex x), on the slot edges with outside
-    candidates of pairs with two such edges."""
+    rows: on the slot edges with outside candidates of pairs with two such,
+    the groups of two or more by (pair, third vertex x) with x no slot."""
     width = 1 << slots.shape[1]
-    types, kinds, sides, on_side, third, other, at, to = _layout(slots.shape[1])
+    types, kinds, sides, on_side, third, other = _layout(slots.shape[1])
     # look up the slot triples but a and b whose three edges carry triangles
     e = eid[:, sides]
     listed = (e >= 0).all(2) & other
@@ -314,19 +322,15 @@ def _count_chunk(tc: TriangleCensus, slots: np.ndarray, eid: np.ndarray) -> tupl
     total, every = hist.sum(0), hist.T @ hist
     read = (hist[:, types] > 0) & ((hist[:, types] > 0).sum(1) > 1)[:, None]
     p, c = np.nonzero(read)
-    i, pos = _expand(tc.on[0][eid[p, c]], tc.edge_d[eid[p, c]])
-    key = ((p[i] * tc.n + tc.thirds[pos] % tc.n) << slots.shape[1]) + types[c[i]]
-    key, edge_type = np.divmod(key[np.argsort(key, kind="stable")], width)
-    group = np.cumsum(np.diff(key, prepend=-1) != 0) - 1
-    size = np.bincount(group)
-    keep = size[group] > 1
-    shared = _gram((np.cumsum(size > 1) - 1)[group[keep]], edge_type[keep], width)
-    # less the groups of a slot x: the listed triples on x, read on its opposite edge
-    rows = (listed[:, :, None] * read[:, sides]).reshape(len(eid), -1)
-    slot = np.bincount(to, (rows.T @ rows).flat[at], width * width).reshape(width, width)
+    k, group, pair, x = _by_third(tc, p, eid[p, c])
+    big = np.flatnonzero(np.bincount(group) > 1)
+    outside = np.zeros(len(x), bool)
+    outside[big] = (slots[pair[big]] != x[big, None]).all(1)
+    keep = outside[group]
+    shared = _gram((np.cumsum(outside) - 1)[group[keep]], types[c[k[keep]]], width)
     # each Gram counts ordered pairs, so float64 is exact below 2^52
-    assert max(g.max(initial=0) for g in (every, shared, slot)) < 2**52
-    shared = (shared - slot) * (1 - np.eye(width))
+    assert max(every.max(initial=0), shared.max(initial=0)) < 2**52
+    shared *= 1 - np.eye(width)
     return total.astype(np.int64), np.stack([every - shared - np.diag(total), shared]).astype(np.int64)
 
 
@@ -367,23 +371,17 @@ def _cycle_counts(tc: TriangleCensus, e: np.ndarray) -> tuple[int, int]:
     edges as, sb, bt and ta are the rows of edge ids e.
 
     X_1..X_4 are the third vertices of the triangles on as, sb, bt and ta,
-    less a, s, b and t. Each vertex of their union is taken from the
-    first X holding it, with the mask of the X's that hold it: |X_S| for a
-    set S of the four edges counts the vertices whose mask holds S."""
+    less a, s, b and t. Grouped by (cycle, third vertex), each vertex of
+    their union comes once, with the mask of the X's that hold it: |X_S|
+    for a set S of the four edges counts the vertices whose mask holds S."""
     c = len(e)
     # the cycle's vertices are the ends of its edges as and bt
     cycle = np.hstack(np.divmod(tc.edge_keys[e[:, [0, 2]]], tc.n))
-    start, thirds = tc.on[0], tc.thirds
-    tally = []
-    for i in range(4):
-        k, pos = _expand(start[e[:, i]], tc.edge_d[e[:, i]])
-        x = thirds[pos] % tc.n
-        mask = np.zeros(len(x), np.int64)
-        for j in range(4):
-            mask |= _find(thirds, e[k, j] * tc.n + x)[1].astype(np.int64) << j
-        keep = (cycle[k] != x[:, None]).all(1) & (mask & (1 << i) - 1 == 0)
-        tally.append(k[keep] * 16 + mask[keep])
-    size = np.bincount(np.concatenate(tally), minlength=16 * c).reshape(c, 16).T.copy()
+    i, group, owner, x = _by_third(tc, np.tile(np.arange(c), 4), e.T.ravel())
+    # a group holds each edge of its cycle at most once
+    mask = np.bincount(group, 1 << i // c, len(x)).astype(np.int64)
+    keep = (cycle[owner] != x[:, None]).all(1)
+    size = np.bincount(owner[keep] * 16 + mask[keep], minlength=16 * c).reshape(c, 16).T.copy()
     for bit in (1, 2, 4, 8):
         for mask in range(16):
             if not mask & bit:

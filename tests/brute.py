@@ -551,6 +551,20 @@ def brute_count_chunk(tc, slots, eid):
     return total, cells
 
 
+def brute_by_third(tc, owner, e) -> dict:
+    """fourthmoment._by_third from every row: {(owner, third vertex x):
+    the indices k into e of the edges whose triangle with third vertex x
+    is owned by owner[k], ascending}, in (owner, x) order."""
+    groups: dict = {}
+    tris = [set(t) for t in tc.triangles.tolist()]
+    for k, (o, edge) in enumerate(zip(owner.tolist(), e.tolist())):
+        ends = set(divmod(int(tc.edge_keys[edge]), tc.n))
+        for t in tris:
+            if ends <= t:
+                groups.setdefault((o, min(t - ends)), []).append(k)
+    return dict(sorted(groups.items()))
+
+
 def brute_mono_counts(ct: np.ndarray, cliques: np.ndarray, slab: int) -> np.ndarray:
     """For each column of the vertex-major colour block ct (n x rows), the
     number of rows of cliques (m x k vertex ids) whose k vertices all

@@ -122,8 +122,11 @@ def test_usage_error_two_sources(capsys, tmp_path):
         ["census", "--family", "pyramid", "--n", "3", "--out", "{missing}/x.json"],
         ["simulate", "--family", "pyramid", "--n", "3", "--c", "2", "--reps", "10", "--seed", "1",
          "--raw-out", "{missing}/base"],
+        ["census", "--family", "pyramid", "--n", "3", "--out", ""],
+        ["simulate", "--family", "pyramid", "--n", "3", "--c", "2", "--reps", "10", "--seed", "1",
+         "--raw-out", ""],
     ],
-    ids=["input-not-utf8", "out-unwritable", "raw-out-unwritable"],
+    ids=["input-not-utf8", "out-unwritable", "raw-out-unwritable", "out-empty", "raw-out-empty"],
 )
 def test_unusable_files_are_usage_errors(tmp_path, case):
     # run as a process, so a traceback would reach stderr

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from brute import (brute_class_key, brute_count_chunk, brute_cycle_sets, brute_discover_classes,
+from brute import (brute_by_third, brute_class_key, brute_count_chunk, brute_cycle_sets, brute_discover_classes,
                    brute_t3_third_central_moment, relabeled)
 from helpers import UNION, discovery_corpus
 from monoclt import census, fourthmoment
@@ -711,3 +711,18 @@ def test_cells_equal_the_row_reference(g, chunk, monkeypatch):
     monkeypatch.setattr(fourthmoment, "_count_chunk", brute_count_chunk)
     want = fourthmoment._cells(tc)
     assert [a.tolist() for sh in (1, 2) for a in got[sh]] == [a.tolist() for sh in (1, 2) for a in want[sh]]
+
+
+@pytest.mark.parametrize("g", discovery_corpus() + [pytest.param(complete(9), id="K9")])
+def test_grouping_by_third_vertex_equals_the_row_reference(g):
+    # random owners over edges drawn with repeats, and no edges at all
+    tc = triangle_census(g)
+    rng = np.random.default_rng(5)
+    for size in (0, 1, 3 * len(tc.edge_keys)):
+        e = rng.integers(len(tc.edge_keys), size=size)
+        owner = rng.integers(4, size=size)
+        k, group, owners, x = fourthmoment._by_third(tc, owner, e)
+        want = brute_by_third(tc, owner, e)
+        assert len(k) == len(group) == sum(map(len, want.values()))
+        got = {(o, v): k[group == j].tolist() for j, (o, v) in enumerate(zip(owners.tolist(), x.tolist()))}
+        assert list(got.items()) == list(want.items())
